@@ -245,12 +245,12 @@ def cmd_matrix(args) -> int:
 def cmd_inertia(args) -> int:
     g, digest = _read_input(args.file)
     if args.of == "input":
-        m = matrices.adjacency(g)
+        ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
-        m = matrices.adjacency_mycielskian(g)
+        # A_M = P diag(A, lower block) P^T with P invertible: the inertias add
+        ine = exactla.inertia(matrices.adjacency(g)) + exactla.inertia(matrices.lower_block(g))
     else:
-        m = matrices.negative_join(g)
-    ine = exactla.inertia(m)
+        ine = exactla.inertia(matrices.negative_join(g))
     payload = {
         "_digest": digest,
         "of": args.of,
@@ -359,8 +359,8 @@ def _audit_inertia(g, fault: bool) -> dict:
         bm = exactla.RationalMatrix.from_rows(rows)
     ok = exactla.is_congruent_product(pm, bm, am)
     lower = exactla.RationalMatrix.from_rows([row[g.p :] for row in bm.entries[g.p :]])
-    total = exactla.inertia(a) + exactla.inertia(lower)
-    ok = ok and exactla.inertia(am) == total
+    in_am, in_a, in_lower = exactla.inertia(am), exactla.inertia(a), exactla.inertia(lower)
+    ok = ok and in_am == in_a + in_lower
     nj = matrices.negative_join(g)
     ok = ok and exactla.rank(am) == exactla.rank(a) + exactla.rank(nj)
     def fmt(ine):
@@ -369,7 +369,7 @@ def _audit_inertia(g, fault: bool) -> dict:
     return _claim(
         "inertia-additivity",
         ok,
-        f"inertia {fmt(exactla.inertia(am))} from blocks {fmt(exactla.inertia(a))} + {fmt(exactla.inertia(lower))}",
+        f"inertia {fmt(in_am)} from blocks {fmt(in_a)} + {fmt(in_lower)}",
     )
 
 
@@ -391,6 +391,8 @@ def _audit_incidence(g, fault: bool) -> dict:
 
 
 def _audit_laplacian_balance(g, fault: bool) -> dict:
+    if g.p == 0:
+        return _skip("laplacian-balance", "input has no vertices")
     if not core.is_connected(g):
         return _skip("laplacian-balance", "input is disconnected")
     singular = exactla.rank(matrices.laplacian(g)) < g.p

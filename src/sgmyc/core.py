@@ -272,7 +272,8 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
 def _random_connected(p: int, edge_prob: float, neg_prob: float, seed: int | None) -> SignedGraph:
     rng = random.Random(0 if seed is None else seed)
     pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-    for _ in range(100000):
+    # a hopeless draw gives up early; one that succeeds is the same graph whatever the cap
+    for _ in range(1000):
         chosen = [pair for pair in pairs if rng.random() < edge_prob]
         signs = [-1 if rng.random() < neg_prob else 1 for _ in chosen]
         g = canonicalize(p, [(u, v, s) for (u, v), s in zip(chosen, signs)])

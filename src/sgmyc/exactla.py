@@ -1,25 +1,30 @@
 """Exact rational linear algebra for small dense matrices.
 
-Everything here is exact: entries are Python ints or Fractions, never
-floats, so results carry no rounding error at any size that fits in
-memory.  Three kernels do the real work.
+Entries are Python ints or Fractions, never floats, so results carry no
+rounding error at any size that fits in memory.
 
-Determinant and rank use fraction-free Bareiss elimination.  Each update
+One fraction-free kernel (Bareiss 1968) does every elimination.  Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
-that division is exact over the integers, which keeps intermediate
-growth polynomial instead of exponential.  Rows with rational entries
-are scaled to integers first; the determinant is unscaled at the end and
-row scaling never changes the rank.
+the division is exact: every entry is a minor of the input, so growth
+stays polynomial.  Rational input is first multiplied by one positive
+scalar, the lcm of all denominators, which keeps symmetry, rank and
+inertia and scales the determinant by a known power.  Determinant and
+rank share one row-pivoting driver.
 
-Inertia uses symmetric congruence diagonalization.  A congruence
-transform A -> E A E^T preserves the signs of the eigenvalues by
-Sylvester's law of inertia, so after diagonalizing it suffices to count
-positive, negative and zero diagonal entries.  Zero pivots are repaired
-by a symmetric permutation when some later diagonal entry is nonzero,
-and otherwise by adding row and column j into the pivot position, which
-turns a nonzero off-diagonal a_kj into the pivot 2 a_kj.  When the whole
-trailing row is zero the diagonal entry is a genuine zero of the form.
+Inertia drives the same update with symmetric pivots, so the k-th pivot
+d_k is a leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1},
+and its sign is sign(d_k) * sign(d_{k-1}); by Sylvester's law of inertia
+these signs give the signature.  A zero pivot is repaired by a symmetric
+swap with a later nonzero diagonal entry or, when the trailing diagonal
+is all zero, by adding row and column j into k, which makes the pivot
+2 m[k][j].  Both repairs are unimodular congruences, and each trailing
+entry is a minor bordered by one row and one column of the input, linear
+in both, so they act on the integer state exactly as on the input.  A
+trailing row that is all zero is a genuine zero of the form: the step is
+skipped and prev is kept.
+
+Products visit only the nonzero entries of their operands.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ Entry = Union[int, Fraction]
 
 
 def _normalize(x: Entry) -> Entry:
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     if isinstance(x, bool):
@@ -66,7 +73,7 @@ class RationalMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[Entry]]) -> "RationalMatrix":
-        data = tuple(tuple(_normalize(x) for x in row) for row in rows)
+        data = tuple(tuple(map(_normalize, row)) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise DimensionMismatchError("rows have unequal lengths")
         return RationalMatrix(data)
@@ -125,25 +132,19 @@ def transpose(a: RationalMatrix) -> RationalMatrix:
 
 
 def multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Exact product that visits only the nonzero entries of a and b."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries)) if b.entries else [()] * b.cols
-    return RationalMatrix(
-        tuple(
-            tuple(_normalize(sum(x * y for x, y in zip(row, col))) for col in bt)
-            for row in a.entries
-        ),
-        b.cols,
-    )
-
-
-def add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatchError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return RationalMatrix(
-        tuple(tuple(_normalize(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
-        a.cols,
-    )
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    out = []
+    for row in a.entries:
+        acc: list[Entry] = [0] * b.cols
+        for x, b_row in zip(row, b_nonzeros):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(map(_normalize, acc)))
+    return RationalMatrix(tuple(out), b.cols)
 
 
 def subtract(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -175,15 +176,50 @@ def block(grid: Sequence[Sequence[RationalMatrix]]) -> RationalMatrix:
     return RationalMatrix(tuple(rows))
 
 
-def _integer_rows(a: RationalMatrix) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers.  Returns rows and the total scale factor."""
-    out: list[list[int]] = []
-    scale = Fraction(1)
-    for row in a.entries:
-        mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)), 1)
-        scale *= mult
-        out.append([int(x * mult) for x in row])
-    return out, scale
+def _integer_matrix(a: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Mutable integer copy of a, scaled by the lcm of all its denominators."""
+    scale = lcm(*(x.denominator for row in a.entries for x in row))
+    if scale == 1:
+        return [list(row) for row in a.entries], 1
+    return [[int(x * scale) for x in row] for row in a.entries], scale
+
+
+def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """Clear column c below row r against the pivot m[r][c]; returns the pivot.
+
+    Only columns after c are updated.  Each division by prev is exact.
+    """
+    row_r = m[r]
+    piv = row_r[c]
+    tail = row_r[c + 1 :]
+    for row_i in m[r + 1 :]:
+        f = row_i[c]
+        row_i[c] = 0
+        if f:
+            row_i[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row_i[c + 1 :], tail)]
+        elif piv != prev:
+            row_i[c + 1 :] = [piv * x // prev for x in row_i[c + 1 :]]
+    return piv
+
+
+def _row_echelon(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free row echelon form in place, skipping columns without a pivot.
+
+    Returns the rank, the sign of the row permutation and the last pivot.
+    """
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prev = _bareiss_step(m, r, c, prev)
+        r += 1
+    return r, sign, prev
 
 
 def determinant(a: RationalMatrix) -> Entry:
@@ -191,102 +227,49 @@ def determinant(a: RationalMatrix) -> Entry:
     if not a.is_square():
         raise DimensionMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    if n == 0:
-        return 1
-    m, scale = _integer_rows(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivval = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivval * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivval
-    det = sign * m[n - 1][n - 1]
-    return det if scale == 1 else _normalize(Fraction(det) / scale)
+    m, scale = _integer_matrix(a)
+    r, sign, last = _row_echelon(m, n)
+    if r < n:
+        return 0
+    return sign * last if scale == 1 else _normalize(Fraction(sign * last, scale**n))
 
 
 def rank(a: RationalMatrix) -> int:
-    """Exact rank by fraction-free elimination with column skipping."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    m, _ = _integer_rows(a)
-    nr, nc = a.rows, a.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        pivval = row_r[c]
-        for i in range(r + 1, nr):
-            row_i = m[i]
-            mic = row_i[c]
-            for j in range(c + 1, nc):
-                row_i[j] = (pivval * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivval
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def _swap_symmetric(w: list[list[Fraction]], k: int, j: int) -> None:
-    w[k], w[j] = w[j], w[k]
-    for row in w:
-        row[k], row[j] = row[j], row[k]
+    """Exact rank by fraction-free elimination."""
+    return _row_echelon(_integer_matrix(a)[0], a.cols)[0]
 
 
 def inertia(a: RationalMatrix) -> Inertia:
-    """Signature of a symmetric matrix by congruence diagonalization."""
+    """Signature of a symmetric matrix by symmetric fraction-free elimination."""
     if not a.is_square():
         raise NotSymmetricError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
         raise NotSymmetricError("matrix is not symmetric")
     n = a.rows
-    w = [[Fraction(x) for x in row] for row in a.entries]
+    m, _ = _integer_matrix(a)
+    plus = minus = 0
+    prev = 1
     for k in range(n):
-        if w[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if w[j][j] != 0), None)
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j]), None)
             if j is not None:
-                _swap_symmetric(w, k, j)
+                m[k], m[j] = m[j], m[k]
+                for row in m[k:]:
+                    row[k], row[j] = row[j], row[k]
             else:
-                j = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
+                j = next((j for j in range(k + 1, n) if m[k][j]), None)
                 if j is None:
                     continue
-                # trailing diagonal is all zero: fold row and column j into k,
-                # the pivot becomes 2 * w[k][j]
-                for t in range(n):
-                    w[k][t] += w[j][t]
-                for t in range(n):
-                    w[t][k] += w[t][j]
-        piv = w[k][k]
-        for i in range(k + 1, n):
-            f = w[i][k] / piv
-            if f:
-                row_i = w[i]
-                row_k = w[k]
+                row_k, row_j = m[k], m[j]
                 for t in range(k, n):
-                    row_i[t] -= f * row_k[t]
-        # row operations above already produce the congruence values in the
-        # trailing block; clearing row k mirrors them onto the column side
-        for t in range(k + 1, n):
-            w[k][t] = Fraction(0)
-    plus = sum(1 for k in range(n) if w[k][k] > 0)
-    minus = sum(1 for k in range(n) if w[k][k] < 0)
+                    row_k[t] += row_j[t]
+                for row in m[k:]:
+                    row[k] += row[j]
+        if (m[k][k] > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        prev = _bareiss_step(m, k, k, prev)
     return Inertia(plus, minus, n - plus - minus)
 
 

@@ -18,7 +18,10 @@ with its adjacency part negated.  Because P is invertible, Sylvester's
 law of inertia makes rank and signature additive across the two diagonal
 blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
-to it; both facts are exercised by the test suite.
+to it; both facts are exercised by the test suite.  The Mycielskian
+inertia is therefore computed from the two blocks, A and lower_block,
+each about half the size of A_M; the full matrix is left to the audit as
+the cross-check.
 
 Incidence columns fix one orientation per edge: +1 at the smaller
 endpoint u of edge (u, v, s) and -s at v, so that H H^T equals the
@@ -53,7 +56,7 @@ def degree_matrix(g: SignedGraph) -> RationalMatrix:
 
 
 def _ones_column(p: int) -> RationalMatrix:
-    return RationalMatrix.from_rows([[1]] * p)
+    return RationalMatrix(((1,),) * p, 1)
 
 
 def _neg(a: RationalMatrix) -> RationalMatrix:
@@ -88,6 +91,17 @@ def negative_join(g: SignedGraph) -> RationalMatrix:
     )
 
 
+def lower_block(g: SignedGraph) -> RationalMatrix:
+    """The bordered block [[-A,-j],[-j',0]] that B carries beside A, built directly."""
+    p = g.p
+    rows = [[0] * p + [-1] for _ in range(p)]
+    for u, v, s in g.edges:
+        rows[u - 1][v - 1] = -s
+        rows[v - 1][u - 1] = -s
+    rows.append([-1] * p + [0])
+    return RationalMatrix.from_rows(rows)
+
+
 def congruence_factors(g: SignedGraph) -> tuple[RationalMatrix, RationalMatrix]:
     """The pair (P, B) with P B P^T equal to the Mycielskian adjacency.
 
@@ -96,26 +110,21 @@ def congruence_factors(g: SignedGraph) -> tuple[RationalMatrix, RationalMatrix]:
     block are part of the identity and are kept exactly as they must be
     for the product to come out right.
     """
-    a = adjacency(g)
     p = g.p
     i = RationalMatrix.identity(p)
     z = RationalMatrix.zeros(p, p)
-    j = _ones_column(p)
     zc = RationalMatrix.zeros(p, 1)
-    one = RationalMatrix.from_rows([[1]])
-    zero1 = RationalMatrix.zeros(1, 1)
     pm = block(
         [
             [i, z, zc],
             [i, _neg(i), zc],
-            [transpose(zc), transpose(zc), one],
+            [transpose(zc), transpose(zc), RationalMatrix.from_rows([[1]])],
         ]
     )
     bm = block(
         [
-            [a, z, zc],
-            [z, _neg(a), _neg(j)],
-            [transpose(zc), _neg(transpose(j)), zero1],
+            [adjacency(g), RationalMatrix.zeros(p, p + 1)],
+            [RationalMatrix.zeros(p + 1, p), lower_block(g)],
         ]
     )
     return pm, bm

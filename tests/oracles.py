@@ -2,7 +2,10 @@
 
 Nothing here reuses toolkit algorithms: colorings are checked by full
 enumeration, balance by enumerating every simple cycle, and path signs
-by enumerating every simple path.  The oracles only read the public data
+by enumerating every simple path.  Matrix oracles work on plain lists of
+rows: ranks by Fraction elimination, determinants by cofactor expansion,
+inertia by Fraction congruence diagonalization, none of them the
+package's fraction-free kernel.  The oracles only read the public data
 fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 """
@@ -140,3 +143,60 @@ def laplace_determinant(rows):
         minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
         total += (-1) ** j * x * laplace_determinant(minor)
     return total
+
+
+def _swap_symmetric(w, k, j):
+    w[k], w[j] = w[j], w[k]
+    for row in w:
+        row[k], row[j] = row[j], row[k]
+
+
+def congruence_inertia(rows):
+    """(n_plus, n_minus, n_zero) of a symmetric matrix by Fraction congruence.
+
+    Gaussian congruence diagonalization: a congruence A -> E A E^T keeps
+    the signs of the eigenvalues (Sylvester's law of inertia), so the
+    diagonal that remains carries the signature.  A zero pivot is repaired
+    by a symmetric swap with a later nonzero diagonal entry, or else by
+    adding row and column j into the pivot position, which turns a nonzero
+    off-diagonal w[k][j] into the pivot 2 w[k][j].  When the whole trailing
+    row is zero the diagonal entry is a genuine zero of the form.
+    """
+    from fractions import Fraction
+
+    n = len(rows)
+    w = [[Fraction(x) for x in row] for row in rows]
+    for k in range(n):
+        if w[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if w[j][j] != 0), None)
+            if j is not None:
+                _swap_symmetric(w, k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if w[k][j] != 0), None)
+                if j is None:
+                    continue
+                for t in range(n):
+                    w[k][t] += w[j][t]
+                for t in range(n):
+                    w[t][k] += w[t][j]
+        piv = w[k][k]
+        for i in range(k + 1, n):
+            f = w[i][k] / piv
+            if f:
+                row_i = w[i]
+                row_k = w[k]
+                for t in range(k, n):
+                    row_i[t] -= f * row_k[t]
+        # the row operations already leave the congruence values in the
+        # trailing block; clearing row k mirrors them onto the column side
+        for t in range(k + 1, n):
+            w[k][t] = Fraction(0)
+    plus = sum(1 for k in range(n) if w[k][k] > 0)
+    minus = sum(1 for k in range(n) if w[k][k] < 0)
+    return plus, minus, n - plus - minus
+
+
+def triple_loop_product(a_rows, b_rows, q):
+    """The p x q product of a p x k and a k x q matrix, one dot product per entry."""
+    k = len(b_rows)
+    return [[sum(row[t] * b_rows[t][j] for t in range(k)) for j in range(q)] for row in a_rows]

@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import tempfile
+import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import (
     K2_POS,
@@ -12,8 +17,11 @@ from conftest import (
     SQUARE_TWO_NEG_BALANCED_MYC_TEXT,
     write_graph,
 )
+from strategies import signed_graphs
 from sgmyc.cli import main
-from sgmyc.core import dumps, generate, loads
+from sgmyc.core import canonicalize, dumps, generate, loads
+from sgmyc.exactla import inertia
+from sgmyc.matrices import adjacency_mycielskian
 
 
 def run(capsys, *argv):
@@ -95,6 +103,13 @@ class TestGenerate:
     def test_bad_params_exit_two(self, capsys):
         code, _, err = run(capsys, "generate", "cycle", "--length", "2")
         assert code == 2 and "error:" in err
+
+    def test_hopeless_random_draw_gives_up_quickly(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "generate", "random", "--order", "60", "--edge-prob", "0.01")
+        assert code == 2
+        assert "could not draw a connected graph on 60 vertices with edge_prob=0.01" in err
+        assert time.perf_counter() - start < 5.0
 
 
 class TestMycielskian:
@@ -245,6 +260,33 @@ class TestInertia:
         assert (report["n_plus"], report["n_minus"], report["n_zero"]) == (3, 2, 0)
         assert report["rank"] == 5
 
+    @settings(max_examples=40, deadline=None)
+    @given(signed_graphs(max_p=8))
+    @example(canonicalize(0, []))
+    @example(canonicalize(1, []))
+    @example(canonicalize(6, []))
+    def test_mycielskian_block_path_matches_full_matrix(self, g):
+        want = inertia(adjacency_mycielskian(g))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w") as fh:
+                fh.write(dumps(g))
+            human, as_json = io.StringIO(), io.StringIO()
+            with redirect_stdout(human):
+                assert main(["inertia", "--of", "mycielskian", path]) == 0
+            with redirect_stdout(as_json):
+                assert main(["inertia", "--of", "mycielskian", "--json", path]) == 0
+        assert human.getvalue() == (
+            f"rank {want.rank} n_plus {want.n_plus} n_minus {want.n_minus} n_zero {want.n_zero}\n"
+        )
+        report = json.loads(as_json.getvalue())
+        assert (report["rank"], report["n_plus"], report["n_minus"], report["n_zero"]) == (
+            want.rank,
+            want.n_plus,
+            want.n_minus,
+            want.n_zero,
+        )
+
 
 class TestAudit:
     def test_all_claims_pass_on_balanced_input(self, tmp_path, capsys):
@@ -285,6 +327,15 @@ class TestAudit:
         assert status[claim] == "fail"
         others = [s for name, s in status.items() if name != claim]
         assert all(s == "pass" for s in others)
+
+    def test_null_graph(self, tmp_path, capsys):
+        path = write_graph(tmp_path, canonicalize(0, []))
+        code, out, _ = run(capsys, "audit", "--json", path)
+        report = json.loads(out)
+        assert code == 0
+        status = {c["claim"]: c["status"] for c in report["claims"]}
+        assert status.pop("laplacian-balance") == "skipped"
+        assert all(s == "pass" for s in status.values())
 
     def test_unknown_claim_rejected(self, tmp_path, capsys):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)

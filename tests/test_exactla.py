@@ -3,14 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from sgmyc.exactla import (
     Inertia,
     RationalMatrix,
-    add,
     block,
     determinant,
     format_entry,
@@ -62,6 +61,38 @@ def symmetric_matrices(draw, max_n=5, max_den=1):
     return M(vals)
 
 
+@st.composite
+def zero_heavy_symmetric(draw, max_n=8, max_den=1):
+    """Symmetric matrices with many zeros, often on the whole diagonal.
+
+    Zero diagonals drive inertia through its symmetric swap, and a zero
+    trailing diagonal through the fold of a later row and column.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    cell = st.one_of(st.just(0), entries(max_den))
+    diag = st.just(0) if draw(st.booleans()) else st.one_of(st.just(0), st.just(0), entries(max_den))
+    vals = [[0] * n for _ in range(n)]
+    for i in range(n):
+        vals[i][i] = draw(diag)
+        for j in range(i + 1, n):
+            vals[i][j] = vals[j][i] = draw(cell)
+    return M(vals)
+
+
+def shaped(rows, ncols):
+    """Matrix with an explicit width, so that p x 0 and 0 x q shapes survive."""
+    return RationalMatrix(M(rows).entries, ncols)
+
+
+@st.composite
+def product_operands(draw, max_dim=4):
+    p, k, q = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    cell = st.one_of(st.just(0), entries(max_den=4))
+    a = [[draw(cell) for _ in range(k)] for _ in range(p)]
+    b = [[draw(cell) for _ in range(q)] for _ in range(k)]
+    return a, k, b, q
+
+
 class TestConstruction:
     def test_from_rows_normalizes_whole_fractions(self):
         a = M([[Fraction(2, 1), Fraction(1, 2)]])
@@ -103,12 +134,11 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatchError):
             multiply(M([[1, 2]]), M([[1, 2]]))
         with pytest.raises(DimensionMismatchError):
-            add(M([[1]]), M([[1, 2]]))
+            subtract(M([[1]]), M([[1, 2]]))
 
-    def test_add_subtract(self):
+    def test_subtract(self):
         a = M([[1, 2]])
         b = M([[3, -5]])
-        assert add(a, b) == M([[4, -3]])
         assert subtract(a, b) == M([[-2, 7]])
 
     def test_transpose(self):
@@ -130,6 +160,16 @@ class TestArithmetic:
     @given(matrices(3, 3), matrices(3, 3), matrices(3, 3))
     def test_multiply_associative(self, a, b, c):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+    @settings(max_examples=150)
+    @given(product_operands())
+    @example(([[], []], 0, [], 3))
+    @example(([], 2, [[1, 2, 3], [4, 5, 6]], 3))
+    def test_multiply_matches_triple_loop(self, operands):
+        a, k, b, q = operands
+        got = multiply(shaped(a, k), shaped(b, q))
+        assert (got.rows, got.cols) == (len(a), q)
+        assert got == shaped(oracles.triple_loop_product(a, b, q), q)
 
     @given(matrices(3, 4))
     def test_transpose_involution(self, a):
@@ -265,6 +305,18 @@ class TestInertia:
     def test_fraction_matrices(self, a):
         res = inertia(a)
         assert res.rank == rank(a)
+
+    @settings(max_examples=200)
+    @given(zero_heavy_symmetric())
+    def test_matches_congruence_oracle(self, a):
+        rows = [list(row) for row in a.entries]
+        assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
+
+    @settings(max_examples=100)
+    @given(zero_heavy_symmetric(max_den=6))
+    def test_matches_congruence_oracle_fractions(self, a):
+        rows = [list(row) for row in a.entries]
+        assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
 
     def test_is_congruent_product(self):
         a = M([[0, 1], [1, 0]])

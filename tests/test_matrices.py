@@ -1,8 +1,9 @@
 """Matrix constructors and the Mycielskian block identities."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import oracles
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, generate, is_all_positive
@@ -28,18 +29,12 @@ from sgmyc.matrices import (
     incidence_mycielskian,
     laplacian,
     laplacian_mycielskian,
+    lower_block,
     negative_join,
 )
 from sgmyc.mycielskian import mycielskian
 
 M = RationalMatrix.from_rows
-
-
-def lower_block(g):
-    """The bordered block that congruence places beside A on B's diagonal."""
-    _, b = congruence_factors(g)
-    n = 2 * g.p + 1
-    return M([[b.entry(i, j) for j in range(g.p, n)] for i in range(g.p, n)])
 
 
 class TestAdjacency:
@@ -145,6 +140,11 @@ class TestCongruence:
         assert multiply(multiply(p_mat, b_mat), transpose(p_mat)) == adjacency_mycielskian(g)
 
     @given(signed_graphs(max_p=6))
+    def test_lower_block_is_negative_join_of_negated_graph(self, g):
+        negated = canonicalize(g.p, [(u, v, -s) for u, v, s in g.edges])
+        assert lower_block(g) == negative_join(negated)
+
+    @given(signed_graphs(max_p=6))
     def test_rank_and_nullity_additive_with_negative_join(self, g):
         am = adjacency_mycielskian(g)
         a = adjacency(g)
@@ -184,6 +184,17 @@ class TestCongruence:
         assert a_in + lb_in == am_in
         assert a_in + nj_in != am_in
         assert a_in.rank + nj_in.rank == am_in.rank
+
+
+class TestInertiaOracle:
+    @settings(max_examples=60)
+    @given(signed_graphs(max_p=7))
+    @example(canonicalize(0, []))
+    @example(canonicalize(5, []))
+    def test_graph_matrices_match_congruence_oracle(self, g):
+        for m in (adjacency(g), adjacency_mycielskian(g), negative_join(g), laplacian(g)):
+            rows = [list(row) for row in m.entries]
+            assert inertia(m) == Inertia(*oracles.congruence_inertia(rows))
 
 
 class TestIncidence:
