@@ -189,7 +189,12 @@ def cmd_balance(args) -> int:
 
 def cmd_chromatic(args) -> int:
     g, digest = _read_input(args.file)
-    n, cert = coloring.chromatic_number(g, node_budget=args.budget)
+    try:
+        n, cert = coloring.chromatic_number(g, node_budget=args.budget)
+    except BudgetExhaustedError as exc:
+        payload = {"_digest": digest, "status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
+        _emit(args, payload, [f"unknown, chromatic number >= {exc.lower_bound}"])
+        return 4
     payload = {"_digest": digest, "chromatic_number": n}
     human = [f"chromatic number: {n}"]
     if args.certificate:
@@ -524,16 +529,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_fold_pattern_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except BudgetExhaustedError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({
-                "command": args.command,
-                "status": "unknown",
-                "lower_bound": exc.lower_bound,
-            }, indent=2))
-        else:
-            print(f"unknown, chromatic number >= {exc.lower_bound}")
-        return 4
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,9 +8,17 @@ inertia by Fraction congruence diagonalization, none of them the
 package's fraction-free kernel.  The oracles only read the public data
 fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
+
+The one exception is reference_chromatic, the package's earlier recursive
+backtracking solver kept as it was.  It is the reference for the exact
+witness the current solver must return, not only for the chromatic number.
 """
 
 from itertools import product
+
+from sgmyc.coloring import SignedColoring, color_trial_order
+from sgmyc.core import incident_edges
+from sgmyc.errors import BudgetExhaustedError, ConsistencyError
 
 
 def oracle_color_set(n):
@@ -32,6 +40,53 @@ def brute_force_chromatic(g):
             if oracle_is_proper(g.edges, assignment):
                 return n, assignment
     raise AssertionError("enumeration exhausted without a coloring")
+
+
+def reference_chromatic(g, node_budget=None):
+    """Least n with a proper coloring over M_n, plus one witness coloring.
+
+    Recursive backtracking over vertices in descending degree order (ties
+    by vertex id) and colors in color_trial_order; the first vertex only
+    tries the nonnegative half.  One node is one color tried.
+    """
+    # any graph is properly colored by p distinct positive values, so the
+    # loop below always terminates by n = 2p (and at n = 1 for p = 0)
+    if g.p == 0:
+        return 1, SignedColoring(1, ())
+    inc = incident_edges(g)
+    order = sorted(range(1, g.p + 1), key=lambda v: (-len(inc[v]), v))
+    # neighbors of each vertex that come earlier in the branch order
+    pos = {v: i for i, v in enumerate(order)}
+    earlier: list[list[tuple[int, int]]] = []
+    for v in order:
+        earlier.append([(pos[u], s) for u, s in inc[v] if pos[u] < pos[v]])
+    nodes = 0
+    for n in range(1, 2 * g.p + 1):
+        trial = color_trial_order(n)
+        first_trial = tuple(c for c in trial if c >= 0)
+        assigned = [0] * g.p
+
+        def search(i: int) -> bool:
+            nonlocal nodes
+            if i == g.p:
+                return True
+            for c in first_trial if i == 0 else trial:
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExhaustedError(n)
+                if all(c != s * assigned[j] for j, s in earlier[i]):
+                    assigned[i] = c
+                    if search(i + 1):
+                        return True
+            assigned[i] = 0
+            return False
+
+        if search(0):
+            colors = [0] * g.p
+            for i, v in enumerate(order):
+                colors[v - 1] = assigned[i]
+            return n, SignedColoring(n, tuple(colors))
+    raise ConsistencyError("no coloring found below the terminating bound")
 
 
 def brute_force_colorable(g, n):

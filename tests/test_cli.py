@@ -207,6 +207,26 @@ class TestChromatic:
         assert report["status"] == "unknown"
         assert report["lower_bound"] >= 1
 
+    def test_budget_json_reports_digest_and_nodes(self, tmp_path, capsys):
+        from sgmyc.mycielskian import tower
+
+        path = write_graph(tmp_path, tower(4)[3])
+        code, out, _ = run(capsys, "chromatic", "--budget", "30", "--json", path)
+        report = json.loads(out)
+        assert code == 4
+        info = json.loads(run(capsys, "info", "--json", path)[1])
+        assert report["input_digest"] == info["input_digest"]
+        assert report["nodes"] == 30
+        code, out, _ = run(capsys, "chromatic", "--budget", "30", path)
+        assert out == f"unknown, chromatic number >= {report['lower_bound']}\n"
+
+    def test_long_path_certificate(self, tmp_path, capsys):
+        p = 5000
+        path = write_graph(tmp_path, canonicalize(p, [(v, v + 1, 1) for v in range(1, p)]))
+        code, out, _ = run(capsys, "chromatic", "--certificate", path)
+        assert code == 0
+        assert out.startswith("chromatic number: 2\n")
+
 
 class TestMatrix:
     def test_adjacency_human(self, tmp_path, capsys):

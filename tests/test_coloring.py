@@ -1,5 +1,7 @@
 """Signed chromatic numbers: exact solver, extension rule, sandwich facts."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from conftest import (
     all_sign_patterns,
     cycles_and_paths,
 )
-from strategies import signed_graphs
+from strategies import signed_graphs, switchings
 from sgmyc.coloring import (
     SignedColoring,
     antibalance_chromatic_check,
@@ -26,7 +28,7 @@ from sgmyc.coloring import (
     mycielskian_two_colorable_iff_all_negative,
     restricted_mycielskian_chromatic,
 )
-from sgmyc.core import canonicalize, generate
+from sgmyc.core import canonicalize, generate, switch
 from sgmyc.errors import (
     BudgetExhaustedError,
     ColorOutOfSetError,
@@ -150,6 +152,53 @@ class TestChromaticNumber:
         assert is_proper(g, coloring)
         if n > 1:
             assert not oracles.brute_force_colorable(g, n - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_graphs(max_p=9))
+    def test_matches_reference(self, g):
+        # same n and the same witness, so `chromatic --certificate` output is unchanged
+        assert chromatic_number(g) == oracles.reference_chromatic(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_graphs(max_p=9))
+    def test_matches_reference_on_mycielskians(self, g):
+        gm, _ = mycielskian(g)
+        assert chromatic_number(gm) == oracles.reference_chromatic(gm)
+
+    @settings(max_examples=30, deadline=None)
+    @given(switchings(11))
+    def test_matches_reference_on_tower_switchings(self, zeta):
+        g = switch(tower(4)[3], zeta)
+        assert chromatic_number(g) == oracles.reference_chromatic(g)
+
+    def test_long_path_needs_no_recursion(self):
+        p = 5000
+        assert sys.getrecursionlimit() < p
+        g = canonicalize(p, [(v, v + 1, 1) for v in range(1, p)])
+        n, coloring = chromatic_number(g)
+        assert n == 2
+        assert is_proper(g, coloring)
+        assert all(coloring.colors[v] == -coloring.colors[v + 1] for v in range(p - 1))
+
+    @pytest.mark.parametrize("g, smallest", [(SQUARE_ONE_NEG, 15), (tower(3)[2], 20)])
+    def test_smallest_deciding_budget(self, g, smallest):
+        n, _ = chromatic_number(g, node_budget=smallest)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            chromatic_number(g, node_budget=smallest - 1)
+        assert exc.value.lower_bound == n
+        assert exc.value.nodes == smallest - 1
+        with pytest.raises(BudgetExhaustedError) as ref:
+            oracles.reference_chromatic(g, node_budget=smallest - 1)
+        assert ref.value.lower_bound == exc.value.lower_bound
+
+    @pytest.mark.parametrize("level, smallest", [(4, 729), (5, 390_395)])
+    def test_pair_opening_node_counts(self, level, smallest):
+        # plain backtracking (oracles.reference_chromatic) needs 956 and 1,555,715
+        g = tower(level)[level - 1]
+        assert chromatic_number(g, node_budget=smallest)[0] == level
+        with pytest.raises(BudgetExhaustedError) as exc:
+            chromatic_number(g, node_budget=smallest - 1)
+        assert exc.value.lower_bound == level
 
     def test_budget_raises_with_lower_bound(self):
         g = tower(4)[3]
