@@ -70,11 +70,12 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
         raise NotACycleError(f"cycle needs at least 3 vertices, got {k}")
     if len(set(cycle)) != k:
         raise NotACycleError("cycle repeats a vertex")
+    signs = {(u, v): s for u, v, s in g.edges}
     sign = 1
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
-        s = g.sign(u, v)
-        if s == 0:
+        s = signs.get((u, v) if u < v else (v, u))
+        if s is None:
             raise NotACycleError(f"({u},{v}) is not an edge")
         sign *= s
     return sign

@@ -125,7 +125,7 @@ def cmd_generate(args) -> int:
             "kind": args.kind,
             "seed": seed,
             "vertices": g.p,
-            "edges": [list(e) for e in g.edges],
+            "edges": g.edges,
         }
         _emit(args, payload, [])
     elif not args.output:
@@ -155,7 +155,7 @@ def cmd_mycielskian(args) -> int:
             "_digest": digest,
             "balanced_variant": bool(args.balanced),
             "vertices": out_graph.p,
-            "edges": [list(e) for e in out_graph.edges],
+            "edges": out_graph.edges,
             "labeling": sidecar,
             "switching": switching,
         }

@@ -72,26 +72,31 @@ def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     """Build a SignedGraph from raw (u, v, s) triples.
 
     Endpoints may come in either order.  Loops, duplicate pairs, endpoints
-    outside 1..p, and signs outside {+1, -1} are rejected.
+    outside 1..p, and signs outside {+1, -1} are rejected.  The first bad
+    edge in input order is reported; within one edge a loop is reported
+    before a bad endpoint, a bad endpoint before a bad sign, and a bad sign
+    before a duplicate.
     """
     if p < 0:
         raise InvalidParamsError(f"vertex count must be nonnegative, got {p}")
-    seen: set[tuple[int, int]] = set()
+    width = p + 1
+    seen: set[int] = set()
     out: list[Edge] = []
     for e in edges:
         u, v, s = e
-        if u == v:
-            raise LoopEdgeError(f"loop at vertex {u}")
-        if not (1 <= u <= p) or not (1 <= v <= p):
-            raise VertexOutOfRangeError(f"edge ({u},{v}) outside 1..{p}")
-        if s not in (1, -1):
+        a, b = (u, v) if u < v else (v, u)
+        if not (1 <= a < b <= p and (s == 1 or s == -1)):
+            if u == v:
+                raise LoopEdgeError(f"loop at vertex {u}")
+            if not (1 <= u <= p) or not (1 <= v <= p):
+                raise VertexOutOfRangeError(f"edge ({u},{v}) outside 1..{p}")
             raise InvalidParamsError(f"edge ({u},{v}) has sign {s}, expected +1 or -1")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdgeError(f"edge ({u},{v}) given twice")
-        seen.add((u, v))
-        out.append((u, v, s))
+        # 1 <= a < b <= p, so a * (p + 1) + b names the pair uniquely
+        key = a * width + b
+        if key in seen:
+            raise DuplicateEdgeError(f"edge ({a},{b}) given twice")
+        seen.add(key)
+        out.append((a, b, s))
     out.sort()
     return SignedGraph(p, tuple(out))
 
@@ -190,10 +195,7 @@ def is_triangle_free(g: SignedGraph) -> bool:
     for u, v, _ in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    for u, v, _ in g.edges:
-        if adj[u] & adj[v]:
-            return False
-    return True
+    return all(adj[u].isdisjoint(adj[v]) for u, v, _ in g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,16 @@ Iterating the balanced Mycielskian starting from a single vertex and a
 negative edge produces the tower used for chromatic lower bounds: every
 level is balanced, triangle-free, and not all-positive, and each step
 raises the signed chromatic number by exactly one.
+
+Every construction emits its edges already in canonical order, so none
+sorts or re-checks its output.  Canonical g.edges meet each vertex's
+smaller neighbours, ascending, before its larger ones, so incident_edges
+lists every neighbourhood in ascending order.  The Mycielskian's edges
+from an original u to larger labels are the original edges u v, v > u,
+then the cross edges to u_v = p + v > p, ascending in v; a twin's only
+larger neighbour is the root.  Emitting these two runs for u = 1..p and
+then the root star twin by twin is therefore the sorted edge tuple, and
+deleting edges from it, as delete_root does, keeps it sorted.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from .core import (
     SignedGraph,
     SwitchingFunction,
     canonicalize,
+    incident_edges,
     is_all_positive,
-    validate_switching,
 )
 from .errors import (
     ConsistencyError,
@@ -69,25 +79,32 @@ class MycielskianLabeling:
         }
 
 
+def _build(g: SignedGraph, root_signs: Sequence[int]) -> SignedGraph:
+    """Mycielskian of g with sign root_signs[i - 1] on the root edge at u_i.
+
+    The edges come out in canonical order (see the module docstring).
+    """
+    p = g.p
+    edges: list[tuple[int, int, int]] = []
+    for u, nbrs in incident_edges(g).items():
+        edges.extend([(u, v, s) for v, s in nbrs if v > u])
+        edges.extend([(u, p + v, s) for v, s in nbrs])
+    root = 2 * p + 1
+    edges.extend([(p + i, root, s) for i, s in enumerate(root_signs, start=1)])
+    return SignedGraph(root, tuple(edges))
+
+
 def mycielskian(g: SignedGraph) -> tuple[SignedGraph, MycielskianLabeling]:
     """Signed Mycielskian with the fixed labeling."""
-    lab = MycielskianLabeling(g.p)
-    edges: list[tuple[int, int, int]] = []
-    for u, v, s in g.edges:
-        edges.append((u, v, s))
-        edges.append((u, lab.twin(v), s))
-        edges.append((v, lab.twin(u), s))
-    for i in range(1, g.p + 1):
-        edges.append((lab.twin(i), lab.root, 1))
-    return canonicalize(lab.root, edges), lab
+    return _build(g, (1,) * g.p), MycielskianLabeling(g.p)
 
 
 def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
     """Drop the root vertex and its star, keeping originals and twins."""
     if gm.p != lab.root:
         raise LengthMismatchError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
-    kept = [(u, v, s) for u, v, s in gm.edges if lab.root not in (u, v)]
-    return canonicalize(2 * lab.p, kept)
+    # the root is the largest label, so it can only be the upper endpoint
+    return SignedGraph(2 * lab.p, tuple(e for e in gm.edges if e[1] != lab.root))
 
 
 def mycielskian_balanced_iff_all_positive(g: SignedGraph) -> tuple[bool, tuple[int, ...] | None]:
@@ -112,35 +129,13 @@ def mycielskian_balanced_iff_all_positive(g: SignedGraph) -> tuple[bool, tuple[i
     return balanced, witness
 
 
-def _split_mycielskian(gm: SignedGraph, lab: MycielskianLabeling):
-    """Partition edges into original, cross and root groups, or complain."""
-    p = lab.p
-    if gm.p != 2 * p + 1:
-        raise NotAMycielskianError(f"expected {2 * p + 1} vertices, got {gm.p}")
-    original: list[tuple[int, int, int]] = []
-    cross: list[tuple[int, int, int]] = []
-    root: list[tuple[int, int, int]] = []
-    for u, v, s in gm.edges:
-        if v == lab.root:
-            root.append((u, v, s))
-        elif u == lab.root:
-            root.append((v, u, s))
-        elif u <= p and v <= p:
-            original.append((u, v, s))
-        elif u > p and v > p:
-            raise NotAMycielskianError(f"twins {u} and {v} are adjacent")
-        else:
-            cross.append((u, v, s))
-    return original, cross, root
-
-
 def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) -> SignedGraph:
     """Replace the sign of each root edge u_i w by rs(i).
 
     The input must actually be a Mycielskian under the labeling: the root
     is adjacent to exactly the twin set, the twin set is independent, and
-    the cross edges mirror the original edges sign for sign.  The shape is
-    validated structurally instead of trusting the caller.
+    the cross edges mirror the original edges sign for sign.  Rebuilding it
+    from its original edges and root signs checks this.
     """
     p = lab.p
     if len(rs) != p:
@@ -148,17 +143,13 @@ def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) ->
     for i, s in enumerate(rs):
         if s not in (1, -1):
             raise InvalidParamsError(f"root signature entry for vertex {i + 1} is {s}")
-    original, cross, root = _split_mycielskian(gm, lab)
-    if sorted(u for u, _, _ in root) != list(range(p + 1, 2 * p + 1)):
-        raise NotAMycielskianError("root must be adjacent to exactly the twin set")
-    expected_cross = set()
-    for u, v, s in original:
-        expected_cross.add((min(u, lab.twin(v)), max(u, lab.twin(v)), s))
-        expected_cross.add((min(v, lab.twin(u)), max(v, lab.twin(u)), s))
-    if set(cross) != expected_cross:
-        raise NotAMycielskianError("cross edges do not mirror the original edges")
-    edges = original + cross + [(lab.twin(i), lab.root, rs[i - 1]) for i in range(1, p + 1)]
-    return canonicalize(gm.p, edges)
+    if gm.p != lab.root:
+        raise NotAMycielskianError(f"expected {lab.root} vertices, got {gm.p}")
+    g = SignedGraph(p, tuple(e for e in gm.edges if e[1] <= p))
+    old_signs = [s for _, v, s in gm.edges if v == lab.root]
+    if len(old_signs) != p or _build(g, old_signs) != gm:
+        raise NotAMycielskianError("graph is not the Mycielskian of its original edges")
+    return _build(g, rs)
 
 
 def check_root_relation(g: SignedGraph, rs: Sequence[int]) -> bool:
@@ -193,10 +184,7 @@ def balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, SwitchingFunction
     zeta = cert.to_all_positive
     if not is_all_positive(g):
         zeta = tuple(-z for z in zeta)
-    gm, lab = mycielskian(g)
-    gb = resign_root(gm, lab, zeta)
-    zeta_b = tuple(zeta) + tuple(zeta) + (1,)
-    return gb, zeta_b
+    return _build(g, zeta), zeta + zeta + (1,)
 
 
 def tower(n: int) -> list[SignedGraph]:

@@ -9,16 +9,30 @@ package's fraction-free kernel.  The oracles only read the public data
 fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
-The one exception is reference_chromatic, the package's earlier recursive
-backtracking solver kept as it was.  It is the reference for the exact
-witness the current solver must return, not only for the chromatic number.
+The exceptions are the package's earlier code, kept as it was.
+reference_chromatic, the recursive backtracking solver, is the reference
+for the exact witness the current solver must return, not only for the
+chromatic number.  reference_mycielskian, reference_resign_root and
+reference_balanced_mycielskian build every edge, re-sort and re-check
+the result through canonicalize; they are the reference for the exact
+graphs and switchings the one-pass constructions must return.
 """
 
 from itertools import product
+from typing import Sequence
 
+from sgmyc.balance import certify_balance
 from sgmyc.coloring import SignedColoring, color_trial_order
-from sgmyc.core import incident_edges
-from sgmyc.errors import BudgetExhaustedError, ConsistencyError
+from sgmyc.core import SignedGraph, SwitchingFunction, canonicalize, incident_edges, is_all_positive
+from sgmyc.errors import (
+    BudgetExhaustedError,
+    ConsistencyError,
+    InvalidParamsError,
+    LengthMismatchError,
+    NotAMycielskianError,
+    NotBalancedError,
+)
+from sgmyc.mycielskian import MycielskianLabeling
 
 
 def oracle_color_set(n):
@@ -255,3 +269,91 @@ def triple_loop_product(a_rows, b_rows, q):
     """The p x q product of a p x k and a k x q matrix, one dot product per entry."""
     k = len(b_rows)
     return [[sum(row[t] * b_rows[t][j] for t in range(k)) for j in range(q)] for row in a_rows]
+
+
+def reference_mycielskian(g: SignedGraph) -> tuple[SignedGraph, MycielskianLabeling]:
+    """Signed Mycielskian with the fixed labeling."""
+    lab = MycielskianLabeling(g.p)
+    edges: list[tuple[int, int, int]] = []
+    for u, v, s in g.edges:
+        edges.append((u, v, s))
+        edges.append((u, lab.twin(v), s))
+        edges.append((v, lab.twin(u), s))
+    for i in range(1, g.p + 1):
+        edges.append((lab.twin(i), lab.root, 1))
+    return canonicalize(lab.root, edges), lab
+
+
+def _reference_split_mycielskian(gm: SignedGraph, lab: MycielskianLabeling):
+    """Partition edges into original, cross and root groups, or complain."""
+    p = lab.p
+    if gm.p != 2 * p + 1:
+        raise NotAMycielskianError(f"expected {2 * p + 1} vertices, got {gm.p}")
+    original: list[tuple[int, int, int]] = []
+    cross: list[tuple[int, int, int]] = []
+    root: list[tuple[int, int, int]] = []
+    for u, v, s in gm.edges:
+        if v == lab.root:
+            root.append((u, v, s))
+        elif u == lab.root:
+            root.append((v, u, s))
+        elif u <= p and v <= p:
+            original.append((u, v, s))
+        elif u > p and v > p:
+            raise NotAMycielskianError(f"twins {u} and {v} are adjacent")
+        else:
+            cross.append((u, v, s))
+    return original, cross, root
+
+
+def reference_resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) -> SignedGraph:
+    """Replace the sign of each root edge u_i w by rs(i).
+
+    The input must actually be a Mycielskian under the labeling: the root
+    is adjacent to exactly the twin set, the twin set is independent, and
+    the cross edges mirror the original edges sign for sign.  The shape is
+    validated structurally instead of trusting the caller.
+    """
+    p = lab.p
+    if len(rs) != p:
+        raise LengthMismatchError(f"root signature has length {len(rs)}, expected {p}")
+    for i, s in enumerate(rs):
+        if s not in (1, -1):
+            raise InvalidParamsError(f"root signature entry for vertex {i + 1} is {s}")
+    original, cross, root = _reference_split_mycielskian(gm, lab)
+    if sorted(u for u, _, _ in root) != list(range(p + 1, 2 * p + 1)):
+        raise NotAMycielskianError("root must be adjacent to exactly the twin set")
+    expected_cross = set()
+    for u, v, s in original:
+        expected_cross.add((min(u, lab.twin(v)), max(u, lab.twin(v)), s))
+        expected_cross.add((min(v, lab.twin(u)), max(v, lab.twin(u)), s))
+    if set(cross) != expected_cross:
+        raise NotAMycielskianError("cross edges do not mirror the original edges")
+    edges = original + cross + [(lab.twin(i), lab.root, rs[i - 1]) for i in range(1, p + 1)]
+    return canonicalize(gm.p, edges)
+
+
+def reference_balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, SwitchingFunction]:
+    """Balanced Mycielskian of a balanced signed graph.
+
+    The root edge at twin u_i carries sign zeta(v_i), where zeta switches
+    g to all-positive.  Both a switching function and its negation do
+    that, so one orientation has to be pinned for reproducible output:
+    the construction uses the breadth-first certificate switching negated,
+    except for all-positive input, which keeps zeta identically +1 and
+    hence the plain Mycielskian.
+
+    Returns the graph together with the switching function on 2p + 1
+    vertices that takes it to all-positive (zeta copied onto the twins,
+    +1 on the root).  Raises NotBalancedError for unbalanced input.
+    """
+    cert = certify_balance(g)
+    if not cert.balanced:
+        raise NotBalancedError(f"input is unbalanced, negative cycle {list(cert.witness)}")
+    zeta = cert.to_all_positive
+    if not is_all_positive(g):
+        zeta = tuple(-z for z in zeta)
+    gm, lab = reference_mycielskian(g)
+    gb = reference_resign_root(gm, lab, zeta)
+    zeta_b = tuple(zeta) + tuple(zeta) + (1,)
+    return gb, zeta_b

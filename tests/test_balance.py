@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG, TRIANGLE_TWO_NEG
@@ -43,6 +44,25 @@ class TestCycleSign:
     def test_matches_oracle_on_every_cycle(self, g):
         for cyc in oracles.all_simple_cycles(g):
             assert cycle_sign(g, cyc) == oracles.oracle_cycle_sign(g, cyc)
+
+    @given(signed_graphs(min_p=3, max_p=7), st.data())
+    def test_matches_oracle_on_any_vertex_sequence(self, g, data):
+        cyc = data.draw(st.lists(st.integers(1, g.p), min_size=3, max_size=g.p, unique=True))
+        pairs = {(u, v) for u, v, _ in g.edges} | {(v, u) for u, v, _ in g.edges}
+        if all((cyc[i - 1], cyc[i]) in pairs for i in range(len(cyc))):
+            assert cycle_sign(g, cyc) == oracles.oracle_cycle_sign(g, cyc)
+        else:
+            with pytest.raises(NotACycleError):
+                cycle_sign(g, cyc)
+
+    def test_long_negative_cycle(self):
+        # one sign lookup per step; scanning all edges at every step is quadratic in p
+        p = 20_000
+        g = generate("cycle", {"length": p, "pattern": "-" + "+" * (p - 1)})
+        assert cycle_sign(g, range(p, 0, -1)) == -1
+        cert = certify_balance(g)
+        assert not cert.balanced and len(cert.witness) == p
+        assert verify_certificate(g, cert)
 
 
 class TestCertifyBalance:

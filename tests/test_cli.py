@@ -382,6 +382,14 @@ class TestErrors:
         code, _, err = run(capsys, "info", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_first_bad_edge_reported(self, tmp_path, capsys, flag):
+        # a duplicate on line 3 is reported, not the loop on line 4
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n")
+        code, out, err = run(capsys, "info", *flag, str(path))
+        assert (code, out, err) == (2, "", "error: edge (1,2) given twice\n")
+
     def test_byte_determinism(self, tmp_path, capsys):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         a = run(capsys, "audit", "--json", path)[1]

@@ -82,6 +82,48 @@ class TestCanonicalize:
         assert canonicalize(g.p, flipped) == g
 
 
+class TestErrorPrecedence:
+    """The first bad edge in input order is reported; within one edge a loop
+    wins over a bad endpoint, a bad endpoint over a bad sign, a bad sign over
+    a duplicate."""
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            ([(9, 9, 5)], LoopEdgeError, "loop at vertex 9"),
+            ([(2, 2, 5)], LoopEdgeError, "loop at vertex 2"),
+            ([(9, 1, 5)], VertexOutOfRangeError, "edge (9,1) outside 1..3"),
+            ([(1, 2, 1), (2, 1, 0)], InvalidParamsError, "edge (2,1) has sign 0, expected +1 or -1"),
+            ([(1, 2, 1), (3, 3, 1), (1, 9, 1)], LoopEdgeError, "loop at vertex 3"),
+            ([(1, 2, 1), (0, 2, 1), (3, 3, 1)], VertexOutOfRangeError, "edge (0,2) outside 1..3"),
+            ([(2, 1, 1), (1, 2, -1), (3, 3, 1)], DuplicateEdgeError, "edge (1,2) given twice"),
+            ([(3, 2, 1), (2, 3, 1), (1, 2, 7)], DuplicateEdgeError, "edge (2,3) given twice"),
+        ],
+    )
+    def test_canonicalize(self, edges, error, message):
+        with pytest.raises(error) as exc:
+            canonicalize(3, edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # every line is read as text before any edge is checked
+            ("3 2\n1 1 +1\n1 2 x\n", EdgeListFormatError, "line 3: edge lines must hold integers"),
+            ("3 2\n1 1 +1\n1 2 +2\n", EdgeListFormatError, "line 3: sign must be +1 or -1, got +2"),
+            ("3 2\n1 1 +1\n1 2\n", EdgeListFormatError, "line 3: edge lines must be 'u v s'"),
+            ("3 3\n1 1 +1\n1 2 x\n", EdgeListFormatError, "header promises 3 edges, found 2"),
+            ("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n", DuplicateEdgeError, "edge (1,2) given twice"),
+            ("3 2\n3 3 +1\n2 1 -1\n", LoopEdgeError, "loop at vertex 3"),
+            ("3 2\n# c\n1 4 -1\n3 3 +1\n", VertexOutOfRangeError, "edge (1,4) outside 1..3"),
+        ],
+    )
+    def test_loads(self, text, error, message):
+        with pytest.raises(error) as exc:
+            loads(text)
+        assert str(exc.value) == message
+
+
 class TestSwitching:
     def test_example(self):
         got = switch(SQUARE_ONE_NEG, (-1, 1, 1, 1))

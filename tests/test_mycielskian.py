@@ -1,9 +1,10 @@
 """Mycielskian construction, root re-signing, balanced variant, tower."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     K2_NEG,
     SQUARE_ONE_NEG,
@@ -57,6 +58,15 @@ M_SQUARE_ONE_NEG = canonicalize(
 )
 
 TOWER_3 = canonicalize(5, [(1, 2, -1), (1, 4, -1), (2, 3, -1), (3, 5, -1), (4, 5, 1)])
+
+# M_K2_NEG broken in each way resign_root must notice
+NOT_MYCIELSKIANS_OF_K2 = {
+    "vertex-count": K2_NEG,
+    "adjacent-twins": canonicalize(5, list(M_K2_NEG.edges) + [(3, 4, 1)]),
+    "root-star": canonicalize(5, [(1, 2, -1), (1, 4, -1), (1, 5, 1), (2, 3, -1), (4, 5, 1)]),
+    "cross-sign": canonicalize(5, [(1, 2, -1), (1, 4, 1), (2, 3, -1), (3, 5, 1), (4, 5, 1)]),
+    "cross-missing": canonicalize(5, [(1, 2, -1), (2, 3, -1), (3, 5, 1), (4, 5, 1)]),
+}
 
 
 class TestLabeling:
@@ -193,6 +203,13 @@ class TestResignRoot:
         with pytest.raises(NotAMycielskianError):
             resign_root(K2_NEG, MycielskianLabeling(2), (1, 1))
 
+    @pytest.mark.parametrize("case", sorted(NOT_MYCIELSKIANS_OF_K2))
+    def test_rejections_agree_with_reference(self, case):
+        lab = MycielskianLabeling(2)
+        for resign in (resign_root, oracles.reference_resign_root):
+            with pytest.raises(NotAMycielskianError):
+                resign(NOT_MYCIELSKIANS_OF_K2[case], lab, (1, 1))
+
 
 class TestRootRelation:
     def test_holds_for_construction_signature(self):
@@ -292,3 +309,55 @@ class TestTower:
     def test_needs_positive_n(self):
         with pytest.raises(InvalidParamsError):
             tower(0)
+
+
+class TestAgainstReference:
+    """The one-pass constructions return what the earlier build, sort and check code did."""
+
+    @given(signed_graphs(min_p=0, max_p=9))
+    @example(canonicalize(0, []))
+    @example(canonicalize(1, []))
+    @example(canonicalize(5, []))
+    def test_mycielskian(self, g):
+        assert mycielskian(g) == oracles.reference_mycielskian(g)
+
+    @given(st.one_of(signed_graphs(min_p=0, max_p=9), balanced_graphs(min_p=0, max_p=9)))
+    @example(canonicalize(0, []))
+    @example(canonicalize(1, []))
+    @example(canonicalize(5, []))
+    @example(SQUARE_ONE_NEG)
+    def test_balanced_mycielskian(self, g):
+        try:
+            want = oracles.reference_balanced_mycielskian(g)
+        except NotBalancedError as exc:
+            with pytest.raises(NotBalancedError) as got:
+                balanced_mycielskian(g)
+            assert str(got.value) == str(exc)
+            return
+        assert balanced_mycielskian(g) == want
+
+    @given(signed_graphs(min_p=0, max_p=9), st.data())
+    def test_resign_root(self, g, data):
+        gm, lab = mycielskian(g)
+        # once from the plain Mycielskian, once from one already re-signed
+        for _ in range(2):
+            rs = data.draw(switchings(g.p))
+            want = oracles.reference_resign_root(gm, lab, rs)
+            assert resign_root(gm, lab, rs) == want
+            gm = want
+
+    @given(signed_graphs(min_p=0, max_p=9))
+    def test_delete_root(self, g):
+        gm, lab = mycielskian(g)
+        kept = [e for e in gm.edges if lab.root not in e[:2]]
+        assert delete_root(gm, lab) == canonicalize(2 * g.p, kept)
+
+    def test_tower_nine(self):
+        levels = tower(9)
+        want = levels[:2]
+        while len(want) < 9:
+            want.append(oracles.reference_balanced_mycielskian(want[-1])[0])
+        assert levels == want
+        top = levels[-1]
+        assert mycielskian(top) == oracles.reference_mycielskian(top)
+        assert balanced_mycielskian(top) == oracles.reference_balanced_mycielskian(top)
