@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import tempfile
 import time
 from contextlib import redirect_stdout
@@ -22,6 +23,19 @@ from sgmyc.cli import main
 from sgmyc.core import canonicalize, dumps, generate, loads
 from sgmyc.exactla import inertia
 from sgmyc.matrices import adjacency_mycielskian
+from sgmyc.mycielskian import tower
+
+PINNED = pathlib.Path(__file__).parent / "audit_pinned"
+
+# audit inputs whose text and --json reports are frozen in PINNED, with extra flags
+PINNED_AUDITS = {
+    "square_one_neg": (SQUARE_ONE_NEG, []),
+    "square_two_neg": (SQUARE_TWO_NEG, []),
+    "null": (canonicalize(0, []), []),
+    "disconnected": (canonicalize(5, [(1, 2, -1), (3, 4, 1), (4, 5, -1)]), []),
+    "tower4": (tower(4)[3], []),
+    "budget5": (SQUARE_TWO_NEG, ["--budget", "5"]),
+}
 
 
 def run(capsys, *argv):
@@ -190,16 +204,12 @@ class TestChromatic:
         assert report["deficiency"] == 1
 
     def test_budget_exit_four(self, tmp_path, capsys):
-        from sgmyc.mycielskian import tower
-
         path = write_graph(tmp_path, tower(4)[3])
         code, out, _ = run(capsys, "chromatic", "--budget", "30", path)
         assert code == 4
         assert "unknown, chromatic number >=" in out
 
     def test_budget_exit_four_json(self, tmp_path, capsys):
-        from sgmyc.mycielskian import tower
-
         path = write_graph(tmp_path, tower(4)[3])
         code, out, _ = run(capsys, "chromatic", "--budget", "30", "--json", path)
         report = json.loads(out)
@@ -208,8 +218,6 @@ class TestChromatic:
         assert report["lower_bound"] >= 1
 
     def test_budget_json_reports_digest_and_nodes(self, tmp_path, capsys):
-        from sgmyc.mycielskian import tower
-
         path = write_graph(tmp_path, tower(4)[3])
         code, out, _ = run(capsys, "chromatic", "--budget", "30", "--json", path)
         report = json.loads(out)
@@ -361,6 +369,16 @@ class TestAudit:
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, _, err = run(capsys, "audit", "--inject-fault", "bogus", path)
         assert code == 2 and "unknown claim" in err
+
+    @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_pinned_bytes(self, tmp_path, capsys, name, suffix):
+        g, flags = PINNED_AUDITS[name]
+        path = write_graph(tmp_path, g)
+        extra = ["--json"] if suffix == "json" else []
+        code, out, err = run(capsys, "audit", *extra, *flags, path)
+        assert (code, err) == (0, "")
+        assert out == (PINNED / f"{name}.{suffix}").read_text()
 
     def test_tight_budget_skips_sandwich(self, tmp_path, capsys):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
