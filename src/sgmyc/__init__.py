@@ -4,100 +4,6 @@ The package splits along the natural seams of the subject: core holds
 the data model and generators, balance the switching certificates,
 mycielskian the plain and balanced constructions, coloring the exact
 chromatic solver, matrices the exact matrix constructors, exactla the
-rational kernels behind them, and cli the command line front end.
+rational kernels behind them, claims the paper's claims that the audit
+command checks, and cli the command line front end.
 """
-
-from .balance import BalanceCertificate, certify_balance, cycle_sign, is_antibalanced, negate
-from .coloring import (
-    SignedColoring,
-    antibalance_chromatic_check,
-    chromatic_number,
-    color_set,
-    deficiency,
-    extend_coloring_to_mycielskian,
-    is_proper,
-    restricted_mycielskian_chromatic,
-)
-from .core import (
-    DegreeReport,
-    SignedGraph,
-    canonicalize,
-    degrees,
-    dump,
-    dumps,
-    generate,
-    is_connected,
-    is_triangle_free,
-    load,
-    loads,
-    switch,
-)
-from .exactla import Inertia, RationalMatrix, determinant, inertia, is_congruent_product, rank
-from .matrices import (
-    adjacency,
-    adjacency_mycielskian,
-    congruence_factors,
-    incidence,
-    incidence_mycielskian,
-    laplacian,
-    laplacian_mycielskian,
-    negative_join,
-)
-from .mycielskian import (
-    MycielskianLabeling,
-    balanced_mycielskian,
-    check_root_relation,
-    mycielskian,
-    mycielskian_balanced_iff_all_positive,
-    resign_root,
-    tower,
-)
-
-__all__ = [
-    "BalanceCertificate",
-    "DegreeReport",
-    "Inertia",
-    "MycielskianLabeling",
-    "RationalMatrix",
-    "SignedColoring",
-    "SignedGraph",
-    "adjacency",
-    "adjacency_mycielskian",
-    "antibalance_chromatic_check",
-    "balanced_mycielskian",
-    "canonicalize",
-    "certify_balance",
-    "check_root_relation",
-    "chromatic_number",
-    "color_set",
-    "congruence_factors",
-    "cycle_sign",
-    "deficiency",
-    "degrees",
-    "determinant",
-    "dump",
-    "dumps",
-    "extend_coloring_to_mycielskian",
-    "generate",
-    "incidence",
-    "incidence_mycielskian",
-    "inertia",
-    "is_antibalanced",
-    "is_congruent_product",
-    "is_connected",
-    "is_proper",
-    "is_triangle_free",
-    "laplacian",
-    "laplacian_mycielskian",
-    "load",
-    "loads",
-    "mycielskian",
-    "mycielskian_balanced_iff_all_positive",
-    "negate",
-    "negative_join",
-    "rank",
-    "resign_root",
-    "restricted_mycielskian_chromatic",
-    "switch",
-    "tower",
-]

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SignedGraph, SwitchingFunction, incident_edges, switch
+from .core import SignedGraph, SwitchingFunction, incident_edges
 from .errors import NotACycleError
 
 
@@ -134,28 +134,3 @@ def is_antibalanced(g: SignedGraph) -> tuple[bool, SwitchingFunction | None]:
     """
     cert = certify_balance(negate(g))
     return (cert.balanced, cert.to_all_positive)
-
-
-def verify_certificate(g: SignedGraph, cert: BalanceCertificate) -> bool:
-    """Recheck a certificate against the graph from scratch.
-
-    Balanced certificates must switch the graph to all-positive and the
-    bipartition must cut exactly the negative edges.  Unbalanced ones must
-    name a simple cycle of sign -1.
-    """
-    if cert.balanced:
-        if cert.to_all_positive is None or cert.bipartition is None:
-            return False
-        if any(s != 1 for _, _, s in switch(g, cert.to_all_positive).edges):
-            return False
-        for u, v, s in g.edges:
-            crosses = cert.bipartition[u - 1] != cert.bipartition[v - 1]
-            if crosses != (s == -1):
-                return False
-        return True
-    if cert.witness is None:
-        return False
-    try:
-        return cycle_sign(g, cert.witness) == -1
-    except NotACycleError:
-        return False

@@ -28,14 +28,9 @@ import os
 import sys
 
 from . import balance as balance_mod
-from . import coloring, core, exactla, matrices
+from . import claims, coloring, core, exactla, matrices
 from .errors import BudgetExhaustedError, InputError, PreconditionError
-from .mycielskian import (
-    MycielskianLabeling,
-    balanced_mycielskian,
-    mycielskian,
-    mycielskian_balanced_iff_all_positive,
-)
+from .mycielskian import MycielskianLabeling, balanced_mycielskian, mycielskian
 
 
 def _digest_text(text: str) -> str:
@@ -269,176 +264,16 @@ def cmd_inertia(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# audit
-
-
-def _claim(name: str, ok: bool, detail: str) -> dict:
-    return {"claim": name, "status": "pass" if ok else "fail", "detail": detail}
-
-
-def _skip(name: str, why: str) -> dict:
-    return {"claim": name, "status": "skipped", "detail": why}
-
-
-def _audit_counts(g, fault: bool) -> dict:
-    gm, _ = mycielskian(g)
-    r = g.positive_count
-    want_p = 2 * g.p + 1 + (1 if fault else 0)
-    ok = (
-        gm.p == want_p
-        and gm.q == 3 * g.q + g.p
-        and gm.positive_count == 3 * r + g.p
-        and gm.negative_count == 3 * (g.q - r)
-    )
-    return _claim("mycielskian-counts", ok, f"vertices {gm.p}, edges {gm.q}, positive {gm.positive_count}")
-
-
-def _audit_degrees(g, fault: bool) -> dict:
-    gm, lab = mycielskian(g)
-    dg = core.degrees(g)
-    dm = core.degrees(gm)
-    bump = 1 if fault else 0
-    ok = True
-    for i in range(1, g.p + 1):
-        if dm.degree[i - 1] != 2 * dg.degree[i - 1] or dm.net_degree[i - 1] != 2 * dg.net_degree[i - 1]:
-            ok = False
-        t = lab.twin(i) - 1
-        if dm.degree[t] != dg.degree[i - 1] + 1 + bump or dm.net_degree[t] != dg.net_degree[i - 1] + 1:
-            ok = False
-    w = lab.root - 1
-    if dm.degree[w] != g.p or dm.net_degree[w] != g.p:
-        ok = False
-    return _claim("mycielskian-degrees", ok, "doubling on originals, +1 on twins, p at the root")
-
-
-def _audit_balance(g, fault: bool) -> dict:
-    balanced, witness = mycielskian_balanced_iff_all_positive(g)
-    expected = core.is_all_positive(g)
-    if fault:
-        expected = not expected
-    ok = balanced == expected
-    if witness is not None:
-        gm, _ = mycielskian(g)
-        ok = ok and balance_mod.cycle_sign(gm, witness) == -1
-    detail = "balanced Mycielskian" if balanced else f"negative 5-cycle {list(witness)}"
-    return _claim("balance-characterization", ok, detail)
-
-
-def _audit_balanced_mycielskian(g, fault: bool) -> dict:
-    cert = balance_mod.certify_balance(g)
-    if not cert.balanced:
-        return _skip("balanced-mycielskian", "input is unbalanced")
-    gb, zeta_b = balanced_mycielskian(g)
-    if fault:
-        zeta_b = (-zeta_b[0],) + zeta_b[1:]
-    switched = core.switch(gb, zeta_b)
-    ok = balance_mod.certify_balance(gb).balanced and core.is_all_positive(switched)
-    return _claim("balanced-mycielskian", ok, "balanced and switchable to all-positive")
-
-
-def _audit_sandwich(g, fault: bool, budget: int | None) -> dict:
-    try:
-        n, _ = coloring.chromatic_number(g, node_budget=budget)
-        gm, _ = mycielskian(g)
-        nm, _ = coloring.chromatic_number(gm, node_budget=budget)
-    except BudgetExhaustedError as exc:
-        return _skip("chromatic-sandwich", f"budget exhausted, chromatic number >= {exc.lower_bound}")
-    if fault:
-        nm += 1
-    ok = n <= nm <= n + 1
-    if core.is_all_negative(g) and g.q > 0:
-        ok = ok and nm == n
-    if core.is_all_positive(g) and g.q > 0:
-        ok = ok and nm == n + 1
-    return _claim("chromatic-sandwich", ok, f"chi {n}, Mycielskian chi {nm}")
-
-
-def _audit_inertia(g, fault: bool) -> dict:
-    a = matrices.adjacency(g)
-    am = matrices.adjacency_mycielskian(g)
-    pm, bm = matrices.congruence_factors(g)
-    if fault:
-        rows = [list(row) for row in bm.entries]
-        rows[0][0] += 1
-        bm = exactla.RationalMatrix.from_rows(rows)
-    ok = exactla.is_congruent_product(pm, bm, am)
-    lower = exactla.RationalMatrix.from_rows([row[g.p :] for row in bm.entries[g.p :]])
-    in_am, in_a, in_lower = exactla.inertia(am), exactla.inertia(a), exactla.inertia(lower)
-    ok = ok and in_am == in_a + in_lower
-    nj = matrices.negative_join(g)
-    ok = ok and exactla.rank(am) == exactla.rank(a) + exactla.rank(nj)
-    def fmt(ine):
-        return f"({ine.n_plus}, {ine.n_minus}, {ine.n_zero})"
-
-    return _claim(
-        "inertia-additivity",
-        ok,
-        f"inertia {fmt(in_am)} from blocks {fmt(in_a)} + {fmt(in_lower)}",
-    )
-
-
-def _audit_incidence(g, fault: bool) -> dict:
-    h = matrices.incidence(g)
-    if fault and g.q > 0:
-        rows = [list(row) for row in h.entries]
-        rows[0][0] += 1
-        h = exactla.RationalMatrix.from_rows(rows)
-    lap = matrices.laplacian(g)
-    ok = exactla.multiply(h, exactla.transpose(h)) == lap
-    hm = matrices.incidence_mycielskian(g)
-    lm = matrices.laplacian_mycielskian(g)
-    ok = ok and exactla.multiply(hm, exactla.transpose(hm)) == lm
-    dm = matrices.degree_matrix_mycielskian(g)
-    am = matrices.adjacency_mycielskian(g)
-    ok = ok and exactla.subtract(dm, am) == lm
-    return _claim("incidence-laplacian", ok, "H H^T and the block Laplacian agree")
-
-
-def _audit_laplacian_balance(g, fault: bool) -> dict:
-    if g.p == 0:
-        return _skip("laplacian-balance", "input has no vertices")
-    if not core.is_connected(g):
-        return _skip("laplacian-balance", "input is disconnected")
-    singular = exactla.rank(matrices.laplacian(g)) < g.p
-    balanced = balance_mod.certify_balance(g).balanced
-    if fault:
-        balanced = not balanced
-    ok = singular == balanced
-    lm = matrices.laplacian_mycielskian(g)
-    singular_m = exactla.rank(lm) < 2 * g.p + 1
-    ok = ok and singular_m == core.is_all_positive(g)
-    return _claim("laplacian-balance", ok, f"Laplacian singular: {singular}")
-
-
 def cmd_audit(args) -> int:
     g, digest = _read_input(args.file)
     fault = args.inject_fault
-    known = (
-        "mycielskian-counts",
-        "mycielskian-degrees",
-        "balance-characterization",
-        "balanced-mycielskian",
-        "chromatic-sandwich",
-        "inertia-additivity",
-        "incidence-laplacian",
-        "laplacian-balance",
-    )
-    if fault is not None and fault not in known:
-        raise InputError(f"unknown claim {fault!r}, expected one of {', '.join(known)}")
-    claims = [
-        _audit_counts(g, fault == "mycielskian-counts"),
-        _audit_degrees(g, fault == "mycielskian-degrees"),
-        _audit_balance(g, fault == "balance-characterization"),
-        _audit_balanced_mycielskian(g, fault == "balanced-mycielskian"),
-        _audit_sandwich(g, fault == "chromatic-sandwich", args.budget),
-        _audit_inertia(g, fault == "inertia-additivity"),
-        _audit_incidence(g, fault == "incidence-laplacian"),
-        _audit_laplacian_balance(g, fault == "laplacian-balance"),
-    ]
-    ok = all(c["status"] != "fail" for c in claims)
-    payload = {"_digest": digest, "ok": ok, "claims": claims}
-    human = [f"{c['claim']}: {c['status']} ({c['detail']})" for c in claims]
+    if fault is not None and fault not in claims.CLAIMS:
+        raise InputError(f"unknown claim {fault!r}, expected one of {', '.join(claims.CLAIMS)}")
+    ctx = claims.Context(g, args.budget)
+    results = [claims.check(name, ctx, name == fault) for name in claims.CLAIMS]
+    ok = all(c["status"] != "fail" for c in results)
+    payload = {"_digest": digest, "ok": ok, "claims": results}
+    human = [f"{c['claim']}: {c['status']} ({c['detail']})" for c in results]
     human.append("audit: ok" if ok else "audit: FAILED")
     _emit(args, payload, human)
     return 0 if ok else 1

@@ -52,15 +52,12 @@ and the root takes the new color 0; for odd n = 2k+1 every vertex colored
 takes -(k+1).  Vertices colored 0 form an independent set, so the
 recoloring keeps the coloring proper.
 
-Antibalance is the chromatic property chi <= 2, which gives the toolkit
-a cheap cross-check between the coloring and balance modules.
+Antibalance is the chromatic property chi <= 2, so
+balance.is_antibalanced decides chi <= 2 without a search.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .balance import is_antibalanced
 from .core import SignedGraph, incident_edges
 from .errors import (
     BudgetExhaustedError,
@@ -70,7 +67,6 @@ from .errors import (
     LengthMismatchError,
     NotProperError,
 )
-from .mycielskian import delete_root, mycielskian
 
 from dataclasses import dataclass
 
@@ -201,40 +197,3 @@ def extend_coloring_to_mycielskian(g: SignedGraph, coloring: SignedColoring) -> 
         base = [k + 1 if c == 0 else c for c in coloring.colors]
         root_color = -(k + 1)
     return SignedColoring(n + 1, tuple(base) + tuple(base) + (root_color,))
-
-
-def restricted_mycielskian_chromatic(g: SignedGraph) -> int:
-    """Chromatic number of the Mycielskian with its root deleted.
-
-    Always equals the chromatic number of g itself; both are computed and
-    compared, so a disagreement cannot pass silently.
-    """
-    gm, lab = mycielskian(g)
-    restricted = delete_root(gm, lab)
-    n_restricted, _ = chromatic_number(restricted)
-    n_input, _ = chromatic_number(g)
-    if n_restricted != n_input:
-        raise ConsistencyError(
-            f"root-deleted Mycielskian needs {n_restricted} colors, input needs {n_input}"
-        )
-    return n_restricted
-
-
-def antibalance_chromatic_check(g: SignedGraph) -> bool:
-    """Whether chi(g) <= 2, cross-checked against the antibalance certificate."""
-    n, _ = chromatic_number(g)
-    anti, _ = is_antibalanced(g)
-    if (n <= 2) != anti:
-        raise ConsistencyError(f"chi = {n} disagrees with antibalance = {anti}")
-    return n <= 2
-
-
-def mycielskian_two_colorable_iff_all_negative(g: SignedGraph) -> bool:
-    """Diagnostic: chi of the Mycielskian is at most 2 exactly for all-negative input."""
-    gm, _ = mycielskian(g)
-    n, _ = chromatic_number(gm)
-    two = n <= 2
-    all_negative = all(s == -1 for _, _, s in g.edges)
-    if two != all_negative:
-        raise ConsistencyError("two-colorability of the Mycielskian disagrees with negativity")
-    return two

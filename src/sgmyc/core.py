@@ -56,17 +56,6 @@ class SignedGraph:
     def negative_count(self) -> int:
         return sum(1 for _, _, s in self.edges if s == -1)
 
-    def sign(self, u: int, v: int) -> int:
-        """Sign of edge uv, or 0 when uv is not an edge."""
-        a, b = (u, v) if u < v else (v, u)
-        for x, y, s in self.edges:
-            if x == a and y == b:
-                return s
-        return 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.sign(u, v) != 0
-
 
 def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     """Build a SignedGraph from raw (u, v, s) triples.

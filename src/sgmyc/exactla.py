@@ -291,20 +291,6 @@ def format_entry(x: Entry) -> str:
     return str(int(x) if isinstance(x, Fraction) else x)
 
 
-def parse_entry(s: str) -> Entry:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return _normalize(Fraction(int(num), int(den)))
-    return int(s)
-
-
 def to_json_rows(a: RationalMatrix) -> list[list[int | str]]:
     """JSON-safe rows: ints stay ints, true fractions become 'n/d' strings."""
     return [[x if isinstance(x, int) else format_entry(x) for x in row] for row in a.entries]
-
-
-def from_json_rows(rows: Sequence[Sequence[int | str]]) -> RationalMatrix:
-    return RationalMatrix.from_rows(
-        [[x if isinstance(x, int) else parse_entry(x) for x in row] for row in rows]
-    )

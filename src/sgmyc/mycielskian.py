@@ -29,8 +29,7 @@ lists every neighbourhood in ascending order.  The Mycielskian's edges
 from an original u to larger labels are the original edges u v, v > u,
 then the cross edges to u_v = p + v > p, ascending in v; a twin's only
 larger neighbour is the root.  Emitting these two runs for u = 1..p and
-then the root star twin by twin is therefore the sorted edge tuple, and
-deleting edges from it, as delete_root does, keeps it sorted.
+then the root star twin by twin is therefore the sorted edge tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .balance import certify_balance, cycle_sign
+from .balance import certify_balance
 from .core import (
     SignedGraph,
     SwitchingFunction,
@@ -47,7 +46,6 @@ from .core import (
     is_all_positive,
 )
 from .errors import (
-    ConsistencyError,
     LengthMismatchError,
     InvalidParamsError,
     NotAMycielskianError,
@@ -99,36 +97,6 @@ def mycielskian(g: SignedGraph) -> tuple[SignedGraph, MycielskianLabeling]:
     return _build(g, (1,) * g.p), MycielskianLabeling(g.p)
 
 
-def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
-    """Drop the root vertex and its star, keeping originals and twins."""
-    if gm.p != lab.root:
-        raise LengthMismatchError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
-    # the root is the largest label, so it can only be the upper endpoint
-    return SignedGraph(2 * lab.p, tuple(e for e in gm.edges if e[1] != lab.root))
-
-
-def mycielskian_balanced_iff_all_positive(g: SignedGraph) -> tuple[bool, tuple[int, ...] | None]:
-    """Diagnostic: the Mycielskian is balanced exactly for all-positive input.
-
-    Returns the balance verdict for the Mycielskian, plus a negative
-    5-cycle witness through the first negative edge when there is one.
-    The verdict is cross-checked against positivity of the input and the
-    witness sign is recomputed; a mismatch raises ConsistencyError.
-    """
-    gm, lab = mycielskian(g)
-    balanced = certify_balance(gm).balanced
-    if balanced != is_all_positive(g):
-        raise ConsistencyError("Mycielskian balance disagrees with input positivity")
-    witness = None
-    for u, v, s in g.edges:
-        if s == -1:
-            witness = (lab.original(u), lab.original(v), lab.twin(u), lab.root, lab.twin(v))
-            if cycle_sign(gm, witness) != -1:
-                raise ConsistencyError("constructed 5-cycle is not negative")
-            break
-    return balanced, witness
-
-
 def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) -> SignedGraph:
     """Replace the sign of each root edge u_i w by rs(i).
 
@@ -150,18 +118,6 @@ def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) ->
     if len(old_signs) != p or _build(g, old_signs) != gm:
         raise NotAMycielskianError("graph is not the Mycielskian of its original edges")
     return _build(g, rs)
-
-
-def check_root_relation(g: SignedGraph, rs: Sequence[int]) -> bool:
-    """Whether rs(i) * rs(j) equals the sign of v_i v_j for every edge.
-
-    This is the exact condition under which the re-signed Mycielskian of g
-    is balanced, for balanced g.  Exposed separately so the condition can
-    be probed on its own, including with signatures that violate it.
-    """
-    if len(rs) != g.p:
-        raise LengthMismatchError(f"root signature has length {len(rs)}, expected {g.p}")
-    return all(rs[u - 1] * rs[v - 1] == s for u, v, s in g.edges)
 
 
 def balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, SwitchingFunction]:
@@ -204,13 +160,3 @@ def tower(n: int) -> list[SignedGraph]:
         gb, _ = balanced_mycielskian(levels[-1])
         levels.append(gb)
     return levels
-
-
-def verify_balanced_mycielskian(g: SignedGraph) -> bool:
-    """Recheck the balanced Mycielskian contract on one input from scratch."""
-    from .core import switch
-
-    gb, zeta_b = balanced_mycielskian(g)
-    if not certify_balance(gb).balanced:
-        return False
-    return is_all_positive(switch(gb, zeta_b))

@@ -16,19 +16,30 @@ chromatic number.  reference_mycielskian, reference_resign_root and
 reference_balanced_mycielskian build every edge, re-sort and re-check
 the result through canonicalize; they are the reference for the exact
 graphs and switchings the one-pass constructions must return.
+verify_certificate, the balance certificate checker, and delete_root,
+the root deletion behind the chromatic tests, are the package's former
+public functions, kept unchanged for the tests that use them.
 """
 
 from itertools import product
 from typing import Sequence
 
-from sgmyc.balance import certify_balance
+from sgmyc.balance import BalanceCertificate, certify_balance, cycle_sign
 from sgmyc.coloring import SignedColoring, color_trial_order
-from sgmyc.core import SignedGraph, SwitchingFunction, canonicalize, incident_edges, is_all_positive
+from sgmyc.core import (
+    SignedGraph,
+    SwitchingFunction,
+    canonicalize,
+    incident_edges,
+    is_all_positive,
+    switch,
+)
 from sgmyc.errors import (
     BudgetExhaustedError,
     ConsistencyError,
     InvalidParamsError,
     LengthMismatchError,
+    NotACycleError,
     NotAMycielskianError,
     NotBalancedError,
 )
@@ -357,3 +368,36 @@ def reference_balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, Switchi
     gb = reference_resign_root(gm, lab, zeta)
     zeta_b = tuple(zeta) + tuple(zeta) + (1,)
     return gb, zeta_b
+
+
+def verify_certificate(g: SignedGraph, cert: BalanceCertificate) -> bool:
+    """Recheck a certificate against the graph from scratch.
+
+    Balanced certificates must switch the graph to all-positive and the
+    bipartition must cut exactly the negative edges.  Unbalanced ones must
+    name a simple cycle of sign -1.
+    """
+    if cert.balanced:
+        if cert.to_all_positive is None or cert.bipartition is None:
+            return False
+        if any(s != 1 for _, _, s in switch(g, cert.to_all_positive).edges):
+            return False
+        for u, v, s in g.edges:
+            crosses = cert.bipartition[u - 1] != cert.bipartition[v - 1]
+            if crosses != (s == -1):
+                return False
+        return True
+    if cert.witness is None:
+        return False
+    try:
+        return cycle_sign(g, cert.witness) == -1
+    except NotACycleError:
+        return False
+
+
+def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
+    """Drop the root vertex and its star, keeping originals and twins."""
+    if gm.p != lab.root:
+        raise LengthMismatchError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
+    # the root is the largest label, so it can only be the upper endpoint
+    return SignedGraph(2 * lab.p, tuple(e for e in gm.edges if e[1] != lab.root))

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG, TRIANGLE_TWO_NEG
 from strategies import balanced_graphs, graphs_with_switchings, signed_graphs
-from sgmyc.balance import (
-    certify_balance,
-    cycle_sign,
-    is_antibalanced,
-    negate,
-    verify_certificate,
-)
+from oracles import verify_certificate
+from sgmyc.balance import certify_balance, cycle_sign, is_antibalanced, negate
 from sgmyc.core import canonicalize, generate, is_all_negative, is_all_positive, switch
 from sgmyc.errors import NotACycleError
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import (
+    K2_NEG,
     K2_POS,
     SQUARE_ONE_NEG,
     SQUARE_TWO_NEG,
@@ -35,6 +36,30 @@ PINNED_AUDITS = {
     "disconnected": (canonicalize(5, [(1, 2, -1), (3, 4, 1), (4, 5, -1)]), []),
     "tower4": (tower(4)[3], []),
     "budget5": (SQUARE_TWO_NEG, ["--budget", "5"]),
+}
+
+# the public claim names, in report order
+CLAIM_NAMES = [
+    "mycielskian-counts",
+    "mycielskian-degrees",
+    "balance-characterization",
+    "balanced-mycielskian",
+    "chromatic-sandwich",
+    "inertia-additivity",
+    "incidence-laplacian",
+    "laplacian-balance",
+]
+
+# small and degenerate inputs on which every injected fault must show
+FAULT_GRAPHS = {
+    "null": canonicalize(0, []),
+    "K1": canonicalize(1, []),
+    "edgeless3": canonicalize(3, []),
+    "K2+": K2_POS,
+    "K2-": K2_NEG,
+    "square_one_neg": SQUARE_ONE_NEG,
+    "square_two_neg": SQUARE_TWO_NEG,
+    "disconnected": canonicalize(5, [(1, 2, -1), (3, 4, 1), (4, 5, -1)]),
 }
 
 
@@ -333,19 +358,7 @@ class TestAudit:
         assert status["balanced-mycielskian"] == "skipped"
         assert all(s != "fail" for s in status.values())
 
-    @pytest.mark.parametrize(
-        "claim",
-        [
-            "mycielskian-counts",
-            "mycielskian-degrees",
-            "balance-characterization",
-            "balanced-mycielskian",
-            "chromatic-sandwich",
-            "inertia-additivity",
-            "incidence-laplacian",
-            "laplacian-balance",
-        ],
-    )
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
     def test_injected_fault_fails_its_claim(self, tmp_path, capsys, claim):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, out, _ = run(capsys, "audit", "--json", "--inject-fault", claim, path)
@@ -355,6 +368,23 @@ class TestAudit:
         assert status[claim] == "fail"
         others = [s for name, s in status.items() if name != claim]
         assert all(s == "pass" for s in others)
+
+    @pytest.mark.parametrize("graph", sorted(FAULT_GRAPHS))
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_injected_fault_fails_wherever_the_claim_runs(self, tmp_path, capsys, claim, graph):
+        path = write_graph(tmp_path, FAULT_GRAPHS[graph])
+        clean = json.loads(run(capsys, "audit", "--json", path)[1])["claims"]
+        code, out, _ = run(capsys, "audit", "--json", "--inject-fault", claim, path)
+        faulted = json.loads(out)["claims"]
+        assert [c["claim"] for c in clean] == [c["claim"] for c in faulted] == CLAIM_NAMES
+        assert all(c["status"] != "fail" for c in clean)
+        status = {c["claim"]: c["status"] for c in clean}
+        # the null graph's Mycielskian is one vertex: no switching can break it
+        if status[claim] != "skipped" and (claim, graph) != ("balanced-mycielskian", "null"):
+            status[claim] = "fail"
+        assert {c["claim"]: c["status"] for c in faulted} == status
+        assert code == (1 if status[claim] == "fail" else 0)
+        assert [c for c in faulted if c["claim"] != claim] == [c for c in clean if c["claim"] != claim]
 
     def test_null_graph(self, tmp_path, capsys):
         path = write_graph(tmp_path, canonicalize(0, []))

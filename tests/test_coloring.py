@@ -16,19 +16,17 @@ from conftest import (
     cycles_and_paths,
 )
 from strategies import signed_graphs, switchings
+from sgmyc.balance import is_antibalanced
 from sgmyc.coloring import (
     SignedColoring,
-    antibalance_chromatic_check,
     chromatic_number,
     color_set,
     color_trial_order,
     deficiency,
     extend_coloring_to_mycielskian,
     is_proper,
-    mycielskian_two_colorable_iff_all_negative,
-    restricted_mycielskian_chromatic,
 )
-from sgmyc.core import canonicalize, generate, switch
+from sgmyc.core import canonicalize, generate, is_all_negative, switch
 from sgmyc.errors import (
     BudgetExhaustedError,
     ColorOutOfSetError,
@@ -288,33 +286,43 @@ class TestSandwich:
         assert nm == n
 
     def test_restricted_equals_input(self):
-        assert restricted_mycielskian_chromatic(K2_NEG) == 2
-        assert restricted_mycielskian_chromatic(SQUARE_ONE_NEG) == 3
+        assert restricted_chromatic(K2_NEG) == 2
+        assert restricted_chromatic(SQUARE_ONE_NEG) == 3
 
     @settings(max_examples=25, deadline=None)
     @given(signed_graphs(max_p=4))
     def test_restricted_random(self, g):
-        assert restricted_mycielskian_chromatic(g) == chromatic_number(g)[0]
+        assert restricted_chromatic(g) == chromatic_number(g)[0]
+
+
+def restricted_chromatic(g):
+    """Chromatic number of the Mycielskian of g with its root deleted."""
+    return chromatic_number(oracles.delete_root(*mycielskian(g)))[0]
+
+
+def two_colorable(g):
+    return chromatic_number(g)[0] <= 2
 
 
 class TestAntibalanceAndTwoColorability:
     def test_antibalance_check(self):
-        assert antibalance_chromatic_check(generate("complete", {"order": 4}))
-        assert not antibalance_chromatic_check(SQUARE_ONE_NEG)
-        assert not antibalance_chromatic_check(TRIANGLE_TWO_NEG)
+        assert two_colorable(generate("complete", {"order": 4}))
+        assert not two_colorable(SQUARE_ONE_NEG)
+        assert not two_colorable(TRIANGLE_TWO_NEG)
+        for g in (generate("complete", {"order": 4}), SQUARE_ONE_NEG, TRIANGLE_TWO_NEG):
+            assert is_antibalanced(g)[0] == two_colorable(g)
 
     @given(signed_graphs(max_p=5))
     def test_antibalance_check_consistent(self, g):
-        # the function cross-checks solver against certificate internally
-        antibalance_chromatic_check(g)
+        assert is_antibalanced(g)[0] == two_colorable(g)
 
     def test_two_colorable_mycielskian(self):
-        assert mycielskian_two_colorable_iff_all_negative(K2_NEG)
-        assert mycielskian_two_colorable_iff_all_negative(generate("complete", {"order": 3}))
-        assert not mycielskian_two_colorable_iff_all_negative(K2_POS)
-        assert not mycielskian_two_colorable_iff_all_negative(SQUARE_ONE_NEG)
+        assert two_colorable(mycielskian(K2_NEG)[0])
+        assert two_colorable(mycielskian(generate("complete", {"order": 3}))[0])
+        assert not two_colorable(mycielskian(K2_POS)[0])
+        assert not two_colorable(mycielskian(SQUARE_ONE_NEG)[0])
 
     @settings(max_examples=25, deadline=None)
     @given(signed_graphs(max_p=4))
     def test_two_colorable_consistent(self, g):
-        mycielskian_two_colorable_iff_all_negative(g)
+        assert two_colorable(mycielskian(g)[0]) == is_all_negative(g)

@@ -13,11 +13,9 @@ from sgmyc.exactla import (
     block,
     determinant,
     format_entry,
-    from_json_rows,
     inertia,
     is_congruent_product,
     multiply,
-    parse_entry,
     rank,
     subtract,
     to_json_rows,
@@ -331,14 +329,18 @@ class TestSerialization:
         assert format_entry(3) == "3"
         assert format_entry(Fraction(1, 2)) == "1/2"
         assert format_entry(Fraction(-4, 2)) == "-2"
-        assert parse_entry("3") == 3
-        assert parse_entry("-1/2") == Fraction(-1, 2)
+        assert Fraction(format_entry(Fraction(-1, 2))) == Fraction(-1, 2)
 
     def test_json_roundtrip(self):
         a = M([[1, Fraction(1, 2)], [0, -3]])
-        assert from_json_rows(to_json_rows(a)) == a
+        assert read_json_rows(to_json_rows(a)) == a
         assert to_json_rows(a) == [[1, "1/2"], [0, -3]]
 
     @given(matrices(3, 2, max_den=7))
     def test_roundtrip_random(self, a):
-        assert from_json_rows(to_json_rows(a)) == a
+        assert read_json_rows(to_json_rows(a)) == a
+
+
+def read_json_rows(rows):
+    """The matrix a JSON report holds: 'n/d' strings are read as Fractions."""
+    return M([[Fraction(x) if isinstance(x, str) else x for x in row] for row in rows])

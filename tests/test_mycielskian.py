@@ -1,5 +1,7 @@
 """Mycielskian construction, root re-signing, balanced variant, tower."""
 
+import types
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from conftest import (
     cycles_and_paths,
 )
 from strategies import balanced_graphs, signed_graphs, switchings
+from sgmyc import claims
 from sgmyc.balance import certify_balance, cycle_sign
 from sgmyc.core import (
     canonicalize,
@@ -33,13 +36,9 @@ from sgmyc.errors import (
 from sgmyc.mycielskian import (
     MycielskianLabeling,
     balanced_mycielskian,
-    check_root_relation,
-    delete_root,
     mycielskian,
-    mycielskian_balanced_iff_all_positive,
     resign_root,
     tower,
-    verify_balanced_mycielskian,
 )
 
 M_K2_NEG = canonicalize(
@@ -127,40 +126,36 @@ class TestMycielskian:
 
     def test_delete_root(self):
         gm, lab = mycielskian(K2_NEG)
-        assert delete_root(gm, lab) == canonicalize(
+        assert oracles.delete_root(gm, lab) == canonicalize(
             4, [(1, 2, -1), (1, 4, -1), (2, 3, -1)]
         )
-        with pytest.raises(LengthMismatchError):
-            delete_root(gm, MycielskianLabeling(3))
+
+
+def balance_characterization(g):
+    return claims.check("balance-characterization", claims.Context(g))
 
 
 class TestBalanceCharacterization:
     def test_all_positive_input(self):
-        balanced, witness = mycielskian_balanced_iff_all_positive(
-            canonicalize(3, [(1, 2, 1), (2, 3, 1)])
-        )
-        assert balanced and witness is None
+        result = balance_characterization(canonicalize(3, [(1, 2, 1), (2, 3, 1)]))
+        assert (result["status"], result["detail"]) == ("pass", "balanced Mycielskian")
 
     def test_negative_edge_gives_witness(self):
-        balanced, witness = mycielskian_balanced_iff_all_positive(K2_NEG)
-        assert not balanced
-        assert witness == (1, 2, 3, 5, 4)
-        assert cycle_sign(M_K2_NEG, witness) == -1
+        result = balance_characterization(K2_NEG)
+        assert (result["status"], result["detail"]) == ("pass", "negative 5-cycle [1, 2, 3, 5, 4]")
+        assert not certify_balance(M_K2_NEG).balanced
+        assert cycle_sign(M_K2_NEG, (1, 2, 3, 5, 4)) == -1
 
     def test_exhaustive_small_patterns(self):
         for base in cycles_and_paths(range(3, 6), range(2, 6)):
             for g in all_sign_patterns(base):
-                balanced, witness = mycielskian_balanced_iff_all_positive(g)
-                assert balanced == is_all_positive(g)
-                if witness is not None:
-                    gm, _ = mycielskian(g)
-                    assert cycle_sign(gm, witness) == -1
+                assert balance_characterization(g)["status"] == "pass"
 
     @given(signed_graphs(max_p=8))
     def test_random(self, g):
-        balanced, witness = mycielskian_balanced_iff_all_positive(g)
-        assert balanced == is_all_positive(g)
-        assert (witness is None) == balanced
+        result = balance_characterization(g)
+        assert result["status"] == "pass"
+        assert (result["detail"] == "balanced Mycielskian") == is_all_positive(g)
 
 
 class TestResignRoot:
@@ -211,29 +206,30 @@ class TestResignRoot:
                 resign(NOT_MYCIELSKIANS_OF_K2[case], lab, (1, 1))
 
 
+def root_relation(g, rs):
+    """Whether rs(i) * rs(j) equals the sign of v_i v_j for every edge."""
+    return all(rs[u - 1] * rs[v - 1] == s for u, v, s in g.edges)
+
+
+def resigned_balanced(g, rs):
+    return certify_balance(resign_root(*mycielskian(g), rs)).balanced
+
+
 class TestRootRelation:
     def test_holds_for_construction_signature(self):
-        assert check_root_relation(K2_NEG, (-1, 1))
-        assert check_root_relation(K2_NEG, (1, -1))
+        assert root_relation(K2_NEG, (-1, 1)) and resigned_balanced(K2_NEG, (-1, 1))
+        assert root_relation(K2_NEG, (1, -1)) and resigned_balanced(K2_NEG, (1, -1))
 
     def test_fails_otherwise(self):
-        assert not check_root_relation(K2_NEG, (1, 1))
-        assert not check_root_relation(K2_NEG, (-1, -1))
-
-    def test_length_checked(self):
-        with pytest.raises(LengthMismatchError):
-            check_root_relation(K2_NEG, (1,))
+        assert not root_relation(K2_NEG, (1, 1)) and not resigned_balanced(K2_NEG, (1, 1))
+        assert not root_relation(K2_NEG, (-1, -1)) and not resigned_balanced(K2_NEG, (-1, -1))
 
     @given(balanced_graphs(min_p=1, max_p=7), st.data())
     def test_violating_signature_unbalances(self, g, data):
-        # any failure of the relation on an edge forces a negative 5-cycle
-        gm, lab = mycielskian(g)
+        # for balanced g, the re-signed Mycielskian is balanced exactly when
+        # the relation holds; any failure on an edge forces a negative 5-cycle
         rs = data.draw(switchings(g.p))
-        resigned = resign_root(gm, lab, rs)
-        if check_root_relation(g, rs):
-            assert certify_balance(resigned).balanced
-        else:
-            assert not certify_balance(resigned).balanced
+        assert resigned_balanced(g, rs) == root_relation(g, rs)
 
 
 class TestBalancedMycielskian:
@@ -245,7 +241,7 @@ class TestBalancedMycielskian:
     def test_single_negative_edge(self):
         gb, zb = balanced_mycielskian(K2_NEG)
         assert gb == TOWER_3
-        assert gb.sign(4, 5) == 1
+        assert (4, 5, 1) in gb.edges
         assert zb == (-1, 1, -1, 1, 1)
 
     def test_unbalanced_rejected(self):
@@ -266,7 +262,6 @@ class TestBalancedMycielskian:
         assert {(u, v) for u, v, _ in gb.edges} == {(u, v) for u, v, _ in gm.edges}
         assert certify_balance(gb).balanced
         assert is_all_positive(switch(gb, zb))
-        assert verify_balanced_mycielskian(g)
 
     @settings(max_examples=40)
     @given(balanced_graphs(max_p=6), st.data())
@@ -280,7 +275,7 @@ class TestBalancedMycielskian:
     @given(balanced_graphs(max_p=7))
     def test_root_signature_satisfies_relation(self, g):
         _, zb = balanced_mycielskian(g)
-        assert check_root_relation(g, zb[: g.p])
+        assert root_relation(g, zb[: g.p])
 
 
 class TestTower:
@@ -350,7 +345,7 @@ class TestAgainstReference:
     def test_delete_root(self, g):
         gm, lab = mycielskian(g)
         kept = [e for e in gm.edges if lab.root not in e[:2]]
-        assert delete_root(gm, lab) == canonicalize(2 * g.p, kept)
+        assert oracles.delete_root(gm, lab) == canonicalize(2 * g.p, kept)
 
     def test_tower_nine(self):
         levels = tower(9)
@@ -361,3 +356,10 @@ class TestAgainstReference:
         top = levels[-1]
         assert mycielskian(top) == oracles.reference_mycielskian(top)
         assert balanced_mycielskian(top) == oracles.reference_balanced_mycielskian(top)
+
+
+def test_submodule_import_binds_the_module():
+    import sgmyc.mycielskian as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.mycielskian is mycielskian
