@@ -36,6 +36,8 @@ PINNED_AUDITS = {
     "disconnected": (canonicalize(5, [(1, 2, -1), (3, 4, 1), (4, 5, -1)]), []),
     "tower4": (tower(4)[3], []),
     "budget5": (SQUARE_TWO_NEG, ["--budget", "5"]),
+    # all-positive and connected: the one pinned input whose Mycielskian Laplacian is singular
+    "cycle5_positive": (canonicalize(5, [(i, i % 5 + 1, 1) for i in range(1, 6)]), []),
 }
 
 # the public claim names, in report order
