@@ -56,6 +56,10 @@ class Context:
         return matrices.laplacian_mycielskian(self.g)
 
     @cached_property
+    def schur_myc(self) -> matrices.TwinSchur:
+        return matrices.laplacian_mycielskian_schur(self.g)
+
+    @cached_property
     def factors(self) -> tuple[exactla.RationalMatrix, exactla.RationalMatrix]:
         return matrices.congruence_factors(self.g)
 
@@ -176,7 +180,9 @@ def _laplacian_balance(ctx: Context, corrupt: Callable) -> tuple[str, str]:
         return ("skipped", "input is disconnected")
     singular = exactla.rank(ctx.laplacian) < g.p
     ok = singular == corrupt(ctx.cert.balanced)
-    singular_m = exactla.rank(ctx.laplacian_myc) < 2 * g.p + 1
+    # rank(L_M) = p + rank(S): the twin block eliminated first is invertible
+    schur = ctx.schur_myc
+    singular_m = g.p + exactla.resume_rank(schur.scaled, schur.det_c) < 2 * g.p + 1
     ok = ok and singular_m == core.is_all_positive(g)
     return _verdict(ok, f"Laplacian singular: {singular}")
 

@@ -14,9 +14,9 @@ Every subcommand accepts --json for a machine readable report carrying
 the command name, an input digest and the result payload.  Identical
 input and flags produce byte-identical output.
 
-Exit codes: 0 success, 1 failed audit claim, 2 malformed input,
-3 violated precondition, 4 exhausted search budget.  The environment
-variable SG_SEED overrides the generator seed.
+Exit codes: 0 success, 1 failed audit claim, 2 malformed input or out
+of memory, 3 violated precondition, 4 exhausted search budget.  The
+environment variable SG_SEED overrides the generator seed.
 """
 
 from __future__ import annotations
@@ -369,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this command", file=sys.stderr)
         return 2
 
 

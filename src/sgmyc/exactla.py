@@ -24,6 +24,20 @@ in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
+An elimination can also be resumed part way.  Write a square matrix as
+[[C, B'], [B, E]] with C a k x k block whose leading principal minors
+are nonzero, such as an invertible diagonal block.  Run on the whole
+matrix, the kernel pivots through C without a row swap, and Sylvester's
+identity says what it leaves behind: the last pivot is det(C), and
+trailing entry (i, j) is the minor of C bordered by row i and column j,
+which is det(C) * (E - B C^-1 B')[i][j].  That is det(C) * S for the
+Schur complement S.  So starting the kernel on det(C) * S with prev =
+det(C) performs exactly the divisions the full run would perform next:
+each is exact and every later entry is still a minor of the whole
+matrix.  By rank additivity over the invertible block C (Guttman 1946),
+the whole matrix has rank k + rank(S), and resume_rank returns rank(S)
+this way without forming the whole matrix.
+
 Products visit only the nonzero entries of their operands.
 """
 
@@ -202,12 +216,14 @@ def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
     return piv
 
 
-def _row_echelon(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
+def _row_echelon(m: list[list[int]], ncols: int, prev: int = 1) -> tuple[int, int, int]:
     """Fraction-free row echelon form in place, skipping columns without a pivot.
 
-    Returns the rank, the sign of the row permutation and the last pivot.
+    prev is the pivot the elimination of m continues from: 1 for a fresh
+    start.  Returns the rank, the sign of the row permutation and the last
+    pivot.
     """
-    r, sign, prev = 0, 1, 1
+    r, sign = 0, 1
     for c in range(ncols):
         if r == len(m):
             break
@@ -237,6 +253,19 @@ def determinant(a: RationalMatrix) -> Entry:
 def rank(a: RationalMatrix) -> int:
     """Exact rank by fraction-free elimination."""
     return _row_echelon(_integer_matrix(a)[0], a.cols)[0]
+
+
+def resume_rank(state: RationalMatrix, prev: int) -> int:
+    """Rank of S, continuing a fraction-free elimination from state = prev * S.
+
+    state must be the exact trailing state the kernel reaches with last
+    pivot prev, such as det(C) * S with prev = det(C) for the Schur
+    complement S of an invertible diagonal block C (see the module
+    docstring); any other state makes the divisions inexact.
+    """
+    if not prev or any(type(x) is not int for row in state.entries for x in row):
+        raise InvalidParamsError("resume_rank needs an integer state and a nonzero pivot")
+    return _row_echelon([list(row) for row in state.entries], state.cols, prev)[0]
 
 
 def inertia(a: RationalMatrix) -> Inertia:

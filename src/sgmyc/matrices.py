@@ -23,6 +23,23 @@ inertia is therefore computed from the two blocks, A and lower_block,
 each about half the size of A_M; the full matrix is left to the audit as
 the cross-check.
 
+The twins of the Mycielskian are pairwise non-adjacent, so in
+
+    L_M = [ 2D - A   -A      0 ]
+          [  -A     D + I   -j ]
+          [   0     -j'      p ]
+
+the twin block C = D + I is diagonal with entries d_i + 1 >= 1, always
+invertible, and det(C) is their product.  Eliminating it first leaves
+the Schur complement S = E - B C^-1 B' on the originals and the root,
+where B holds the twin columns of those rows and E is their own block.
+So S = E - sum over twins t of b_t b_t' / (d_t + 1), and the column b_t
+of twin t is nonzero only at its neighbours in G and at the root: det(C)
+* S is an integer matrix built in O(p + sum of d_i^2) updates straight
+from the incidence lists.  It is exactly the state fraction-free elimination
+reaches on L_M after the twin block, which is why exactla.resume_rank
+can finish the job from it, and rank(L_M) = p + rank(S).
+
 Incidence columns fix one orientation per edge: +1 at the smaller
 endpoint u of edge (u, v, s) and -s at v, so that H H^T equals the
 Laplacian D - A exactly.  The Mycielskian incidence keeps the blocked
@@ -34,7 +51,10 @@ of those two pieces, and every column still has exactly two nonzeros.
 
 from __future__ import annotations
 
-from .core import SignedGraph, degrees
+from dataclasses import dataclass
+from math import prod
+
+from .core import SignedGraph, degrees, incident_edges
 from .exactla import RationalMatrix, block, subtract, transpose
 
 
@@ -215,3 +235,50 @@ def laplacian_mycielskian(g: SignedGraph) -> RationalMatrix:
     )
 
 
+@dataclass(frozen=True)
+class TwinSchur:
+    """The Schur complement S of the twin block C of L_M, kept fraction-free.
+
+    scaled is det(C) * S, an integer matrix over the originals 1..p and
+    then the root; det_c is det(C).  rows and cols give the shape of S,
+    which bench/tracing.py reads from whatever a function here returns.
+    """
+
+    scaled: RationalMatrix
+    det_c: int
+
+    @property
+    def rows(self) -> int:
+        return self.scaled.rows
+
+    @property
+    def cols(self) -> int:
+        return self.scaled.cols
+
+
+def laplacian_mycielskian_schur(g: SignedGraph) -> TwinSchur:
+    """det(C) * S for the twin block C = D + I of the Mycielskian Laplacian.
+
+    E is [[2D - A, 0], [0, p]] and b_t is -s at each neighbour of t
+    joined by sign s and -1 at the root (see the module docstring).  L_M
+    itself is never formed.
+    """
+    p = g.p
+    inc = incident_edges(g)
+    det_c = prod(len(nbrs) + 1 for nbrs in inc.values())
+    s = [[0] * (p + 1) for _ in range(p + 1)]
+    for u, v, sign in g.edges:
+        s[u - 1][v - 1] = s[v - 1][u - 1] = -sign * det_c
+    root = s[p]
+    root[p] = p * det_c
+    for t, nbrs in inc.items():
+        s[t - 1][t - 1] += 2 * len(nbrs) * det_c
+        w = det_c // (len(nbrs) + 1)
+        root[p] -= w
+        for x, sx in nbrs:
+            row = s[x - 1]
+            row[p] -= sx * w
+            root[x - 1] -= sx * w
+            for y, sy in nbrs:
+                row[y - 1] -= sx * sy * w
+    return TwinSchur(RationalMatrix.from_rows(s), det_c)

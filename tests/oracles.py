@@ -4,8 +4,9 @@ Nothing here reuses toolkit algorithms: colorings are checked by full
 enumeration, balance by enumerating every simple cycle, and path signs
 by enumerating every simple path.  Matrix oracles work on plain lists of
 rows: ranks by Fraction elimination, determinants by cofactor expansion,
-inertia by Fraction congruence diagonalization, none of them the
-package's fraction-free kernel.  The oracles only read the public data
+inertia by Fraction congruence diagonalization, the twin-block Schur
+complement by Fraction Gauss-Jordan, none of them the package's
+fraction-free kernel.  The oracles only read the public data
 fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
@@ -207,6 +208,42 @@ def gaussian_rank(rows):
         if r == nr:
             break
     return r
+
+
+def twin_schur_complement(lm_rows, p):
+    """(det C, S) for the twin block C of a dense Mycielskian Laplacian.
+
+    C is rows and columns p..2p-1, inverted by Fraction Gauss-Jordan with
+    row pivoting; S = E - B C^-1 B' over the originals and then the root.
+    """
+    from fractions import Fraction
+
+    twins = range(p, 2 * p)
+    rest = list(range(p)) + [2 * p]
+    c = [[Fraction(lm_rows[i][j]) for j in twins] for i in twins]
+    inv = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    det = Fraction(1)
+    for k in range(p):
+        piv = next(i for i in range(k, p) if c[i][k])
+        if piv != k:
+            c[k], c[piv] = c[piv], c[k]
+            inv[k], inv[piv] = inv[piv], inv[k]
+            det = -det
+        f = c[k][k]
+        det *= f
+        c[k] = [x / f for x in c[k]]
+        inv[k] = [x / f for x in inv[k]]
+        for i in range(p):
+            if i != k and c[i][k]:
+                h = c[i][k]
+                c[i] = [x - h * y for x, y in zip(c[i], c[k])]
+                inv[i] = [x - h * y for x, y in zip(inv[i], inv[k])]
+    b_inv = [[sum(lm_rows[i][p + a] * inv[a][t] for a in range(p)) for t in range(p)] for i in rest]
+    s = [
+        [lm_rows[i][j] - sum(x * lm_rows[p + t][j] for t, x in enumerate(b_row)) for j in rest]
+        for i, b_row in zip(rest, b_inv)
+    ]
+    return det, s
 
 
 def laplace_determinant(rows):

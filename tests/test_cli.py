@@ -20,6 +20,7 @@ from conftest import (
     write_graph,
 )
 from strategies import signed_graphs
+from sgmyc import cli
 from sgmyc.cli import main
 from sgmyc.core import canonicalize, dumps, generate, loads
 from sgmyc.exactla import inertia
@@ -439,6 +440,17 @@ class TestErrors:
         path.write_text("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n")
         code, out, err = run(capsys, "info", *flag, str(path))
         assert (code, out, err) == (2, "", "error: edge (1,2) given twice\n")
+
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, flag):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_inertia", exhausted)
+        path = write_graph(tmp_path, SQUARE_TWO_NEG)
+        code, out, err = run(capsys, "inertia", *flag, path)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; the input is too large for this command\n"
 
     def test_byte_determinism(self, tmp_path, capsys):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)

@@ -1,6 +1,7 @@
 """Exact rational matrices: arithmetic, Bareiss elimination, inertia."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from sgmyc.exactla import (
     is_congruent_product,
     multiply,
     rank,
+    resume_rank,
     subtract,
     to_json_rows,
     transpose,
@@ -237,6 +239,43 @@ class TestRank:
         a = data.draw(matrices(n, n, max_den=5))
         rows = [[a.entry(i, j) for j in range(n)] for i in range(n)]
         assert rank(a) == oracles.gaussian_rank(rows)
+
+
+class TestResumeRank:
+    @settings(max_examples=80)
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6).filter(bool), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=4),
+        st.data(),
+    )
+    def test_resumes_past_an_invertible_diagonal_block(self, diag, n, data):
+        # a = [[C, B1], [B2, E]] with C diagonal: rank(a) = k + rank(S)
+        k = len(diag)
+        b1 = data.draw(matrices(k, n))
+        b2 = data.draw(matrices(n, k))
+        e = data.draw(matrices(n, n))
+        det_c = prod(diag)
+        # det(C) * S, with S = E - B2 C^-1 B1
+        w = [det_c // c for c in diag]
+        state = [
+            [det_c * e.entry(i, j) - sum(w[t] * b2.entry(i, t) * b1.entry(t, j) for t in range(k))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        a = [[diag[i] if i == j else 0 for j in range(k)] + list(b1.entries[i]) for i in range(k)]
+        a += [list(b2.entries[i]) + list(e.entries[i]) for i in range(n)]
+        resumed = resume_rank(RationalMatrix(tuple(map(tuple, state)), n), det_c)
+        assert k + resumed == oracles.gaussian_rank(a)
+
+    def test_from_a_fresh_start_is_rank(self):
+        a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        assert resume_rank(a, 1) == rank(a) == 2
+
+    def test_rejects_fractions_and_a_zero_pivot(self):
+        with pytest.raises(InvalidParamsError):
+            resume_rank(M([[Fraction(1, 2)]]), 2)
+        with pytest.raises(InvalidParamsError):
+            resume_rank(M([[1]]), 0)
 
 
 class TestInertia:

@@ -8,14 +8,17 @@ from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, generate, is_all_positive
 from sgmyc.balance import certify_balance
+from sgmyc import exactla
 from sgmyc.exactla import (
     Inertia,
     RationalMatrix,
+    _row_echelon,
     determinant,
     inertia,
     is_congruent_product,
     multiply,
     rank,
+    resume_rank,
     subtract,
     transpose,
 )
@@ -29,10 +32,11 @@ from sgmyc.matrices import (
     incidence_mycielskian,
     laplacian,
     laplacian_mycielskian,
+    laplacian_mycielskian_schur,
     lower_block,
     negative_join,
 )
-from sgmyc.mycielskian import mycielskian
+from sgmyc.mycielskian import mycielskian, tower
 
 M = RationalMatrix.from_rows
 
@@ -282,3 +286,63 @@ class TestLaplacian:
     def test_positive_semidefinite(self, g):
         res = inertia(laplacian(g))
         assert res.n_minus == 0
+
+
+CYCLE5_POS = canonicalize(5, [(i, i % 5 + 1, 1) for i in range(1, 6)])
+
+
+class TestTwinSchur:
+    """det(C) * S for the twin block C of L_M, and the rank resumed from it."""
+
+    @settings(max_examples=80)
+    @given(signed_graphs(max_p=9))
+    @example(canonicalize(1, []))
+    @example(canonicalize(5, []))
+    @example(CYCLE5_POS)
+    def test_scaled_matrix_is_det_c_times_oracle(self, g):
+        det_c, s = oracles.twin_schur_complement(laplacian_mycielskian(g).entries, g.p)
+        ts = laplacian_mycielskian_schur(g)
+        assert ts.det_c == det_c
+        assert [list(row) for row in ts.scaled.entries] == [[det_c * x for x in row] for row in s]
+        assert (ts.rows, ts.cols) == (g.p + 1, g.p + 1)
+
+    @settings(max_examples=80)
+    @given(signed_graphs(max_p=9))
+    @example(canonicalize(1, []))
+    @example(canonicalize(5, []))
+    @example(CYCLE5_POS)
+    def test_resumed_rank_completes_the_rank_of_l_m(self, g):
+        ts = laplacian_mycielskian_schur(g)
+        assert g.p + resume_rank(ts.scaled, ts.det_c) == rank(laplacian_mycielskian(g))
+
+    def test_resume_continues_the_elimination_of_l_m(self, monkeypatch):
+        # resumed from det(C), every later entry is a minor of L_M: the last pivot is det(L_M)
+        runs = []
+
+        def recording(m, ncols, prev=1):
+            runs.append(_row_echelon(m, ncols, prev))
+            return runs[-1]
+
+        monkeypatch.setattr(exactla, "_row_echelon", recording)
+        graphs = [K2_NEG, SQUARE_ONE_NEG] + [
+            generate("random", {"order": 8, "edge_prob": 0.4, "neg_prob": 0.5}, seed) for seed in range(8)
+        ]
+        for g in graphs:
+            det_lm = determinant(laplacian_mycielskian(g))
+            ts = laplacian_mycielskian_schur(g)
+            assert resume_rank(ts.scaled, ts.det_c) == g.p + 1
+            _, sign, last = runs[-1]
+            assert sign * last == det_lm
+
+    def test_all_positive_leaves_s_singular(self):
+        # S has a zero pivot column here, so the column-skipping branch runs
+        ts = laplacian_mycielskian_schur(CYCLE5_POS)
+        assert resume_rank(ts.scaled, ts.det_c) == 5
+
+    def test_every_tower_level(self):
+        for g in tower(6):
+            lm = laplacian_mycielskian(g)
+            det_c, s = oracles.twin_schur_complement(lm.entries, g.p)
+            ts = laplacian_mycielskian_schur(g)
+            assert [list(row) for row in ts.scaled.entries] == [[det_c * x for x in row] for row in s]
+            assert g.p + resume_rank(ts.scaled, det_c) == rank(lm)
