@@ -44,15 +44,15 @@ class Context:
         return balance.certify_balance(self.g)
 
     @cached_property
-    def laplacian(self) -> exactla.RationalMatrix:
+    def laplacian(self) -> exactla.IntMatrix:
         return matrices.laplacian(self.g)
 
     @cached_property
-    def adjacency_myc(self) -> exactla.RationalMatrix:
+    def adjacency_myc(self) -> exactla.IntMatrix:
         return matrices.adjacency_mycielskian(self.g)
 
     @cached_property
-    def laplacian_myc(self) -> exactla.RationalMatrix:
+    def laplacian_myc(self) -> exactla.IntMatrix:
         return matrices.laplacian_mycielskian(self.g)
 
     @cached_property
@@ -60,7 +60,7 @@ class Context:
         return matrices.laplacian_mycielskian_schur(self.g)
 
     @cached_property
-    def factors(self) -> tuple[exactla.RationalMatrix, exactla.RationalMatrix]:
+    def factors(self) -> tuple[exactla.IntMatrix, exactla.IntMatrix]:
         return matrices.congruence_factors(self.g)
 
     @cached_property
@@ -68,7 +68,7 @@ class Context:
         """Inertias of A_M, of A and of the lower diagonal block of B."""
         p = self.g.p
         _, bm = self.factors
-        lower = exactla.RationalMatrix.from_rows([row[p:] for row in bm.entries[p:]])
+        lower = exactla.IntMatrix.from_rows([row[p:] for row in bm.entries[p:]])
         return (
             exactla.inertia(self.adjacency_myc),
             exactla.inertia(matrices.adjacency(self.g)),
@@ -187,10 +187,10 @@ def _laplacian_balance(ctx: Context, corrupt: Callable) -> tuple[str, str]:
     return _verdict(ok, f"Laplacian singular: {singular}")
 
 
-def _bump_corner(m: exactla.RationalMatrix) -> exactla.RationalMatrix:
+def _bump_corner(m: exactla.IntMatrix) -> exactla.IntMatrix:
     rows = [list(row) for row in m.entries]
     rows[0][0] += 1
-    return exactla.RationalMatrix.from_rows(rows)
+    return exactla.IntMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,21 @@ def _digest_text(text: str) -> str:
 
 
 def _read_input(path: str) -> tuple[core.SignedGraph, str]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
-    return core.loads(text), _digest_text(text)
+        # under the C locale stdin decodes bad bytes to lone surrogates,
+        # which only the strict re-encoding of the digest catches
+        digest = _digest_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeError:
+        source = "standard input" if path == "-" else path
+        raise InputError(f"{source} is not UTF-8 text") from None
+    return core.loads(text), digest
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -204,7 +210,7 @@ def cmd_chromatic(args) -> int:
 _MATRIX_KINDS = ("adjacency", "incidence", "laplacian", "degree", "negjoin")
 
 
-def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.RationalMatrix:
+def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.IntMatrix:
     if of == "input":
         builders = {
             "adjacency": matrices.adjacency,
@@ -235,9 +241,9 @@ def cmd_matrix(args) -> int:
         "of": args.of,
         "rows": m.rows,
         "cols": m.cols,
-        "matrix": exactla.to_json_rows(m),
+        "matrix": m.entries,
     }
-    human = [" ".join(exactla.format_entry(x) for x in row) for row in m.entries]
+    human = [" ".join(map(str, row)) for row in m.entries]
     _emit(args, payload, human)
     return 0
 

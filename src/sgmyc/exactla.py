@@ -1,16 +1,13 @@
-"""Exact rational linear algebra for small dense matrices.
+"""Exact integer linear algebra for small dense matrices.
 
-Entries are Python ints or Fractions, never floats, so results carry no
-rounding error at any size that fits in memory.
+Entries are Python ints, never floats, so results carry no rounding
+error at any size that fits in memory.
 
 One fraction-free kernel (Bareiss 1968) does every elimination.  Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
 the division is exact: every entry is a minor of the input, so growth
-stays polynomial.  Rational input is first multiplied by one positive
-scalar, the lcm of all denominators, which keeps symmetry, rank and
-inertia and scales the determinant by a known power.  Determinant and
-rank share one row-pivoting driver.
+stays polynomial.  Determinant and rank share one row-pivoting driver.
 
 Inertia drives the same update with symmetric pivots, so the k-th pivot
 d_k is a leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1},
@@ -44,38 +41,23 @@ Products visit only the nonzero entries of their operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidParamsError, NotSymmetricError
 
-Entry = Union[int, Fraction]
-
-
-def _normalize(x: Entry) -> Entry:
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    if isinstance(x, bool):
-        raise InvalidParamsError("matrix entries must be ints or Fractions")
-    if not isinstance(x, (int, Fraction)):
-        raise InvalidParamsError(f"matrix entries must be ints or Fractions, got {type(x).__name__}")
-    return x
-
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix of exact rationals.
+class IntMatrix:
+    """Immutable dense integer matrix.
 
+    from_rows checks its entries; the constructor takes them as given.
     ncols exists because a matrix with zero rows has no row to read the
     width from; it defaults to -1, meaning infer from the entries.  Only
     degenerate shapes like the transpose of a p x 0 incidence matrix
     ever need it spelled out.
     """
 
-    entries: tuple[tuple[Entry, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
     ncols: int = -1
 
     def __post_init__(self) -> None:
@@ -86,19 +68,14 @@ class RationalMatrix:
             raise DimensionMismatchError(f"declared {self.ncols} columns, rows have {inferred}")
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[Entry]]) -> "RationalMatrix":
-        data = tuple(tuple(map(_normalize, row)) for row in rows)
+    def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        data = tuple(map(tuple, rows))
         if data and any(len(row) != len(data[0]) for row in data):
             raise DimensionMismatchError("rows have unequal lengths")
-        return RationalMatrix(data)
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(tuple((0,) * cols for _ in range(rows)), cols)
+        bad = sorted(t.__name__ for t in set().union(*(map(type, row) for row in data)) - {int})
+        if bad:
+            raise InvalidParamsError(f"matrix entries must be ints, got {', '.join(bad)}")
+        return IntMatrix(data)
 
     @property
     def rows(self) -> int:
@@ -107,9 +84,6 @@ class RationalMatrix:
     @property
     def cols(self) -> int:
         return self.ncols
-
-    def entry(self, i: int, j: int) -> Entry:
-        return self.entries[i][j]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -137,65 +111,37 @@ class Inertia:
         return Inertia(self.n_plus + other.n_plus, self.n_minus + other.n_minus, self.n_zero + other.n_zero)
 
 
-def transpose(a: RationalMatrix) -> RationalMatrix:
+def transpose(a: IntMatrix) -> IntMatrix:
     if a.cols == 0:
-        return RationalMatrix((), a.rows)
+        return IntMatrix((), a.rows)
     if a.rows == 0:
-        return RationalMatrix(((),) * a.cols, 0)
-    return RationalMatrix(tuple(zip(*a.entries)))
+        return IntMatrix(((),) * a.cols, 0)
+    return IntMatrix(tuple(zip(*a.entries)))
 
 
-def multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product that visits only the nonzero entries of a and b."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
     out = []
     for row in a.entries:
-        acc: list[Entry] = [0] * b.cols
+        acc = [0] * b.cols
         for x, b_row in zip(row, b_nonzeros):
             if x:
                 for j, y in b_row:
                     acc[j] += x * y
-        out.append(tuple(map(_normalize, acc)))
-    return RationalMatrix(tuple(out), b.cols)
+        out.append(tuple(acc))
+    return IntMatrix(tuple(out), b.cols)
 
 
-def subtract(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+def subtract(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return RationalMatrix(
-        tuple(tuple(_normalize(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
+    return IntMatrix(
+        tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
         a.cols,
     )
-
-
-def block(grid: Sequence[Sequence[RationalMatrix]]) -> RationalMatrix:
-    """Assemble a matrix from a grid of blocks with matching shapes."""
-    rows: list[tuple[Entry, ...]] = []
-    width = None
-    for band in grid:
-        height = band[0].rows
-        if any(blk.rows != height for blk in band):
-            raise DimensionMismatchError("blocks in one band have different heights")
-        for i in range(height):
-            row: tuple[Entry, ...] = ()
-            for blk in band:
-                row = row + blk.entries[i]
-            rows.append(row)
-        if width is None:
-            width = len(rows[-1]) if height else None
-        elif height and len(rows[-1]) != width:
-            raise DimensionMismatchError("bands have different widths")
-    return RationalMatrix(tuple(rows))
-
-
-def _integer_matrix(a: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Mutable integer copy of a, scaled by the lcm of all its denominators."""
-    scale = lcm(*(x.denominator for row in a.entries for x in row))
-    if scale == 1:
-        return [list(row) for row in a.entries], 1
-    return [[int(x * scale) for x in row] for row in a.entries], scale
 
 
 def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -238,24 +184,20 @@ def _row_echelon(m: list[list[int]], ncols: int, prev: int = 1) -> tuple[int, in
     return r, sign, prev
 
 
-def determinant(a: RationalMatrix) -> Entry:
+def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free elimination."""
     if not a.is_square():
         raise DimensionMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    m, scale = _integer_matrix(a)
-    r, sign, last = _row_echelon(m, n)
-    if r < n:
-        return 0
-    return sign * last if scale == 1 else _normalize(Fraction(sign * last, scale**n))
+    r, sign, last = _row_echelon([list(row) for row in a.entries], a.cols)
+    return sign * last if r == a.rows else 0
 
 
-def rank(a: RationalMatrix) -> int:
+def rank(a: IntMatrix) -> int:
     """Exact rank by fraction-free elimination."""
-    return _row_echelon(_integer_matrix(a)[0], a.cols)[0]
+    return _row_echelon([list(row) for row in a.entries], a.cols)[0]
 
 
-def resume_rank(state: RationalMatrix, prev: int) -> int:
+def resume_rank(state: IntMatrix, prev: int) -> int:
     """Rank of S, continuing a fraction-free elimination from state = prev * S.
 
     state must be the exact trailing state the kernel reaches with last
@@ -263,19 +205,19 @@ def resume_rank(state: RationalMatrix, prev: int) -> int:
     complement S of an invertible diagonal block C (see the module
     docstring); any other state makes the divisions inexact.
     """
-    if not prev or any(type(x) is not int for row in state.entries for x in row):
-        raise InvalidParamsError("resume_rank needs an integer state and a nonzero pivot")
+    if not prev:
+        raise InvalidParamsError("resume_rank needs a nonzero pivot")
     return _row_echelon([list(row) for row in state.entries], state.cols, prev)[0]
 
 
-def inertia(a: RationalMatrix) -> Inertia:
+def inertia(a: IntMatrix) -> Inertia:
     """Signature of a symmetric matrix by symmetric fraction-free elimination."""
     if not a.is_square():
         raise NotSymmetricError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
         raise NotSymmetricError("matrix is not symmetric")
     n = a.rows
-    m, _ = _integer_matrix(a)
+    m = [list(row) for row in a.entries]
     plus = minus = 0
     prev = 1
     for k in range(n):
@@ -302,24 +244,10 @@ def inertia(a: RationalMatrix) -> Inertia:
     return Inertia(plus, minus, n - plus - minus)
 
 
-def is_congruent_product(p: RationalMatrix, b: RationalMatrix, target: RationalMatrix) -> bool:
+def is_congruent_product(p: IntMatrix, b: IntMatrix, target: IntMatrix) -> bool:
     """Whether p * b * p^T equals target, exactly."""
     prod = multiply(multiply(p, b), transpose(p))
     if prod.rows != target.rows or prod.cols != target.cols:
         raise DimensionMismatchError("product shape does not match target")
     return prod == target
 
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def format_entry(x: Entry) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x) if isinstance(x, Fraction) else x)
-
-
-def to_json_rows(a: RationalMatrix) -> list[list[int | str]]:
-    """JSON-safe rows: ints stay ints, true fractions become 'n/d' strings."""
-    return [[x if isinstance(x, int) else format_entry(x) for x in row] for row in a.entries]

@@ -3,6 +3,10 @@
 All constructors return exact integer matrices over the fixed vertex
 labeling (originals 1..p, twins p+1..2p, root 2p+1), so the block forms
 line up entry for entry with the matrices of the constructed graphs.
+Each builder fills its integer rows in one pass over the edge list of
+the input and writes out its own block formula: none is derived from
+another builder or from the constructed Mycielskian, so the audit and
+the tests compare independent constructions.
 
 The adjacency of the Mycielskian has the block shape
 
@@ -54,75 +58,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .core import SignedGraph, degrees, incident_edges
-from .exactla import RationalMatrix, block, subtract, transpose
+from .core import SignedGraph, incident_edges
+from .exactla import IntMatrix
 
 
-def adjacency(g: SignedGraph) -> RationalMatrix:
+def _square(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def adjacency(g: SignedGraph) -> IntMatrix:
     """Symmetric p x p matrix with entry s for each edge (u, v, s)."""
-    a = [[0] * g.p for _ in range(g.p)]
+    a = _square(g.p)
     for u, v, s in g.edges:
-        a[u - 1][v - 1] = s
-        a[v - 1][u - 1] = s
-    return RationalMatrix.from_rows(a)
+        a[u - 1][v - 1] = a[v - 1][u - 1] = s
+    return IntMatrix.from_rows(a)
 
 
-def degree_matrix(g: SignedGraph) -> RationalMatrix:
+def degree_matrix(g: SignedGraph) -> IntMatrix:
     """Diagonal matrix of unsigned degrees."""
-    d = degrees(g).degree
-    return RationalMatrix.from_rows(
-        [[d[i] if i == j else 0 for j in range(g.p)] for i in range(g.p)]
-    )
+    d = _square(g.p)
+    for u, v, _ in g.edges:
+        d[u - 1][u - 1] += 1
+        d[v - 1][v - 1] += 1
+    return IntMatrix.from_rows(d)
 
 
-def _ones_column(p: int) -> RationalMatrix:
-    return RationalMatrix(((1,),) * p, 1)
+def adjacency_mycielskian(g: SignedGraph) -> IntMatrix:
+    """Block form of the Mycielskian adjacency over the fixed labeling.
 
-
-def _neg(a: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix(tuple(tuple(-x for x in row) for row in a.entries))
-
-
-def adjacency_mycielskian(g: SignedGraph) -> RationalMatrix:
-    """Block form of the Mycielskian adjacency over the fixed labeling."""
-    a = adjacency(g)
+    [ A  A  0 ]
+    [ A  0  j ]
+    [ 0  j' 0 ]
+    """
     p = g.p
-    z = RationalMatrix.zeros(p, p)
-    j = _ones_column(p)
-    zc = RationalMatrix.zeros(p, 1)
-    return block(
-        [
-            [a, a, zc],
-            [a, z, j],
-            [transpose(zc), transpose(j), RationalMatrix.zeros(1, 1)],
-        ]
-    )
+    a = _square(2 * p + 1)
+    for u, v, s in g.edges:
+        u, v = u - 1, v - 1
+        a[u][v] = a[v][u] = s
+        a[u][p + v] = a[p + v][u] = s
+        a[v][p + u] = a[p + u][v] = s
+    for t in range(p, 2 * p):
+        a[t][2 * p] = a[2 * p][t] = 1
+    return IntMatrix.from_rows(a)
 
 
-def negative_join(g: SignedGraph) -> RationalMatrix:
-    """Adjacency after joining every vertex to one new vertex by negative edges."""
-    a = adjacency(g)
-    j = _ones_column(g.p)
-    return block(
-        [
-            [a, _neg(j)],
-            [_neg(transpose(j)), RationalMatrix.zeros(1, 1)],
-        ]
-    )
+def negative_join(g: SignedGraph) -> IntMatrix:
+    """Adjacency after joining every vertex to one new vertex by negative edges.
+
+    [ A   -j ]
+    [ -j'  0 ]
+    """
+    p = g.p
+    rows = [[0] * p + [-1] for _ in range(p)]
+    for u, v, s in g.edges:
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
+    rows.append([-1] * p + [0])
+    return IntMatrix.from_rows(rows)
 
 
-def lower_block(g: SignedGraph) -> RationalMatrix:
+def lower_block(g: SignedGraph) -> IntMatrix:
     """The bordered block [[-A,-j],[-j',0]] that B carries beside A, built directly."""
     p = g.p
     rows = [[0] * p + [-1] for _ in range(p)]
     for u, v, s in g.edges:
-        rows[u - 1][v - 1] = -s
-        rows[v - 1][u - 1] = -s
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = -s
     rows.append([-1] * p + [0])
-    return RationalMatrix.from_rows(rows)
+    return IntMatrix.from_rows(rows)
 
 
-def congruence_factors(g: SignedGraph) -> tuple[RationalMatrix, RationalMatrix]:
+def congruence_factors(g: SignedGraph) -> tuple[IntMatrix, IntMatrix]:
     """The pair (P, B) with P B P^T equal to the Mycielskian adjacency.
 
     P = [[I,0,0],[I,-I,0],[0,0,1]] has determinant (-1)^p.  B is block
@@ -131,26 +135,22 @@ def congruence_factors(g: SignedGraph) -> tuple[RationalMatrix, RationalMatrix]:
     for the product to come out right.
     """
     p = g.p
-    i = RationalMatrix.identity(p)
-    z = RationalMatrix.zeros(p, p)
-    zc = RationalMatrix.zeros(p, 1)
-    pm = block(
-        [
-            [i, z, zc],
-            [i, _neg(i), zc],
-            [transpose(zc), transpose(zc), RationalMatrix.from_rows([[1]])],
-        ]
-    )
-    bm = block(
-        [
-            [adjacency(g), RationalMatrix.zeros(p, p + 1)],
-            [RationalMatrix.zeros(p + 1, p), lower_block(g)],
-        ]
-    )
-    return pm, bm
+    pm = _square(2 * p + 1)
+    for i in range(p):
+        pm[i][i] = pm[p + i][i] = 1
+        pm[p + i][p + i] = -1
+    pm[2 * p][2 * p] = 1
+    bm = _square(2 * p + 1)
+    for u, v, s in g.edges:
+        u, v = u - 1, v - 1
+        bm[u][v] = bm[v][u] = s
+        bm[p + u][p + v] = bm[p + v][p + u] = -s
+    for t in range(p, 2 * p):
+        bm[t][2 * p] = bm[2 * p][t] = -1
+    return IntMatrix.from_rows(pm), IntMatrix.from_rows(bm)
 
 
-def incidence(g: SignedGraph) -> RationalMatrix:
+def incidence(g: SignedGraph) -> IntMatrix:
     """p x q incidence matrix, one column per canonical edge.
 
     Edge (u, v, s) with u < v contributes +1 in row u and -s in row v.
@@ -159,10 +159,10 @@ def incidence(g: SignedGraph) -> RationalMatrix:
     for k, (u, v, s) in enumerate(g.edges):
         h[u - 1][k] = 1
         h[v - 1][k] = -s
-    return RationalMatrix.from_rows(h)
+    return IntMatrix.from_rows(h)
 
 
-def incidence_mycielskian(g: SignedGraph) -> RationalMatrix:
+def incidence_mycielskian(g: SignedGraph) -> IntMatrix:
     """(2p+1) x (3q+p) incidence of the Mycielskian in blocked column order.
 
     Columns: original edges e_1..e_q, then for each k the cross pair
@@ -189,24 +189,34 @@ def incidence_mycielskian(g: SignedGraph) -> RationalMatrix:
         c = 3 * q + i - 1
         h[p + i - 1][c] = 1
         h[2 * p][c] = -1
-    return RationalMatrix.from_rows(h)
+    return IntMatrix.from_rows(h)
 
 
-def laplacian(g: SignedGraph) -> RationalMatrix:
+def laplacian(g: SignedGraph) -> IntMatrix:
     """Signed Laplacian D - A; singular exactly on balanced components."""
-    return subtract(degree_matrix(g), adjacency(g))
+    lap = _square(g.p)
+    for u, v, s in g.edges:
+        lap[u - 1][u - 1] += 1
+        lap[v - 1][v - 1] += 1
+        lap[u - 1][v - 1] = lap[v - 1][u - 1] = -s
+    return IntMatrix.from_rows(lap)
 
 
-def degree_matrix_mycielskian(g: SignedGraph) -> RationalMatrix:
+def degree_matrix_mycielskian(g: SignedGraph) -> IntMatrix:
     """Diagonal degree matrix of the Mycielskian: 2d(v), then d(v)+1, then p."""
     p = g.p
-    d = degrees(g).degree
-    diag = [2 * d[i] for i in range(p)] + [d[i] + 1 for i in range(p)] + [p]
-    n = 2 * p + 1
-    return RationalMatrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d = _square(2 * p + 1)
+    for t in range(p, 2 * p):
+        d[t][t] = 1
+    d[2 * p][2 * p] = p
+    for u, v, _ in g.edges:
+        for x in (u - 1, v - 1):
+            d[x][x] += 2
+            d[p + x][p + x] += 1
+    return IntMatrix.from_rows(d)
 
 
-def laplacian_mycielskian(g: SignedGraph) -> RationalMatrix:
+def laplacian_mycielskian(g: SignedGraph) -> IntMatrix:
     """Block form of the Mycielskian Laplacian.
 
     [ 2D - A   -A      0 ]
@@ -216,23 +226,20 @@ def laplacian_mycielskian(g: SignedGraph) -> RationalMatrix:
     which must agree with degree_matrix_mycielskian - adjacency_mycielskian.
     """
     p = g.p
-    a = adjacency(g)
-    d = degree_matrix(g)
-    i = RationalMatrix.identity(p)
-    j = _ones_column(p)
-    zc = RationalMatrix.zeros(p, 1)
-    two_d = RationalMatrix(tuple(tuple(2 * x for x in row) for row in d.entries))
-    d_plus_i = RationalMatrix(
-        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(d.entries, i.entries))
-    )
-    pm = RationalMatrix.from_rows([[p]])
-    return block(
-        [
-            [subtract(two_d, a), _neg(a), zc],
-            [_neg(a), d_plus_i, _neg(j)],
-            [transpose(zc), _neg(transpose(j)), pm],
-        ]
-    )
+    lap = _square(2 * p + 1)
+    for t in range(p, 2 * p):
+        lap[t][t] = 1
+        lap[t][2 * p] = lap[2 * p][t] = -1
+    lap[2 * p][2 * p] = p
+    for u, v, s in g.edges:
+        u, v = u - 1, v - 1
+        for x in (u, v):
+            lap[x][x] += 2
+            lap[p + x][p + x] += 1
+        lap[u][v] = lap[v][u] = -s
+        lap[u][p + v] = lap[p + v][u] = -s
+        lap[v][p + u] = lap[p + u][v] = -s
+    return IntMatrix.from_rows(lap)
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ class TwinSchur:
     which bench/tracing.py reads from whatever a function here returns.
     """
 
-    scaled: RationalMatrix
+    scaled: IntMatrix
     det_c: int
 
     @property
@@ -281,4 +288,4 @@ def laplacian_mycielskian_schur(g: SignedGraph) -> TwinSchur:
             root[x - 1] -= sx * w
             for y, sy in nbrs:
                 row[y - 1] -= sx * sy * w
-    return TwinSchur(RationalMatrix.from_rows(s), det_c)
+    return TwinSchur(IntMatrix.from_rows(s), det_c)

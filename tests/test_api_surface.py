@@ -1,9 +1,11 @@
-"""Every public function of the package has a caller in it or is documented API.
+"""Every public function and method of the package has a caller in it or is documented API.
 
 A public module-level function under src/sgmyc/ must be used by some
 other function or module-level statement of the package, or be named in
-the "Library API" section of README.md.  So no function is kept only for
-the tests to call.
+the "Library API" section of README.md.  A public method or property of
+a package class must be read as an attribute somewhere in the package
+outside its own definition, or be named there too.  So no function or
+method is kept only for the tests to call.
 """
 
 import ast
@@ -21,6 +23,18 @@ def public_functions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 out.add((path.stem, node.name))
+    return out
+
+
+def public_methods():
+    """(module, class, name) of every public method or property of a top-level class."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out.add((path.stem, node.name, item.name))
     return out
 
 
@@ -50,6 +64,26 @@ def uses(module, tree):
     return found
 
 
+def attribute_reads(module, tree):
+    """(attribute name, owner) of each attribute the tree reads.
+
+    The owner is (module, class, method) inside a method of a top-level
+    class and (module, None, function) inside a top-level function, with
+    None for the last part elsewhere.  The scan knows no types, so a read
+    of .name counts for every method called name.
+    """
+    found = []
+    for top in tree.body:
+        is_class = isinstance(top, ast.ClassDef)
+        for part in top.body if is_class else [top]:
+            owner = (module, top.name if is_class else None,
+                     part.name if isinstance(part, ast.FunctionDef) else None)
+            for node in ast.walk(part):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    found.append((node.attr, owner))
+    return found
+
+
 def used_functions():
     used = set()
     for path in PACKAGE.glob("*.py"):
@@ -59,10 +93,19 @@ def used_functions():
     return used
 
 
+def read_methods():
+    """(module, class, name) of each public method read outside its own definition."""
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads.update(attribute_reads(path.stem, ast.parse(path.read_text())))
+    return {m for m in public_methods() if any(attr == m[2] and owner != m for attr, owner in reads)}
+
+
 def documented_api():
+    """(module, name) of each documented function, (module, class, name) of each method."""
     text = (ROOT / "README.md").read_text()
     section = text.split("## Library API", 1)[1].split("\n## ", 1)[0]
-    return {tuple(m.split(".")) for m in re.findall(r"`sgmyc\.(\w+\.\w+)`", section)}
+    return {tuple(m.split(".")) for m in re.findall(r"`sgmyc\.(\w+(?:\.\w+)+)`", section)}
 
 
 def test_every_public_function_has_a_caller_or_is_documented():
@@ -70,8 +113,13 @@ def test_every_public_function_has_a_caller_or_is_documented():
     assert not sorted(orphans)
 
 
+def test_every_public_method_has_a_reader_or_is_documented():
+    orphans = public_methods() - read_methods() - documented_api()
+    assert not sorted(orphans)
+
+
 def test_documented_api_exists():
-    assert documented_api() <= public_functions()
+    assert documented_api() <= public_functions() | public_methods()
 
 
 def test_the_scan_sees_calls_through_module_attributes_and_imported_names():
@@ -80,9 +128,13 @@ def test_the_scan_sees_calls_through_module_attributes_and_imported_names():
         "from .balance import negate\n"
         "def f(g):\n"
         "    return c.loads(g), negate(g), f(g)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self.n\n"
     )
     assert set(uses("m", tree)) == {
         (("core", "loads"), "f"),
         (("balance", "negate"), "f"),
         (("m", "f"), "f"),
     }
+    assert set(attribute_reads("m", tree)) == {("loads", ("m", None, "f")), ("n", ("m", "K", "m"))}

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
@@ -433,6 +435,25 @@ class TestErrors:
         code, _, err = run(capsys, "info", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command", ["info", "mycielskian", "balance", "chromatic", "matrix", "inertia", "audit"]
+    )
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 1\n1 2 +1\n\xff\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {path} is not UTF-8 text\n")
+
+    # strict is the decoder of a UTF-8 locale; under the C locale stdin
+    # turns bad bytes into lone surrogates instead of raising
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin(self, capsys, monkeypatch, errors):
+        data = b"2 1\n1 2 +1\n# \xff\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "info", "-")
+        assert (code, out, err) == (2, "", "error: standard input is not UTF-8 text\n")
+
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_first_bad_edge_reported(self, tmp_path, capsys, flag):
         # a duplicate on line 3 is reported, not the loop on line 4
@@ -457,3 +478,14 @@ class TestErrors:
         a = run(capsys, "audit", "--json", path)[1]
         b = run(capsys, "audit", "--json", path)[1]
         assert a == b
+
+
+def test_import_loads_no_rational_arithmetic():
+    # every matrix is an integer matrix, so nothing needs fractions or decimal
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sgmyc.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

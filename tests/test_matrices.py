@@ -1,5 +1,8 @@
 """Matrix constructors and the Mycielskian block identities."""
 
+import ast
+import inspect
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -8,10 +11,10 @@ from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, generate, is_all_positive
 from sgmyc.balance import certify_balance
-from sgmyc import exactla
+from sgmyc import exactla, matrices
 from sgmyc.exactla import (
     Inertia,
-    RationalMatrix,
+    IntMatrix,
     _row_echelon,
     determinant,
     inertia,
@@ -38,7 +41,22 @@ from sgmyc.matrices import (
 )
 from sgmyc.mycielskian import mycielskian, tower
 
-M = RationalMatrix.from_rows
+M = IntMatrix.from_rows
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["adjacency_mycielskian", "degree_matrix_mycielskian", "laplacian_mycielskian",
+     "incidence_mycielskian", "congruence_factors"],
+)
+def test_mycielskian_builder_uses_no_other_construction(name):
+    # the block identities below and in the audit compare independent
+    # constructions only while no builder is derived from another one
+    tree = ast.parse(inspect.getsource(matrices))
+    builders = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    assert not names & (builders | {"mycielskian"}) - {name}
 
 
 class TestAdjacency:
@@ -61,8 +79,8 @@ class TestAdjacency:
         a = adjacency(g)
         assert a.is_symmetric()
         for u, v, s in g.edges:
-            assert a.entry(u - 1, v - 1) == s
-        assert sum(1 for i in range(g.p) for j in range(g.p) if a.entry(i, j) != 0) == 2 * g.q
+            assert a.entries[u - 1][v - 1] == s
+        assert sum(1 for i in range(g.p) for j in range(g.p) if a.entries[i][j] != 0) == 2 * g.q
 
     @given(signed_graphs(max_p=6))
     def test_mycielskian_block_equals_direct(self, g):
@@ -102,7 +120,7 @@ class TestNegativeJoin:
         nj = negative_join(g)
         assert nj.rows == g.p + 1
         assert nj.is_symmetric()
-        assert all(nj.entry(g.p, i) == -1 for i in range(g.p))
+        assert all(nj.entries[g.p][i] == -1 for i in range(g.p))
 
 
 class TestCongruence:
@@ -224,7 +242,7 @@ class TestIncidence:
         hm = incidence_mycielskian(g)
         assert (hm.rows, hm.cols) == (2 * g.p + 1, 3 * g.q + g.p)
         for c in range(hm.cols):
-            nonzero = [hm.entry(r, c) for r in range(hm.rows) if hm.entry(r, c) != 0]
+            nonzero = [hm.entries[r][c] for r in range(hm.rows) if hm.entries[r][c] != 0]
             assert len(nonzero) == 2
 
     @given(signed_graphs(max_p=6))
@@ -233,13 +251,13 @@ class TestIncidence:
         p, q = g.p, g.q
         for k, (u, v, s) in enumerate(g.edges):
             # u part and v part of the original column
-            assert hm.entry(u - 1, k) == 1 and hm.entry(v - 1, k) == -s
+            assert hm.entries[u - 1][k] == 1 and hm.entries[v - 1][k] == -s
             # first cross copy: u part on originals, v part on twins
-            assert hm.entry(u - 1, q + 2 * k) == 1
-            assert hm.entry(p + v - 1, q + 2 * k) == -s
+            assert hm.entries[u - 1][q + 2 * k] == 1
+            assert hm.entries[p + v - 1][q + 2 * k] == -s
             # second cross copy: v part on originals, u part on twins
-            assert hm.entry(v - 1, q + 2 * k + 1) == -s
-            assert hm.entry(p + u - 1, q + 2 * k + 1) == 1
+            assert hm.entries[v - 1][q + 2 * k + 1] == -s
+            assert hm.entries[p + u - 1][q + 2 * k + 1] == 1
 
     @given(signed_graphs(max_p=6))
     def test_mycielskian_gram_is_mycielskian_laplacian(self, g):
@@ -259,10 +277,11 @@ class TestLaplacian:
 
     def test_mycielskian_diagonal(self):
         lm = laplacian_mycielskian(SQUARE_ONE_NEG)
-        assert [lm.entry(i, i) for i in range(9)] == [4, 4, 4, 4, 3, 3, 3, 3, 4]
+        assert [lm.entries[i][i] for i in range(9)] == [4, 4, 4, 4, 3, 3, 3, 3, 4]
 
     @given(signed_graphs(max_p=6))
     def test_block_form_equals_difference(self, g):
+        assert laplacian(g) == subtract(degree_matrix(g), adjacency(g))
         lm = laplacian_mycielskian(g)
         assert lm == subtract(degree_matrix_mycielskian(g), adjacency_mycielskian(g))
         gm, _ = mycielskian(g)
