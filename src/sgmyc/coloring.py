@@ -40,7 +40,7 @@ whole call, and raises BudgetExhaustedError when it runs out.  The error
 carries the n being searched as a lower bound, since every smaller color
 set was refuted, and the nodes spent.  Pair opening tries fewer colors,
 so a given budget decides more inputs than plain backtracking would.
-The library itself never imposes a budget.
+A negative budget is rejected.  The library itself never imposes a budget.
 
 The Mycielskian interacts with the chromatic number through a sandwich:
 chi(M) is chi or chi + 1, equality holds for all-negative input, the +1
@@ -123,6 +123,8 @@ def deficiency(g: SignedGraph, coloring: SignedColoring) -> int:
 
 def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[int, SignedColoring]:
     """Least n with a proper coloring over M_n, plus one witness coloring."""
+    if node_budget is not None and node_budget < 0:
+        raise InvalidParamsError(f"node budget must be at least 0, got {node_budget}")
     # any graph is properly colored by p distinct positive values, so the
     # loop below always terminates by n = 2p (and at n = 1 for p = 0)
     p = g.p

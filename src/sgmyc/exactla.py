@@ -242,12 +242,3 @@ def inertia(a: IntMatrix) -> Inertia:
             minus += 1
         prev = _bareiss_step(m, k, k, prev)
     return Inertia(plus, minus, n - plus - minus)
-
-
-def is_congruent_product(p: IntMatrix, b: IntMatrix, target: IntMatrix) -> bool:
-    """Whether p * b * p^T equals target, exactly."""
-    prod = multiply(multiply(p, b), transpose(p))
-    if prod.rows != target.rows or prod.cols != target.cols:
-        raise DimensionMismatchError("product shape does not match target")
-    return prod == target
-

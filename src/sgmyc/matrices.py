@@ -23,9 +23,9 @@ law of inertia makes rank and signature additive across the two diagonal
 blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
-inertia is therefore computed from the two blocks, A and lower_block,
-each about half the size of A_M; the full matrix is left to the audit as
-the cross-check.
+inertia is therefore computed from the two blocks, A and the negative
+join of the negated input, each about half the size of A_M; the full
+matrix is left to the audit as the cross-check.
 
 The twins of the Mycielskian are pairwise non-adjacent, so in
 
@@ -112,16 +112,6 @@ def negative_join(g: SignedGraph) -> IntMatrix:
     rows = [[0] * p + [-1] for _ in range(p)]
     for u, v, s in g.edges:
         rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
-    rows.append([-1] * p + [0])
-    return IntMatrix.from_rows(rows)
-
-
-def lower_block(g: SignedGraph) -> IntMatrix:
-    """The bordered block [[-A,-j],[-j',0]] that B carries beside A, built directly."""
-    p = g.p
-    rows = [[0] * p + [-1] for _ in range(p)]
-    for u, v, s in g.edges:
-        rows[u - 1][v - 1] = rows[v - 1][u - 1] = -s
     rows.append([-1] * p + [0])
     return IntMatrix.from_rows(rows)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sgmyc.core import SignedGraph, canonicalize, generate, switch
+from sgmyc.exactla import IntMatrix
 
 # 4-cycle with exactly one negative edge: the smallest unbalanced running example
 SQUARE_ONE_NEG = canonicalize(4, [(1, 2, -1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
@@ -115,3 +116,10 @@ def write_graph(tmp_path, g, name="g.txt"):
     path = tmp_path / name
     path.write_text(dumps(g))
     return str(path)
+
+
+def bump_corner(m):
+    """A copy of the integer matrix m with 1 added to its top-left entry."""
+    rows = [list(row) for row in m.entries]
+    rows[0][0] += 1
+    return IntMatrix.from_rows(rows)

@@ -13,7 +13,6 @@ from sgmyc.exactla import (
     IntMatrix,
     determinant,
     inertia,
-    is_congruent_product,
     multiply,
     rank,
     resume_rank,
@@ -287,11 +286,3 @@ class TestInertia:
     def test_matches_congruence_oracle(self, a):
         rows = [list(row) for row in a.entries]
         assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
-
-    def test_is_congruent_product(self):
-        a = M([[0, 1], [1, 0]])
-        p = M([[1, 1], [1, -1]])
-        target = multiply(multiply(p, a), transpose(p))
-        assert is_congruent_product(p, a, target)
-        assert not is_congruent_product(p, a, M([[1, 0], [0, 1]]))
-
