@@ -10,9 +10,11 @@ Subcommands:
   inertia      rank and signature of an adjacency matrix
   audit        re-verify the structural claims on one input graph
 
-Every subcommand accepts --json for a machine readable report carrying
-the command name, an input digest and the result payload.  Identical
-input and flags produce byte-identical output.
+Every subcommand accepts --json for a machine readable report: the
+command name, the input digest (sha256 of the input text as read, or of
+the edge list generate makes), then the payload.  Each cmd_* returns
+(exit code, payload, text); only _run reads the input and writes stdout.
+Identical input and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed audit claim, 2 malformed input or out
 of memory, 3 violated precondition, 4 exhausted search budget.  The
@@ -55,25 +57,17 @@ def _read_input(path: str) -> tuple[core.SignedGraph, str]:
     return core.loads(text), digest
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        report = {"command": args.command, "input_digest": payload.pop("_digest", None)}
-        report.update(payload)
-        print(json.dumps(report, indent=2))
-    else:
-        payload.pop("_digest", None)
-        for line in human:
-            print(line)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 
 
-def cmd_info(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     deg = core.degrees(g)
     payload = {
-        "_digest": digest,
         "vertices": g.p,
         "edges": g.q,
         "positive_edges": g.positive_count,
@@ -92,85 +86,54 @@ def cmd_info(args) -> int:
     for v in range(1, g.p + 1):
         d, dp, dn, net = deg.row(v)
         human.append(f"{v} {d} {dp} {dn} {net}")
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, "\n".join(human) + "\n"
 
 
-def cmd_generate(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("SG_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise InputError(f"SG_SEED must be an integer, got {env_seed!r}") from None
-    params: dict[str, object] = {}
-    if args.length is not None:
-        params["length"] = args.length
-    if args.order is not None:
-        params["order"] = args.order
-    if args.pattern is not None:
-        params["pattern"] = args.pattern
-    if args.edge_prob is not None:
-        params["edge_prob"] = args.edge_prob
-    if args.neg_prob is not None:
-        params["neg_prob"] = args.neg_prob
-    g = core.generate(args.kind, params, seed)
-    text = core.dumps(g)
+def cmd_generate(args, g: None) -> tuple[int, dict, str]:
+    seed = os.environ.get("SG_SEED", args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise InputError(f"SG_SEED must be an integer, got {seed!r}") from None
+    names = ("length", "order", "pattern", "edge_prob", "neg_prob")
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    out_graph = core.generate(args.kind, params, seed)
+    text = core.dumps(out_graph)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    if args.json:
-        payload = {
-            "_digest": _digest_text(text),
-            "kind": args.kind,
-            "seed": seed,
-            "vertices": g.p,
-            "edges": g.edges,
-        }
-        _emit(args, payload, [])
-    elif not args.output:
-        sys.stdout.write(text)
-    return 0
+        _write(args.output, text)
+    payload = {
+        "kind": args.kind,
+        "seed": seed,
+        "vertices": out_graph.p,
+        "edges": out_graph.edges,
+    }
+    return 0, payload, text
 
 
-def cmd_mycielskian(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_mycielskian(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     if args.balanced:
-        gb, zeta_b = balanced_mycielskian(g)
+        out_graph, switching = balanced_mycielskian(g)
         lab = MycielskianLabeling(g.p)
-        out_graph, switching = gb, list(zeta_b)
     else:
         out_graph, lab = mycielskian(g)
         switching = None
     text = core.dumps(out_graph)
     sidecar = lab.to_json_dict()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        with open(args.output + ".labeling.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        payload = {
-            "_digest": digest,
-            "balanced_variant": bool(args.balanced),
-            "vertices": out_graph.p,
-            "edges": out_graph.edges,
-            "labeling": sidecar,
-            "switching": switching,
-        }
-        _emit(args, payload, [])
-    elif not args.output:
-        sys.stdout.write(text)
-    return 0
+        _write(args.output, text)
+        _write(args.output + ".labeling.json", json.dumps(sidecar, indent=2) + "\n")
+    payload = {
+        "balanced_variant": bool(args.balanced),
+        "vertices": out_graph.p,
+        "edges": out_graph.edges,
+        "labeling": sidecar,
+        "switching": switching,
+    }
+    return 0, payload, text
 
 
-def cmd_balance(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_balance(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     cert = balance_mod.certify_balance(g)
-    payload = {"_digest": digest}
-    payload.update(cert.to_json_dict())
     if cert.balanced:
         part1 = [v for v in range(1, g.p + 1) if cert.bipartition[v - 1] == 1]
         part2 = [v for v in range(1, g.p + 1) if cert.bipartition[v - 1] == 2]
@@ -184,27 +147,23 @@ def cmd_balance(args) -> int:
             "balanced: no",
             f"negative cycle: {list(cert.witness)}",
         ]
-    _emit(args, payload, human)
-    return 0
+    return 0, cert.to_json_dict(), "\n".join(human) + "\n"
 
 
-def cmd_chromatic(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_chromatic(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     try:
         n, cert = coloring.chromatic_number(g, node_budget=args.budget)
     except BudgetExhaustedError as exc:
-        payload = {"_digest": digest, "status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
-        _emit(args, payload, [f"unknown, chromatic number >= {exc.lower_bound}"])
-        return 4
-    payload = {"_digest": digest, "chromatic_number": n}
+        payload = {"status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
+        return 4, payload, f"unknown, chromatic number >= {exc.lower_bound}\n"
+    payload = {"chromatic_number": n}
     human = [f"chromatic number: {n}"]
     if args.certificate:
         payload["colors"] = list(cert.colors)
         payload["deficiency"] = coloring.deficiency(g, cert)
         human.append(f"colors: {list(cert.colors)}")
         human.append(f"deficiency: {payload['deficiency']}")
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, "\n".join(human) + "\n"
 
 
 _MATRIX_KINDS = ("adjacency", "incidence", "laplacian", "degree", "negjoin")
@@ -232,24 +191,19 @@ def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.IntMatrix:
     return builders[kind](g)
 
 
-def cmd_matrix(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_matrix(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     m = _build_matrix(g, args.kind, args.of)
     payload = {
-        "_digest": digest,
         "kind": args.kind,
         "of": args.of,
         "rows": m.rows,
         "cols": m.cols,
         "matrix": m.entries,
     }
-    human = [" ".join(map(str, row)) for row in m.entries]
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, "".join(" ".join(map(str, row)) + "\n" for row in m.entries)
 
 
-def cmd_inertia(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     if args.of == "input":
         ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
@@ -260,28 +214,24 @@ def cmd_inertia(args) -> int:
     else:
         ine = exactla.inertia(matrices.negative_join(g))
     payload = {
-        "_digest": digest,
         "of": args.of,
         "rank": ine.rank,
         "n_plus": ine.n_plus,
         "n_minus": ine.n_minus,
         "n_zero": ine.n_zero,
     }
-    human = [f"rank {ine.rank} n_plus {ine.n_plus} n_minus {ine.n_minus} n_zero {ine.n_zero}"]
-    _emit(args, payload, human)
-    return 0
+    text = f"rank {ine.rank} n_plus {ine.n_plus} n_minus {ine.n_minus} n_zero {ine.n_zero}\n"
+    return 0, payload, text
 
 
-def cmd_audit(args) -> int:
-    g, digest = _read_input(args.file)
+def cmd_audit(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     ctx = claims.Context(g, args.budget)
     results = [claims.check(name, ctx) for name in claims.CLAIMS]
     ok = all(c["status"] != "fail" for c in results)
-    payload = {"_digest": digest, "ok": ok, "claims": results}
+    payload = {"ok": ok, "claims": results}
     human = [f"{c['claim']}: {c['status']} ({c['detail']})" for c in results]
     human.append("audit: ok" if ok else "audit: FAILED")
-    _emit(args, payload, human)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, "\n".join(human) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +312,23 @@ def _fold_pattern_value(argv: list[str]) -> list[str]:
     return out
 
 
+def _run(args) -> int:
+    g, digest = (None, None) if args.command == "generate" else _read_input(args.file)
+    code, payload, text = args.func(args, g)
+    if args.json:
+        # generate reads no input; its digest is that of the edge list it made
+        report = dict(command=args.command, input_digest=digest or _digest_text(text), **payload)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    elif not getattr(args, "output", None):
+        sys.stdout.write(text)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fold_pattern_value(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        return _run(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -60,12 +60,14 @@ class SignedGraph:
 def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     """Build a SignedGraph from raw (u, v, s) triples.
 
-    Endpoints may come in either order.  Loops, duplicate pairs, endpoints
+    Endpoints may come in either order.  A vertex count, endpoint or sign
+    that is not an int (bool included), loops, duplicate pairs, endpoints
     outside 1..p, and signs outside {+1, -1} are rejected.  The first bad
-    edge in input order is reported; within one edge a loop is reported
-    before a bad endpoint, a bad endpoint before a bad sign, and a bad sign
-    before a duplicate.
+    edge in input order is reported; within one edge a non-int value is
+    reported first, then a loop, a bad endpoint, a bad sign, a duplicate.
     """
+    if type(p) is not int:
+        raise InvalidParamsError(f"vertex count must be an int, got {p!r}")
     if p < 0:
         raise InvalidParamsError(f"vertex count must be nonnegative, got {p}")
     width = p + 1
@@ -73,6 +75,8 @@ def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     out: list[Edge] = []
     for e in edges:
         u, v, s = e
+        if not (type(u) is type(v) is type(s) is int):
+            raise InvalidParamsError(f"edge {(u, v, s)!r} must hold three ints")
         a, b = (u, v) if u < v else (v, u)
         if not (1 <= a < b <= p and (s == 1 or s == -1)):
             if u == v:

@@ -91,10 +91,10 @@ class BudgetExhaustedError(SignedGraphError):
     nodes, when the search reports it, is the number of nodes it spent.
     """
 
-    def __init__(self, lower_bound: int, message: str | None = None, *, nodes: int | None = None):
+    def __init__(self, lower_bound: int, *, nodes: int | None = None):
         self.lower_bound = lower_bound
         self.nodes = nodes
-        super().__init__(message or f"budget exhausted, chromatic number >= {lower_bound}")
+        super().__init__(f"budget exhausted, chromatic number >= {lower_bound}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Command line behavior: output bytes, JSON reports, exit codes."""
 
+import ast
+import hashlib
+import inspect
 import io
 import json
 import os
@@ -119,6 +122,14 @@ class TestGenerate:
         assert report["kind"] == "cycle"
         assert report["edges"] == [[1, 2, 1], [1, 3, 1], [2, 3, 1]]
 
+    def test_output_with_json_digests_the_file(self, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        code, out, _ = run(capsys, "generate", "cycle", "--length", "5", "--json", "-o", str(target))
+        report = json.loads(out)
+        assert code == 0
+        assert list(report)[:2] == ["command", "input_digest"]
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(target.read_bytes()).hexdigest()
+
     def test_bad_params_exit_two(self, capsys):
         code, _, err = run(capsys, "generate", "cycle", "--length", "2")
         assert code == 2 and "error:" in err
@@ -171,6 +182,16 @@ class TestMycielskian:
         code, _, err = run(capsys, "mycielskian", "--balanced", path)
         assert code == 3
         assert "unbalanced" in err
+
+    def test_output_with_json(self, tmp_path, capsys):
+        path = write_graph(tmp_path, SQUARE_ONE_NEG)
+        target = tmp_path / "m.txt"
+        code, out, _ = run(capsys, "mycielskian", "--json", "-o", str(target), path)
+        report = json.loads(out)
+        assert code == 0
+        assert target.read_text() == run(capsys, "mycielskian", path)[1]
+        assert json.loads((tmp_path / "m.txt.labeling.json").read_text()) == report["labeling"]
+        assert loads(target.read_text()).edges == tuple(map(tuple, report["edges"]))
 
 
 class TestBalance:
@@ -425,7 +446,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, flag):
-        def exhausted(args):
+        def exhausted(args, g):
             raise MemoryError
 
         monkeypatch.setattr(cli, "cmd_inertia", exhausted)
@@ -453,6 +474,50 @@ class TestErrors:
         a = run(capsys, "audit", "--json", path)[1]
         b = run(capsys, "audit", "--json", path)[1]
         assert a == b
+
+
+class TestDigest:
+    """--json opens with the command name and the sha256 of the input as read."""
+
+    # a comment and edges out of canonical order: the digest is of these bytes
+    RAW = b"# square, one negative edge\n4 4\n2 1 -1\n3 2 +1\n3 4 +1\n1 4 +1\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "command", ["info", "mycielskian", "balance", "chromatic", "matrix", "inertia", "audit"]
+    )
+    def test_first_keys_and_digest(self, tmp_path, capsys, monkeypatch, command, source):
+        path = tmp_path / "g.txt"
+        path.write_bytes(self.RAW)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(self.RAW.decode("utf-8")))
+        code, out, _ = run(capsys, command, "--json", str(path) if source == "file" else "-")
+        report = json.loads(out)
+        assert code == 0
+        assert list(report)[:2] == ["command", "input_digest"]
+        assert report["command"] == command
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(self.RAW).hexdigest()
+
+
+def test_commands_leave_reading_and_printing_to_run():
+    # each cmd_* maps arguments and a graph to its report; the input is read
+    # and stdout written in one place only
+    tree = ast.parse(inspect.getsource(cli))
+    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
+    assert len(commands) == 8
+    for fn in commands:
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        sys_attrs = {
+            n.attr
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "sys"
+        }
+        assert not names & {"_read_input", "print"}, fn.name
+        assert not sys_attrs & {"stdout", "stdin"}, fn.name
+    reads = [
+        n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_read_input"
+    ]
+    assert len(reads) == 1
 
 
 def test_import_loads_no_rational_arithmetic():

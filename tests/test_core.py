@@ -75,6 +75,25 @@ class TestCanonicalize:
         with pytest.raises(InvalidParamsError):
             canonicalize(3, [(1, 2, 2)])
 
+    @pytest.mark.parametrize(
+        "p, edges, error, message",
+        [
+            (2.0, [], InvalidParamsError, "vertex count must be an int, got 2.0"),
+            (True, [], InvalidParamsError, "vertex count must be an int, got True"),
+            (2, [(True, 2, 1)], InvalidParamsError, "edge (True, 2, 1) must hold three ints"),
+            (2, [(1, 2.0, 1)], InvalidParamsError, "edge (1, 2.0, 1) must hold three ints"),
+            (2, [(1, 2, 1.0)], InvalidParamsError, "edge (1, 2, 1.0) must hold three ints"),
+            (2, [(1, 2, True)], InvalidParamsError, "edge (1, 2, True) must hold three ints"),
+            # within one edge the type comes first; across edges input order rules
+            (3, [(1, 2, 1), (2, 2, 1.0)], InvalidParamsError, "edge (2, 2, 1.0) must hold three ints"),
+            (3, [(2, 2, 1), (1, 2, 1.0)], LoopEdgeError, "loop at vertex 2"),
+        ],
+    )
+    def test_non_int_rejected(self, p, edges, error, message):
+        with pytest.raises(error) as exc:
+            canonicalize(p, edges)
+        assert str(exc.value) == message
+
     @given(signed_graphs(max_p=6), st.randoms(use_true_random=False))
     def test_input_order_irrelevant(self, g, rng):
         shuffled = list(g.edges)
