@@ -11,7 +11,7 @@ Subcommands:
   audit        re-verify the structural claims on one input graph
 
 Every subcommand accepts --json for a machine readable report: the
-command name, the input digest (sha256 of the input text as read, or of
+command name, the input digest (sha256 of the input bytes as read, or of
 the edge list generate makes), then the payload.  Each cmd_* returns
 (exit code, payload, text); only _run reads the input and writes stdout.
 Identical input and flags produce byte-identical output.
@@ -35,26 +35,26 @@ from .errors import BudgetExhaustedError, InputError, PreconditionError
 from .mycielskian import MycielskianLabeling, balanced_mycielskian, mycielskian
 
 
-def _digest_text(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _read_input(path: str) -> tuple[core.SignedGraph, str]:
+    # read bytes from either source, so the digest is of the input exactly
+    # as given, CRLF line ends included
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        # under the C locale stdin decodes bad bytes to lone surrogates,
-        # which only the strict re-encoding of the digest catches
-        digest = _digest_text(text)
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeError:
         source = "standard input" if path == "-" else path
         raise InputError(f"{source} is not UTF-8 text") from None
-    return core.loads(text), digest
+    return core.loads(text), _digest(data)
 
 
 def _write(path: str, text: str) -> None:
@@ -152,7 +152,10 @@ def cmd_balance(args, g: core.SignedGraph) -> tuple[int, dict, str]:
 
 def cmd_chromatic(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     try:
-        n, cert = coloring.chromatic_number(g, node_budget=args.budget)
+        n, _ = coloring.chromatic_number(g, node_budget=args.budget)
+        # the witness printed is the least coloring in the static order, found
+        # by a search of its own under a budget of its own
+        cert = coloring.least_coloring(g, n, node_budget=args.budget) if args.certificate else None
     except BudgetExhaustedError as exc:
         payload = {"status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
         return 4, payload, f"unknown, chromatic number >= {exc.lower_bound}\n"
@@ -317,7 +320,7 @@ def _run(args) -> int:
     code, payload, text = args.func(args, g)
     if args.json:
         # generate reads no input; its digest is that of the edge list it made
-        report = dict(command=args.command, input_digest=digest or _digest_text(text), **payload)
+        report = dict(command=args.command, input_digest=digest or _digest(text.encode("utf-8")), **payload)
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     elif not getattr(args, "output", None):
         sys.stdout.write(text)

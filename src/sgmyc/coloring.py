@@ -7,40 +7,72 @@ that is the usual constraint, on negative edges the two endpoints must
 not carry opposite values.  The signed chromatic number is the least n
 admitting a proper coloring.
 
-chromatic_number is an exact backtracking solver.  It tries n = 1, 2, ...
-in order, and for each n branches over vertices in descending degree
-order (ties by vertex id) with colors in the fixed order of
-color_trial_order: 0 (when present), 1, -1, 2, -2, ...  The search keeps
-an explicit stack, one next-candidate index per depth, so its depth is
-not bounded by the interpreter's recursion limit; the colors that earlier
-neighbours forbid are gathered once when the search enters a depth.
+chromatic_number decides chi.  An edgeless graph has chi = 1: the color
+0 alone.  An edge needs n >= 2, and chi <= 2 exactly when the graph is
+antibalanced (Zaslavsky 1982; Macajova, Raspaud and Skoviera 2016): once
+it is switched to all-negative every vertex may take the color 1, and
+switching back turns that into the coloring zeta(v).  So
+balance.is_antibalanced settles n = 2 without a search, and any other
+input starts at n = 3.  From there a DSATUR search (Brelaz 1979) refutes
+each n until one admits a coloring, and returns that n with the coloring
+it found.
+
+The DSATUR search branches next on the uncolored vertex whose colored
+neighbours forbid the most distinct colors (its saturation), ties going
+to the higher degree and then the smaller vertex id, and tries colors in
+the fixed order of color_trial_order: 0 (when present), 1, -1, 2, -2, ...
+Each uncolored vertex keeps, per color, how many colored neighbours
+forbid it, so coloring or uncoloring a vertex updates saturations in
+O(deg).  A colored vertex's counts stay as they were when it was picked,
+which is what they are again when the search backtracks to it.  The next
+vertex comes off a heap keyed by saturation and degree rank; entries gone
+stale are skipped when popped and swept out when the heap outgrows 4p,
+so no node scans all p vertices.  The search keeps an explicit stack, one
+vertex and one next-candidate index per depth, so its depth is not
+bounded by the interpreter's recursion limit.
 
 The constraint c(u) != s * c(v) is invariant under the signed
 permutations of the pairs {+i, -i}: permuting the pairs and flipping the
-sign within any of them maps proper colorings to proper colorings.  The
-search breaks that symmetry by pair opening.  If the vertices placed so
+sign within any of them maps proper colorings to proper colorings.  Both
+searches break that symmetry by pair opening.  If the vertices colored so
 far use the pairs 1..m, the next vertex tries only 0 (for odd n),
 +-1..+-m and, when m < k = n // 2, the one new pair as +(m+1).  These
 candidates are a prefix of the trial order.
 
-Pair opening leaves every witness unchanged.  Read a coloring as the
-vector of the trial positions of its colors in branch order; plain
-backtracking returns the lexicographically least proper coloring.  Take
-that coloring and suppose it breaks the rule first at the vertex where
-it uses +-j with j > m, or -(m+1).  The signed permutation that swaps the
-pairs j and m+1 (when they differ) and sends that color to +(m+1) fixes
-0 and the pairs 1..m.  So it keeps every earlier vertex, moves this
-vertex to an earlier trial position, and keeps the coloring proper: a
-lexicographically smaller proper coloring, which cannot exist.  So the least proper
-coloring obeys the rule, and the pruned search, visiting the same
-candidates in the same order minus the pruned ones, returns it too.
+Pair opening loses no coloring, whichever vertex comes next.  Suppose the
+partial coloring at a node, which uses the pairs 1..m, extends to a
+proper coloring c that gives the next vertex v the color +-j with j > m,
+or -(m+1).  The signed permutation that swaps the pairs j and m+1 (when
+they differ) and sends c(v) to +(m+1) fixes 0 and the pairs 1..m, so it
+fixes the partial coloring, and it maps c to a proper coloring that gives
+v a candidate color.  So a node has a proper extension only if one of its
+candidates does, and the search refutes n only when M_n admits no proper
+coloring.  The argument looks at the partial coloring at one node, not at
+the rule that chose its vertices, so it holds for the saturation order.
 
-The optional node budget counts colors tried, one node each, across the
-whole call, and raises BudgetExhaustedError when it runs out.  The error
-carries the n being searched as a lower bound, since every smaller color
-set was refuted, and the nodes spent.  Pair opening tries fewer colors,
-so a given budget decides more inputs than plain backtracking would.
-A negative budget is rejected.  The library itself never imposes a budget.
+least_coloring runs the static-order search at one n: vertices in
+descending degree order (ties by vertex id), colors in trial order, pair
+opening, and the colors that earlier neighbours forbid gathered once when
+the search enters a depth.  Read a coloring as the vector of the trial
+positions of its colors in branch order; plain backtracking returns the
+lexicographically least proper coloring, and pair opening leaves that
+witness unchanged.  Suppose the least proper coloring breaks the rule,
+first at vertex v.  The swap above keeps every earlier vertex and moves v
+to an earlier trial position, which gives a lexicographically smaller
+proper coloring, and none exists.  So the least proper coloring obeys the
+rule, and the pruned search, visiting the same candidates in the same
+order minus the pruned ones, returns it too.  It is the witness
+`sgmyc chromatic --certificate` prints, at n = chi; chromatic_number never
+runs this search.
+
+The optional node budget counts colors tried, one node each, across one
+call of either search, and raises BudgetExhaustedError when it runs out.
+From chromatic_number the error carries the n being searched as a lower
+bound, since every smaller color set was refuted, and the nodes spent;
+from least_coloring it carries its own n.  Pair opening tries fewer
+colors, so a given budget decides more inputs than plain backtracking
+would.  A negative budget is rejected.  The library itself never imposes
+a budget.
 
 The Mycielskian interacts with the chromatic number through a sandwich:
 chi(M) is chi or chi + 1, equality holds for all-negative input, the +1
@@ -51,14 +83,15 @@ and the root takes the new color 0; for odd n = 2k+1 every vertex colored
 0 is recolored to the new value k+1, twins copy as before, and the root
 takes -(k+1).  Vertices colored 0 form an independent set, so the
 recoloring keeps the coloring proper.
-
-Antibalance is the chromatic property chi <= 2, so
-balance.is_antibalanced decides chi <= 2 without a search.
 """
 
 from __future__ import annotations
 
-from .core import SignedGraph, incident_edges
+import heapq
+from dataclasses import dataclass
+
+from . import balance
+from .core import SignedGraph
 from .errors import (
     BudgetExhaustedError,
     ColorOutOfSetError,
@@ -67,8 +100,6 @@ from .errors import (
     LengthMismatchError,
     NotProperError,
 )
-
-from dataclasses import dataclass
 
 
 def color_set(n: int) -> tuple[int, ...]:
@@ -121,64 +152,202 @@ def deficiency(g: SignedGraph, coloring: SignedColoring) -> int:
     return coloring.n - len(set(coloring.colors))
 
 
-def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[int, SignedColoring]:
-    """Least n with a proper coloring over M_n, plus one witness coloring."""
+def _check_budget(node_budget: int | None) -> None:
     if node_budget is not None and node_budget < 0:
         raise InvalidParamsError(f"node budget must be at least 0, got {node_budget}")
-    # any graph is properly colored by p distinct positive values, so the
-    # loop below always terminates by n = 2p (and at n = 1 for p = 0)
+
+
+def _degree_order(g: SignedGraph) -> tuple[list[int], list[int]]:
+    """Vertices by descending degree (ties by id), and each vertex's position in that order."""
+    degree = [0] * (g.p + 1)
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    # the sort is stable, so vertices of equal degree stay in id order
+    order = sorted(range(1, g.p + 1), key=lambda v: -degree[v])
+    pos = [0] * (g.p + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, pos
+
+
+def _trial_tables(n: int) -> tuple[list[int], list[int]]:
+    """Colors as positions in the trial order of M_n: the position of each
+    negated color, and how many positions a vertex may try with m = 0..n//2
+    pairs open."""
+    trial = color_trial_order(n)
+    odd, k = n % 2, n // 2
+    return [trial.index(-c) for c in trial], [odd + 2 * m + (m < k) for m in range(k + 1)]
+
+
+def _coloring(order: list[int], n: int, positions: list[int]) -> SignedColoring:
+    trial = color_trial_order(n)
+    colors = [0] * len(order)
+    for i, v in enumerate(order):
+        colors[v - 1] = trial[positions[i]]
+    return SignedColoring(n, tuple(colors))
+
+
+def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[int, SignedColoring]:
+    """Least n with a proper coloring over M_n, plus the witness the DSATUR search found."""
+    _check_budget(node_budget)
+    if g.q == 0:
+        return 1, SignedColoring(1, (0,) * g.p)
+    antibalanced, to_all_negative = balance.is_antibalanced(g)
+    if antibalanced:
+        # the constant 1 colors an all-negative graph; switching back gives zeta itself
+        return 2, SignedColoring(2, to_all_negative)
+    order, pos = _degree_order(g)
+    # (position, sign) of the neighbours of each position
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in order]
+    for u, v, s in g.edges:
+        neighbours[pos[u]].append((pos[v], s))
+        neighbours[pos[v]].append((pos[u], s))
+    nodes = 0
+    # p distinct positive values color any graph, so the loop ends by n = 2p
+    for n in range(3, 2 * g.p + 1):
+        positions, nodes = _dsatur(neighbours, n, nodes, node_budget)
+        if positions is not None:
+            return n, _coloring(order, n, positions)
+    raise ConsistencyError("no coloring found below the terminating bound")
+
+
+def _dsatur(
+    neighbours: list[list[tuple[int, int]]], n: int, nodes: int, node_budget: int | None
+) -> tuple[list[int] | None, int]:
+    """One DSATUR search over M_n: the trial position of each vertex, or None, and the nodes so far.
+
+    Vertices are named by their position in the degree order, so the
+    smaller name wins a tie in saturation.
+    """
+    p = len(neighbours)
+    negated, limit = _trial_tables(n)
+    odd = n % 2
+    # bit t of a mask stands for the color at trial position t
+    count = [0] * (p * n)  # count[v * n + t]: colored neighbours of v that forbid position t
+    forbidden = [0] * p  # bit t set when count[v * n + t] > 0
+    sat = [0] * p  # saturation: the bits set in forbidden[v]
+    color = [-1] * p  # trial position of each colored vertex
+    # keys (n - sat) * p + v, least first; an entry is stale once v is
+    # colored or its saturation moved, and is skipped when popped.  v = 0,
+    # of the highest degree, is the first pick, since nothing is saturated
+    heap = list(range(n * p + 1, n * p + p))
+    picked = [0] * p  # the vertex colored at each depth
+    nxt = [0] * p  # next trial position to try at each depth
+    opened = [0] * p  # pairs open before each depth
+    allowed = [0] * p  # candidates at each depth that no colored neighbour forbids
+    push, pop = heapq.heappush, heapq.heappop
+    i, v = 0, 0
+    allowed[0] = (1 << limit[0]) - 1
+    while True:
+        start = nxt[i]
+        if start:
+            # take back the color this depth tried last
+            t = start - 1
+            color[v] = -1
+            for u, s in neighbours[v]:
+                if color[u] < 0:
+                    at = u * n + (t if s > 0 else negated[t])
+                    count[at] -= 1
+                    if not count[at]:
+                        forbidden[u] ^= 1 << (at - u * n)
+                        sat[u] -= 1
+                        push(heap, (n - sat[u]) * p + u)
+        rest = allowed[i] >> start << start
+        # every position from start up to the color taken, or up to the
+        # limit when none is left, counts as one color tried
+        end = (rest & -rest).bit_length() if rest else limit[opened[i]]
+        nodes += end - start
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExhaustedError(n, nodes=node_budget)
+        if not rest:
+            push(heap, (n - sat[v]) * p + v)
+            i -= 1
+            if i < 0:
+                return None, nodes
+            v = picked[i]
+            continue
+        nxt[i] = end
+        t = end - 1
+        color[v] = t
+        for u, s in neighbours[v]:
+            if color[u] < 0:
+                tu = t if s > 0 else negated[t]
+                at = u * n + tu
+                if not count[at]:
+                    forbidden[u] |= 1 << tu
+                    sat[u] += 1
+                    push(heap, (n - sat[u]) * p + u)
+                count[at] += 1
+        # the color taken at position odd + 2m is +(m+1), a new pair
+        m = opened[i] + (end == odd + 2 * opened[i] + 1)
+        i += 1
+        if i == p:
+            return color, nodes
+        if len(heap) > 4 * p:
+            heap = [(n - sat[u]) * p + u for u in range(p) if color[u] < 0]
+            heapq.heapify(heap)
+        while True:
+            key = pop(heap)
+            v = key % p
+            if color[v] < 0 and key // p == n - sat[v]:
+                break
+        picked[i] = v
+        opened[i] = m
+        allowed[i] = ((1 << limit[m]) - 1) & ~forbidden[v]
+        nxt[i] = 0
+
+
+def least_coloring(g: SignedGraph, n: int, node_budget: int | None = None) -> SignedColoring | None:
+    """The least proper coloring over M_n in the static order, or None when M_n admits none."""
+    _check_budget(node_budget)
+    # bit t of a mask stands for the color at trial position t
+    negated, limit = _trial_tables(n)
+    odd = n % 2
     p = g.p
     if p == 0:
-        return 1, SignedColoring(1, ())
-    inc = incident_edges(g)
-    order = sorted(range(1, p + 1), key=lambda v: (-len(inc[v]), v))
-    # (depth, sign) of the neighbours of each vertex that come earlier in the branch order
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[(pos[u], s) for u, s in inc[v] if pos[u] < pos[v]] for v in order]
+        return SignedColoring(n, ())
+    order, pos = _degree_order(g)
+    # (depth, sign) of the neighbours of each depth that come earlier in the branch order
+    earlier: list[list[tuple[int, int]]] = [[] for _ in order]
+    for u, v, s in g.edges:
+        a, b = pos[u], pos[v]
+        if a < b:
+            earlier[b].append((a, s))
+        else:
+            earlier[a].append((b, s))
+    nxt = [0] * p  # next trial position to try at each depth; the color taken is at nxt - 1
+    opened = [0] * p  # pairs open before each depth
+    allowed = [0] * p  # candidates at each depth that no earlier neighbour forbids
+    allowed[0] = (1 << limit[0]) - 1
     nodes = 0
-    for n in range(1, 2 * p + 1):
-        # colors are handled as positions in the trial order; bit t of a
-        # mask stands for the color trial[t]
-        trial = color_trial_order(n)
-        negated = [trial.index(-c) for c in trial]
-        odd, k = n % 2, n // 2
-        # how many trial positions a depth may try with m pairs open
-        limit = [odd + 2 * m + (m < k) for m in range(k + 1)]
-        # the color at a placed depth is trial[nxt[depth] - 1]
-        nxt = [0] * p  # next trial position to try at each depth
-        opened = [0] * p  # pairs open before each depth
-        allowed = [0] * p  # candidates at each depth that no earlier neighbour forbids
-        allowed[0] = (1 << limit[0]) - 1
-        i = 0
-        while i >= 0:
-            start = nxt[i]
-            rest = allowed[i] >> start << start
-            # every position from start up to the color taken, or up to the
-            # limit when none is left, counts as one color tried
-            end = (rest & -rest).bit_length() if rest else limit[opened[i]]
-            nodes += end - start
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExhaustedError(n, nodes=node_budget)
-            if not rest:
-                i -= 1
-                continue
-            nxt[i] = end
-            m = opened[i]
-            i += 1
-            if i == p:
-                colors = [0] * p
-                for d, v in enumerate(order):
-                    colors[v - 1] = trial[nxt[d] - 1]
-                return n, SignedColoring(n, tuple(colors))
-            # the color taken at position odd + 2m is +(m+1), a new pair
-            m = opened[i] = m + (end == odd + 2 * m + 1)
-            forbidden = 0
-            for j, s in earlier[i]:
-                t = nxt[j] - 1
-                forbidden |= 1 << (t if s > 0 else negated[t])
-            allowed[i] = ((1 << limit[m]) - 1) & ~forbidden
-            nxt[i] = 0
-    raise ConsistencyError("no coloring found below the terminating bound")
+    i = 0
+    while i >= 0:
+        start = nxt[i]
+        rest = allowed[i] >> start << start
+        # every position from start up to the color taken, or up to the
+        # limit when none is left, counts as one color tried
+        end = (rest & -rest).bit_length() if rest else limit[opened[i]]
+        nodes += end - start
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExhaustedError(n, nodes=node_budget)
+        if not rest:
+            i -= 1
+            continue
+        nxt[i] = end
+        m = opened[i]
+        i += 1
+        if i == p:
+            return _coloring(order, n, [t - 1 for t in nxt])
+        # the color taken at position odd + 2m is +(m+1), a new pair
+        m = opened[i] = m + (end == odd + 2 * m + 1)
+        forbidden = 0
+        for j, s in earlier[i]:
+            t = nxt[j] - 1
+            forbidden |= 1 << (t if s > 0 else negated[t])
+        allowed[i] = ((1 << limit[m]) - 1) & ~forbidden
+        nxt[i] = 0
+    return None
 
 
 def extend_coloring_to_mycielskian(g: SignedGraph, coloring: SignedColoring) -> SignedColoring:

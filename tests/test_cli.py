@@ -46,6 +46,11 @@ PINNED_AUDITS = {
     "cycle5_positive": (canonicalize(5, [(i, i % 5 + 1, 1) for i in range(1, 6)]), []),
 }
 
+def byte_stdin(data):
+    """A stand-in for sys.stdin that, like the real one, carries a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -74,7 +79,7 @@ class TestInfo:
         assert report["degrees"][2] == [2, 2, 0, 2]
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(dumps(SQUARE_ONE_NEG)))
+        monkeypatch.setattr("sys.stdin", byte_stdin(dumps(SQUARE_ONE_NEG).encode("utf-8")))
         code, out, _ = run(capsys, "info", "-")
         assert code == 0 and "vertices: 4" in out
 
@@ -397,6 +402,23 @@ class TestAudit:
         assert (code, err) == (0, "")
         assert out == (PINNED / f"{name}.{suffix}").read_text()
 
+    # `generate random` draws of 42-48 vertices on which the static-order
+    # search used up the default budget, so the sandwich was skipped
+    @pytest.mark.parametrize(
+        "order, edge_prob, seed, chis",
+        [(44, 0.15, 1003, (4, 5)), (48, 0.2, 1005, (5, 5)), (42, 0.15, 1010, (4, 4))],
+    )
+    def test_sandwich_decides_mid_size_random_graphs(self, tmp_path, capsys, order, edge_prob, seed, chis):
+        g = generate("random", {"order": order, "edge_prob": edge_prob}, seed)
+        code, out, _ = run(capsys, "audit", "--json", write_graph(tmp_path, g))
+        sandwich = {c["claim"]: c for c in json.loads(out)["claims"]}["chromatic-sandwich"]
+        assert code == 0
+        assert sandwich == {
+            "claim": "chromatic-sandwich",
+            "status": "pass",
+            "detail": "chi %d, Mycielskian chi %d" % chis,
+        }
+
     def test_tight_budget_skips_sandwich(self, tmp_path, capsys):
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, out, _ = run(capsys, "audit", "--json", "--budget", "5", path)
@@ -490,13 +512,25 @@ class TestDigest:
         path = tmp_path / "g.txt"
         path.write_bytes(self.RAW)
         if source == "stdin":
-            monkeypatch.setattr("sys.stdin", io.StringIO(self.RAW.decode("utf-8")))
+            monkeypatch.setattr("sys.stdin", byte_stdin(self.RAW))
         code, out, _ = run(capsys, command, "--json", str(path) if source == "file" else "-")
         report = json.loads(out)
         assert code == 0
         assert list(report)[:2] == ["command", "input_digest"]
         assert report["command"] == command
         assert report["input_digest"] == "sha256:" + hashlib.sha256(self.RAW).hexdigest()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_crlf_bytes_are_digested_as_given(self, tmp_path, capsys, monkeypatch, source):
+        raw = b"2 1\r\n1 2 +1\r\n"
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(raw)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", byte_stdin(raw))
+        code, out, _ = run(capsys, "info", "--json", str(path) if source == "file" else "-")
+        report = json.loads(out)
+        assert (code, report["edges"]) == (0, 1)
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def test_commands_leave_reading_and_printing_to_run():

@@ -1,6 +1,7 @@
-"""Signed chromatic numbers: exact solver, extension rule, sandwich facts."""
+"""Signed chromatic numbers: exact solvers, extension rule, sandwich facts."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from sgmyc.coloring import (
     deficiency,
     extend_coloring_to_mycielskian,
     is_proper,
+    least_coloring,
 )
 from sgmyc.core import canonicalize, generate, is_all_negative, switch
 from sgmyc.errors import (
@@ -154,20 +156,41 @@ class TestChromaticNumber:
     @settings(max_examples=150, deadline=None)
     @given(signed_graphs(max_p=9))
     def test_matches_reference(self, g):
-        # same n and the same witness, so `chromatic --certificate` output is unchanged
-        assert chromatic_number(g) == oracles.reference_chromatic(g)
+        assert_matches_reference(g)
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs(max_p=9))
     def test_matches_reference_on_mycielskians(self, g):
-        gm, _ = mycielskian(g)
-        assert chromatic_number(gm) == oracles.reference_chromatic(gm)
+        assert_matches_reference(mycielskian(g)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(switchings(11))
     def test_matches_reference_on_tower_switchings(self, zeta):
-        g = switch(tower(4)[3], zeta)
-        assert chromatic_number(g) == oracles.reference_chromatic(g)
+        assert_matches_reference(switch(tower(4)[3], zeta))
+
+    @settings(max_examples=10, deadline=None)
+    @given(switchings(23))
+    def test_matches_reference_on_level_five_switchings(self, zeta):
+        # c(v) -> zeta(v) c(v) maps the proper colorings of a graph onto those
+        # of its switching, so chi stays that of tower(5)[4], which the test
+        # below checks against the reference; the static search refutes
+        # n = 4 on its own
+        g = switch(tower(5)[4], zeta)
+        n, coloring = chromatic_number(g)
+        assert n == 5
+        assert is_proper(g, coloring)
+        assert least_coloring(g, 4) is None
+        assert is_proper(g, least_coloring(g, 5))
+
+    def test_matches_reference_on_level_five(self):
+        assert_matches_reference(tower(5)[4])
+
+    def test_least_coloring_is_none_below_chi(self):
+        assert least_coloring(SQUARE_ONE_NEG, 2) is None
+        assert least_coloring(tower(4)[3], 3) is None
+        assert least_coloring(canonicalize(0, []), 1) == SignedColoring(1, ())
+        with pytest.raises(InvalidParamsError):
+            least_coloring(canonicalize(0, []), 0)
 
     def test_long_path_needs_no_recursion(self):
         p = 5000
@@ -177,26 +200,62 @@ class TestChromaticNumber:
         assert n == 2
         assert is_proper(g, coloring)
         assert all(coloring.colors[v] == -coloring.colors[v + 1] for v in range(p - 1))
+        witness = least_coloring(g, 2)
+        assert all(witness.colors[v] == -witness.colors[v + 1] for v in range(p - 1))
 
-    @pytest.mark.parametrize("g, smallest", [(SQUARE_ONE_NEG, 15), (tower(3)[2], 20)])
+    def test_long_odd_cycle_picks_without_scanning(self):
+        # not antibalanced, so the DSATUR search runs at n = 3 on all 3,001
+        # vertices: about 0.02 s on a 2-vCPU VM, where a pick that scans
+        # every vertex takes 1.4 s
+        p = 3001
+        g = canonicalize(p, [(v, v % p + 1, 1) for v in range(1, p + 1)])
+        start = time.perf_counter()
+        n, coloring = chromatic_number(g)
+        elapsed = time.perf_counter() - start
+        assert n == 3
+        assert is_proper(g, coloring)
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("g, smallest", [(SQUARE_ONE_NEG, 6), (tower(3)[2], 9)])
     def test_smallest_deciding_budget(self, g, smallest):
         n, _ = chromatic_number(g, node_budget=smallest)
         with pytest.raises(BudgetExhaustedError) as exc:
             chromatic_number(g, node_budget=smallest - 1)
         assert exc.value.lower_bound == n
         assert exc.value.nodes == smallest - 1
-        with pytest.raises(BudgetExhaustedError) as ref:
-            oracles.reference_chromatic(g, node_budget=smallest - 1)
-        assert ref.value.lower_bound == exc.value.lower_bound
 
-    @pytest.mark.parametrize("level, smallest", [(4, 729), (5, 390_395)])
+    @pytest.mark.parametrize("g, smallest", [(SQUARE_ONE_NEG, 6), (tower(3)[2], 9), (tower(5)[4], 54)])
+    def test_least_coloring_smallest_budget(self, g, smallest):
+        n = chromatic_number(g)[0]
+        assert least_coloring(g, n, node_budget=smallest) == oracles.reference_chromatic(g)[1]
+        with pytest.raises(BudgetExhaustedError) as exc:
+            least_coloring(g, n, node_budget=smallest - 1)
+        assert exc.value.lower_bound == n
+        assert exc.value.nodes == smallest - 1
+
+    @pytest.mark.parametrize("level, smallest", [(4, 252), (5, 11_063)])
     def test_pair_opening_node_counts(self, level, smallest):
-        # plain backtracking (oracles.reference_chromatic) needs 956 and 1,555,715
+        # the static-order search of least_coloring, run from n = 1, takes
+        # 729 and 390,395; plain backtracking (oracles.reference_chromatic)
+        # takes 956 and 1,555,715
         g = tower(level)[level - 1]
         assert chromatic_number(g, node_budget=smallest)[0] == level
         with pytest.raises(BudgetExhaustedError) as exc:
             chromatic_number(g, node_budget=smallest - 1)
         assert exc.value.lower_bound == level
+
+    @pytest.mark.slow
+    def test_tower_level_six(self):
+        g = tower(6)[5]
+        n, coloring = chromatic_number(g)
+        assert n == 6
+        assert is_proper(g, coloring)
+
+    def test_antibalanced_input_needs_no_search(self):
+        # chi <= 2 is antibalance, decided before any color is tried
+        g = generate("cycle", {"length": 5, "pattern": "-----"})
+        assert chromatic_number(g, node_budget=0) == (2, SignedColoring(2, (1, 1, 1, 1, 1)))
+        assert chromatic_number(canonicalize(3, []), node_budget=0) == (1, SignedColoring(1, (0, 0, 0)))
 
     def test_budget_raises_with_lower_bound(self):
         g = tower(4)[3]
@@ -293,6 +352,15 @@ class TestSandwich:
     @given(signed_graphs(max_p=4))
     def test_restricted_random(self, g):
         assert restricted_chromatic(g) == chromatic_number(g)[0]
+
+
+def assert_matches_reference(g):
+    """chromatic_number's n and a proper witness; least_coloring's exact witness at that n."""
+    ref_n, ref_coloring = oracles.reference_chromatic(g)
+    n, coloring = chromatic_number(g)
+    assert n == ref_n
+    assert coloring.n == n and is_proper(g, coloring)
+    assert least_coloring(g, n) == ref_coloring
 
 
 def restricted_chromatic(g):
