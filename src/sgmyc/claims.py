@@ -10,6 +10,18 @@ it, so one audit builds the Mycielskian, certifies the balance of G and
 eliminates each matrix once.  The other modules are called through
 their module attributes, so a wrapper installed on a module's function
 sees the calls made here too.
+
+The matrix claims check certificates instead of eliminating the
+(2p+1) x (2p+1) matrices of the Mycielskian.  inertia-additivity checks
+exactly that A_M = P B P^T, that P is lower triangular with +-1 on its
+diagonal, so det P = +-1, and that B is the block sum of A and
+D (-N) D, with N the negative join and D = diag(I, -1).  Sylvester's law
+of inertia then gives inertia(A_M) = inertia(A) + inertia(D (-N) D), and
+rank N equals the rank of that lower block, with no elimination of A_M
+or N.  laplacian-balance offers the balance certificate's switching as
+a kernel vector of L and the all-ones vector as one of the Schur
+complement S; exactla.is_singular checks the vector, or a determinant
+mod a prime, and eliminates exactly only when neither settles it.
 """
 
 from __future__ import annotations
@@ -37,6 +49,10 @@ class Context:
         return balance.certify_balance(self.g)
 
     @cached_property
+    def adjacency(self) -> exactla.IntMatrix:
+        return matrices.adjacency(self.g)
+
+    @cached_property
     def laplacian(self) -> exactla.IntMatrix:
         return matrices.laplacian(self.g)
 
@@ -58,15 +74,17 @@ class Context:
 
     @cached_property
     def inertias(self) -> tuple[exactla.Inertia, exactla.Inertia, exactla.Inertia]:
-        """Inertias of A_M, of A and of the lower diagonal block of B."""
+        """Inertias of A_M, of A and of the lower diagonal block of B.
+
+        The first is the sum of the other two, by Sylvester's law of inertia
+        once inertia-additivity has checked that A_M = P B P^T with det P =
+        +-1 and B block diagonal; A_M itself is never eliminated.
+        """
         p = self.g.p
         _, bm = self.factors
         lower = exactla.IntMatrix.from_rows([row[p:] for row in bm.entries[p:]])
-        return (
-            exactla.inertia(self.adjacency_myc),
-            exactla.inertia(matrices.adjacency(self.g)),
-            exactla.inertia(lower),
-        )
+        in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(lower)
+        return in_a + in_lower, in_a, in_lower
 
 
 def _verdict(ok: bool, detail: str) -> tuple[str, str]:
@@ -116,7 +134,7 @@ def _balance(ctx: Context) -> tuple[str, str]:
 def _balanced_mycielskian(ctx: Context) -> tuple[str, str]:
     if not ctx.cert.balanced:
         return ("skipped", "input is unbalanced")
-    gb, zeta_b = mycielskian.balanced_mycielskian(ctx.g)
+    gb, zeta_b = mycielskian.balanced_mycielskian(ctx.g, ctx.cert)
     ok = balance.certify_balance(gb).balanced and core.is_all_positive(core.switch(gb, zeta_b))
     return _verdict(ok, "balanced and switchable to all-positive")
 
@@ -138,12 +156,22 @@ def _sandwich(ctx: Context) -> tuple[str, str]:
 
 
 def _inertia(ctx: Context) -> tuple[str, str]:
+    g, p = ctx.g, ctx.g.p
     pm, bm = ctx.factors
-    ok = exactla.multiply(exactla.multiply(pm, bm), exactla.transpose(pm)) == ctx.adjacency_myc
+    # P is lower triangular with +-1 on its diagonal, so det P = +-1 and,
+    # by Sylvester's law of inertia, A_M = P B P^T has the inertia of B
+    ok = pm.is_square() and all(row[i] in (1, -1) and not any(row[i + 1 :]) for i, row in enumerate(pm.entries))
+    ok = ok and exactla.multiply(exactla.multiply(pm, bm), exactla.transpose(pm)) == ctx.adjacency_myc
+    # B is the block sum of A and D (-N) D, with N the negative join and
+    # D = diag(I, -1): the lower block shares its rank, not its signature, with N
+    top, bottom = bm.entries[:p], bm.entries[p:]
+    d = (1,) * p + (-1,)
+    neg_join = matrices.negative_join(g).entries
+    lower = tuple(tuple(-di * dj * x for dj, x in zip(d, row)) for di, row in zip(d, neg_join))
+    ok = ok and not any(any(row[p:]) for row in top) and not any(any(row[:p]) for row in bottom)
+    ok = ok and tuple(row[:p] for row in top) == ctx.adjacency.entries
+    ok = ok and tuple(row[p:] for row in bottom) == lower
     in_am, in_a, in_lower = ctx.inertias
-    ok = ok and in_am == in_a + in_lower
-    # the lower block shares its rank, not its signature, with the negative join
-    ok = ok and in_am.rank == in_a.rank + exactla.rank(matrices.negative_join(ctx.g))
 
     def fmt(ine):
         return f"({ine.n_plus}, {ine.n_minus}, {ine.n_zero})"
@@ -153,11 +181,9 @@ def _inertia(ctx: Context) -> tuple[str, str]:
 
 def _incidence(ctx: Context) -> tuple[str, str]:
     g = ctx.g
-    h = matrices.incidence(g)
-    ok = exactla.multiply(h, exactla.transpose(h)) == ctx.laplacian
-    hm = matrices.incidence_mycielskian(g)
+    ok = exactla.gram(matrices.incidence(g)) == ctx.laplacian
     lm = ctx.laplacian_myc
-    ok = ok and exactla.multiply(hm, exactla.transpose(hm)) == lm
+    ok = ok and exactla.gram(matrices.incidence_mycielskian(g)) == lm
     dm = matrices.degree_matrix_mycielskian(g)
     ok = ok and exactla.subtract(dm, ctx.adjacency_myc) == lm
     return _verdict(ok, "H H^T and the block Laplacian agree")
@@ -169,11 +195,13 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
         return ("skipped", "input has no vertices")
     if not core.is_connected(g):
         return ("skipped", "input is disconnected")
-    singular = exactla.rank(ctx.laplacian) < g.p
+    # a switching to all-positive is a kernel vector of L
+    singular = exactla.is_singular(ctx.laplacian, ctx.cert.to_all_positive)
     ok = singular == ctx.cert.balanced
-    # rank(L_M) = p + rank(S): the twin block eliminated first is invertible
+    # L_M is singular iff S is, the twin block eliminated first being
+    # invertible; and L_M 1 = 0, whenever it holds, gives S 1 = 0
     schur = ctx.schur_myc
-    singular_m = g.p + exactla.resume_rank(schur.scaled, schur.det_c) < 2 * g.p + 1
+    singular_m = exactla.is_singular(schur.scaled, (1,) * (g.p + 1), schur.det_c)
     ok = ok and singular_m == core.is_all_positive(g)
     return _verdict(ok, f"Laplacian singular: {singular}")
 

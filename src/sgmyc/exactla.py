@@ -7,7 +7,8 @@ One fraction-free kernel (Bareiss 1968) does every elimination.  Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
 the division is exact: every entry is a minor of the input, so growth
-stays polynomial.  Determinant and rank share one row-pivoting driver.
+stays polynomial.  The determinant and the exact fallback of
+is_singular share one row-pivoting driver.
 
 Inertia drives the same update with symmetric pivots, so the k-th pivot
 d_k is a leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1},
@@ -32,18 +33,37 @@ Schur complement S.  So starting the kernel on det(C) * S with prev =
 det(C) performs exactly the divisions the full run would perform next:
 each is exact and every later entry is still a minor of the whole
 matrix.  By rank additivity over the invertible block C (Guttman 1946),
-the whole matrix has rank k + rank(S), and resume_rank returns rank(S)
-this way without forming the whole matrix.
+the whole matrix has rank k + rank(S), so it is singular exactly when S
+is, and is_singular can decide that from det(C) * S without forming the
+whole matrix.
 
-Products visit only the nonzero entries of their operands.
+is_singular tries two certificates before it eliminates anything
+exactly.  A nonzero kernel vector v with a v = 0, offered by the caller,
+proves a singular at the cost of one product.  Otherwise det(a) is taken
+mod the prime PRIME = 2^31 - 1 by Gaussian elimination over the integers
+mod PRIME; a nonzero residue proves det(a) nonzero.  For a = det(C) * S
+of order n, det(a) = det(C)^n det(S), so a nonzero residue proves S
+nonsingular with no inverse of det(C).  Only a zero residue, from a
+singular matrix or a prime that happens to divide det(a), leaves the
+question to the exact kernel, so the verdict is exact and deterministic
+for every input and every offered vector.
+
+Products visit only the nonzero entries of their operands; gram forms
+h h^T column by column, so an incidence matrix with two nonzeros per
+column costs four updates a column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidParamsError, NotSymmetricError
+
+# a prime below 2^31, so a product of two residues fits in 62 bits
+PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -123,14 +143,14 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product that visits only the nonzero entries of a and b."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    b_nonzeros = [[(j, row[j]) for j in compress(range(b.cols), row)] for row in b.entries]
     out = []
     for row in a.entries:
         acc = [0] * b.cols
-        for x, b_row in zip(row, b_nonzeros):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        for k in compress(range(a.cols), row):
+            x = row[k]
+            for j, y in b_nonzeros[k]:
+                acc[j] += x * y
         out.append(tuple(acc))
     return IntMatrix(tuple(out), b.cols)
 
@@ -192,22 +212,75 @@ def determinant(a: IntMatrix) -> int:
     return sign * last if r == a.rows else 0
 
 
-def rank(a: IntMatrix) -> int:
-    """Exact rank by fraction-free elimination."""
-    return _row_echelon([list(row) for row in a.entries], a.cols)[0]
+def _det_mod(a: IntMatrix) -> int:
+    """det(a) mod PRIME, by Gaussian elimination mod PRIME on packed rows.
 
-
-def resume_rank(state: IntMatrix, prev: int) -> int:
-    """Rank of S, continuing a fraction-free elimination from state = prev * S.
-
-    state must be the exact trailing state the kernel reaches with last
-    pivot prev, such as det(C) * S with prev = det(C) for the Schur
-    complement S of an invertible diagonal block C (see the module
-    docstring); any other state makes the divisions inexact.
+    Each row is one int that holds its residues in fields of a fixed
+    width, so one multiply-add of ints updates a whole row.  A field is
+    reduced only when it is read.  Each update adds less than PRIME^2 to
+    a field and there are fewer than n updates, so the width keeps every
+    field from carrying into the next.
     """
+    prime, n = PRIME, a.rows
+    nbytes = (2 * prime.bit_length() + n.bit_length() + 8) // 8
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+
+    def pack(values: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+    rows = [pack(x % prime for x in row) for row in a.entries]
+    det = 1
+    for c in range(n):
+        lead = [((r >> width * c) & mask) % prime for r in rows]
+        k = next((i for i, x in enumerate(lead) if x), None)
+        if k is None:
+            return 0
+        # moving row k of the remaining rows to the front takes k swaps
+        d = lead.pop(k)
+        det = (-det if k % 2 else det) * d % prime
+        data = rows.pop(k).to_bytes(n * nbytes, "little")
+        f = prime - pow(d, -1, prime)
+        fields = (int.from_bytes(data[j * nbytes : (j + 1) * nbytes], "little") for j in range(c + 1, n))
+        # the fields up to c are never read again, so the pivot row leaves them be
+        tail = pack([0] * (c + 1) + [y * f % prime for y in fields])
+        rows = [r + x * tail if x else r for r, x in zip(rows, lead)]
+    return det
+
+
+def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None, prev: int = 1) -> bool:
+    """Whether the square matrix S with a = prev * S is singular, decided exactly.
+
+    A nonzero kernel with a * kernel = 0 proves it singular; a determinant
+    that is nonzero mod PRIME proves it nonsingular.  Either way nothing
+    is eliminated exactly.  Otherwise the Bareiss kernel decides, resumed
+    from prev as in the module docstring, so a must be the trailing state
+    the kernel reaches with last pivot prev (any a with prev = 1).
+    """
+    if not a.is_square():
+        raise DimensionMismatchError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
     if not prev:
-        raise InvalidParamsError("resume_rank needs a nonzero pivot")
-    return _row_echelon([list(row) for row in state.entries], state.cols, prev)[0]
+        raise InvalidParamsError("a resumed elimination needs a nonzero pivot")
+    if kernel is not None and len(kernel) == a.cols and any(kernel):
+        if not any(sum(map(mul, row, kernel)) for row in a.entries):
+            return True
+    if _det_mod(a):
+        return False
+    return _row_echelon([list(row) for row in a.entries], a.cols, prev)[0] < a.rows
+
+
+def gram(h: IntMatrix) -> IntMatrix:
+    """h h^T, summed column by column over the nonzeros of each column."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(h.cols)]
+    for i, row in enumerate(h.entries):
+        for k in compress(range(h.cols), row):
+            columns[k].append((i, row[k]))
+    out = [[0] * h.rows for _ in range(h.rows)]
+    for col in columns:
+        for i, x in col:
+            row = out[i]
+            for j, y in col:
+                row[j] += x * y
+    return IntMatrix(tuple(map(tuple, out)), h.rows)
 
 
 def inertia(a: IntMatrix) -> Inertia:

@@ -24,8 +24,8 @@ blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
 inertia is therefore computed from the two blocks, A and the negative
-join of the negated input, each about half the size of A_M; the full
-matrix is left to the audit as the cross-check.
+join of the negated input, each about half the size of A_M; the tests
+compare it with an elimination of the full matrix.
 
 The twins of the Mycielskian are pairwise non-adjacent, so in
 
@@ -41,7 +41,7 @@ So S = E - sum over twins t of b_t b_t' / (d_t + 1), and the column b_t
 of twin t is nonzero only at its neighbours in G and at the root: det(C)
 * S is an integer matrix built in O(p + sum of d_i^2) updates straight
 from the incidence lists.  It is exactly the state fraction-free elimination
-reaches on L_M after the twin block, which is why exactla.resume_rank
+reaches on L_M after the twin block, which is why exactla.is_singular
 can finish the job from it, and rank(L_M) = p + rank(S).
 
 Incidence columns fix one orientation per edge: +1 at the smaller

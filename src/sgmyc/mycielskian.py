@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .balance import certify_balance
+from .balance import BalanceCertificate, certify_balance
 from .core import (
     SignedGraph,
     SwitchingFunction,
@@ -120,7 +120,9 @@ def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) ->
     return _build(g, rs)
 
 
-def balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, SwitchingFunction]:
+def balanced_mycielskian(
+    g: SignedGraph, cert: BalanceCertificate | None = None
+) -> tuple[SignedGraph, SwitchingFunction]:
     """Balanced Mycielskian of a balanced signed graph.
 
     The root edge at twin u_i carries sign zeta(v_i), where zeta switches
@@ -133,8 +135,10 @@ def balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, SwitchingFunction
     Returns the graph together with the switching function on 2p + 1
     vertices that takes it to all-positive (zeta copied onto the twins,
     +1 on the root).  Raises NotBalancedError for unbalanced input.
+    cert, when given, is certify_balance(g) already made by the caller.
     """
-    cert = certify_balance(g)
+    if cert is None:
+        cert = certify_balance(g)
     if not cert.balanced:
         raise NotBalancedError(f"input is unbalanced, negative cycle {list(cert.witness)}")
     zeta = cert.to_all_positive

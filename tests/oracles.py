@@ -19,7 +19,10 @@ the result through canonicalize; they are the reference for the exact
 graphs and switchings the one-pass constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
-public functions, kept unchanged for the tests that use them.
+public functions, kept unchanged for the tests that use them.  So are
+rank and resume_rank, the two drivers of the package's Bareiss kernel
+that `sgmyc audit` no longer calls: the tests of that kernel, the exact
+fallback of exactla.is_singular, run through them.
 """
 
 from itertools import product
@@ -35,6 +38,7 @@ from sgmyc.core import (
     is_all_positive,
     switch,
 )
+from sgmyc import exactla
 from sgmyc.errors import (
     BudgetExhaustedError,
     ConsistencyError,
@@ -438,3 +442,21 @@ def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
         raise LengthMismatchError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
     # the root is the largest label, so it can only be the upper endpoint
     return SignedGraph(2 * lab.p, tuple(e for e in gm.edges if e[1] != lab.root))
+
+
+def rank(a: exactla.IntMatrix) -> int:
+    """Exact rank by fraction-free elimination."""
+    return exactla._row_echelon([list(row) for row in a.entries], a.cols)[0]
+
+
+def resume_rank(state: exactla.IntMatrix, prev: int) -> int:
+    """Rank of S, continuing a fraction-free elimination from state = prev * S.
+
+    state must be the exact trailing state the kernel reaches with last
+    pivot prev, such as det(C) * S with prev = det(C) for the Schur
+    complement S of an invertible diagonal block C (see the docstring of
+    sgmyc.exactla); any other state makes the divisions inexact.
+    """
+    if not prev:
+        raise InvalidParamsError("resume_rank needs a nonzero pivot")
+    return exactla._row_echelon([list(row) for row in state.entries], state.cols, prev)[0]

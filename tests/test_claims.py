@@ -5,7 +5,9 @@ into the context's __dict__, where functools.cached_property keeps its
 value, or it patches a module function that sgmyc.claims calls through
 its module attribute.  The claim that reads the corrupted object must
 then fail, while the same claim passes on an untouched context of the
-same input.
+same input.  inertia-additivity gets more corruptions of its factor pair
+(P, B), some of which keep P B P^T = A_M, so that each of its checks on
+P and on the blocks of B is shown to be needed.
 """
 
 import dataclasses
@@ -14,6 +16,8 @@ import pytest
 
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
 from sgmyc import claims, coloring, core, matrices, mycielskian
+from sgmyc.exactla import IntMatrix, multiply, transpose
+from sgmyc.matrices import adjacency_mycielskian
 
 # small and degenerate inputs on which every corruption must show
 FAULT_GRAPHS = {
@@ -48,7 +52,7 @@ def wrong_balance(ctx, monkeypatch):
 
 
 def unbalanced_construction(ctx, monkeypatch):
-    monkeypatch.setattr(mycielskian, "balanced_mycielskian", lambda g: (NEGATIVE_TRIANGLE, (1, 1, 1)))
+    monkeypatch.setattr(mycielskian, "balanced_mycielskian", lambda g, cert=None: (NEGATIVE_TRIANGLE, (1, 1, 1)))
 
 
 def chromatic_two_up_on_mycielskian(ctx, monkeypatch):
@@ -88,6 +92,44 @@ CORRUPTIONS = {
 }
 
 
+def with_entries(m, changes):
+    """A copy of the integer matrix m with the entries at the (i, j) keys of changes replaced."""
+    rows = [list(row) for row in m.entries]
+    for (i, j), x in changes.items():
+        rows[i][j] = x
+    return IntMatrix.from_rows(rows)
+
+
+def non_unimodular_factor(ctx, monkeypatch):
+    # det P = 2; where vertex 1 has no edge, P B P^T is still A_M
+    pm, bm = ctx.factors
+    ctx.__dict__["factors"] = (with_entries(pm, {(0, 0): 2}), bm)
+
+
+def off_diagonal_block(ctx, monkeypatch):
+    # original 1 and twin 1 meet in B
+    p = ctx.g.p
+    pm, bm = ctx.factors
+    ctx.__dict__["factors"] = (pm, with_entries(bm, {(0, p): 1, (p, 0): 1}))
+
+
+def negated_lower_block(ctx, monkeypatch):
+    # D N D in place of D (-N) D
+    p = ctx.g.p
+    pm, bm = ctx.factors
+    lower = {(i, j): -bm.entries[i][j] for i in range(p, 2 * p + 1) for j in range(p, 2 * p + 1)}
+    ctx.__dict__["factors"] = (pm, with_entries(bm, lower))
+
+
+# corruptions of the factor pair beyond bumped_factor, each on the inputs
+# with p >= 1: the null graph has no twin, so its B is the 1 x 1 lower block
+INERTIA_CORRUPTIONS = {
+    "non_unimodular_factor": non_unimodular_factor,
+    "off_diagonal_block": off_diagonal_block,
+    "negated_lower_block": negated_lower_block,
+}
+
+
 def test_every_claim_has_a_corruption():
     assert list(CORRUPTIONS) == list(claims.CLAIMS)
 
@@ -103,6 +145,63 @@ def test_corruption_fails_wherever_the_claim_runs(monkeypatch, name, graph):
     ctx = claims.Context(g)
     CORRUPTIONS[name](ctx, monkeypatch)
     assert status(ctx, name) == "fail"
+
+
+@pytest.mark.parametrize("graph", sorted(set(FAULT_GRAPHS) - {"null"}))
+@pytest.mark.parametrize("corruption", list(INERTIA_CORRUPTIONS))
+def test_factor_corruption_fails_inertia_additivity(monkeypatch, corruption, graph):
+    ctx = claims.Context(FAULT_GRAPHS[graph])
+    assert status(ctx, "inertia-additivity") == "pass"
+    ctx = claims.Context(FAULT_GRAPHS[graph])
+    INERTIA_CORRUPTIONS[corruption](ctx, monkeypatch)
+    assert status(ctx, "inertia-additivity") == "fail"
+
+
+def congruent_pair(pm, bm, i, j):
+    """(P E, E^-1 B E^-T) for E = I + e_ij with i > j.
+
+    The product P B P^T is unchanged, and P E is still lower triangular
+    with +-1 on its diagonal.
+    """
+    p_rows = [list(row) for row in pm.entries]
+    for row in p_rows:
+        row[j] += row[i]
+    b = [list(row) for row in bm.entries]
+    b[i] = [x - y for x, y in zip(b[i], b[j])]
+    for row in b:
+        row[i] -= row[j]
+    return IntMatrix.from_rows(p_rows), IntMatrix.from_rows(b)
+
+
+# the pair (i, j) of congruent_pair that reshapes each block of B, for p >= 2
+RESHAPING_PIVOTS = {
+    "top": lambda p: (1, 0),
+    "off-diagonal": lambda p: (p, 0),
+    "lower": lambda p: (2 * p, p),
+}
+
+
+@pytest.mark.parametrize("g", [K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG], ids=["K2-", "square1", "square2"])
+@pytest.mark.parametrize("block", list(RESHAPING_PIVOTS))
+def test_each_block_check_rejects_another_factorization_of_a_m(g, block):
+    # the product and the inertia sum hold, so only the block check can fail it
+    ctx = claims.Context(g)
+    pm, bm = ctx.factors
+    pm2, bm2 = congruent_pair(pm, bm, *RESHAPING_PIVOTS[block](g.p))
+    assert bm2 != bm
+    assert multiply(multiply(pm2, bm2), transpose(pm2)) == adjacency_mycielskian(g)
+    ctx.__dict__["factors"] = (pm2, bm2)
+    assert status(ctx, "inertia-additivity") == "fail"
+
+
+@pytest.mark.parametrize("graph", ["null", "K1", "edgeless3"])
+def test_non_unimodular_factor_keeps_the_product_without_edges(monkeypatch, graph):
+    # so only the unimodularity check can fail it there
+    ctx = claims.Context(FAULT_GRAPHS[graph])
+    non_unimodular_factor(ctx, monkeypatch)
+    pm, bm = ctx.factors
+    assert multiply(multiply(pm, bm), transpose(pm)) == ctx.adjacency_myc
+    assert status(ctx, "inertia-additivity") == "fail"
 
 
 @pytest.mark.parametrize("g", [K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG], ids=["K2+", "square1", "square2"])

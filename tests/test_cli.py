@@ -11,10 +11,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     K2_POS,
@@ -563,3 +564,62 @@ def test_import_loads_no_rational_arithmetic():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def small_header(text):
+    """Whether the text names at most 30 vertices, if it parses that far.
+
+    No command caps the order yet, and the dense ones allocate O(p^2)
+    before any refusal, so the fuzzer keeps its headers small.
+    """
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            try:
+                return len(parts) != 2 or int(parts[0]) <= 30
+            except ValueError:
+                return True
+    return True
+
+
+# fragments of the edge-list format, so that the fuzzer gets past the header
+FRAGMENTS = ["3 2", "2 1", "0 0", "1 2 +1", "2 3 -1", "1 2 -1", "1 1 +1", "1 2 0", "3 1 +1", "# note", "", " "]
+
+
+def lines_of_edge_lists():
+    line = st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=8))
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+def run_on_stdin(argv, data):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = byte_stdin(data)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=80), st.text(max_size=80).map(str.encode), lines_of_edge_lists().map(str.encode)))
+@example(b"2 1\r\n1 2 +1\r\n")
+@example(b"\xff")
+@example(b"1_0 0\n")
+@example(b"-3 0\n")
+@example("٣ 0\n".encode())
+def test_fuzzed_input_ends_in_a_documented_exit(data):
+    try:
+        assume(small_header(data.decode("utf-8")))
+    except UnicodeDecodeError:
+        pass
+    for argv in (["info", "-"], ["audit", "-", "--budget", "10"]):
+        code, out, err = run_on_stdin(argv, data)
+        assert code in (0, 2, 3), (argv, code, out, err)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == ""

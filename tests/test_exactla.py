@@ -8,14 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import rank, resume_rank
+from sgmyc import exactla
 from sgmyc.exactla import (
+    PRIME,
     Inertia,
     IntMatrix,
+    _det_mod,
     determinant,
+    gram,
     inertia,
+    is_singular,
     multiply,
-    rank,
-    resume_rank,
     subtract,
     transpose,
 )
@@ -142,6 +146,15 @@ class TestArithmetic:
     def test_transpose_involution(self, a):
         assert transpose(transpose(a)) == a
 
+    @settings(max_examples=150)
+    @given(product_operands())
+    @example(([[], []], 0, [], 3))
+    @example(([], 2, [[1, 2, 3], [4, 5, 6]], 3))
+    def test_gram_is_h_times_its_transpose(self, operands):
+        h, k, _, _ = operands
+        h = shaped(h, k)
+        assert gram(h) == multiply(h, transpose(h))
+
 
 class TestDeterminant:
     def test_frozen(self):
@@ -165,6 +178,81 @@ class TestDeterminant:
     def test_multiplicative(self, a, b):
         if a.rows == b.rows:
             assert determinant(multiply(a, b)) == determinant(a) * determinant(b)
+
+
+class TestModularDeterminant:
+    def test_frozen(self):
+        assert _det_mod(M([])) == 1
+        assert _det_mod(M([[1, 2], [2, 4]])) == 0
+        assert _det_mod(M([[0, 1], [1, 0]])) == PRIME - 1
+        assert _det_mod(M([[PRIME, 1], [0, 1]])) == 0
+
+    @settings(max_examples=150)
+    @given(square_matrices(max_n=6))
+    def test_is_the_determinant_mod_the_prime(self, a):
+        assert _det_mod(a) == determinant(a) % PRIME
+
+    @settings(max_examples=20)
+    @given(st.integers(min_value=1, max_value=40), st.randoms(use_true_random=False))
+    def test_fields_hold_the_largest_residues(self, n, rng):
+        # residues just below PRIME make every field grow the most between reads
+        a = M([[rng.choice((-1, PRIME - 1, PRIME - 2, 2 * PRIME - 1)) for _ in range(n)] for _ in range(n)])
+        assert _det_mod(a) == determinant(a) % PRIME
+
+
+@st.composite
+def square_with_hint(draw, max_n=5):
+    """A square matrix and a kernel hint, a true kernel vector about half the time."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rows = draw(matrices(n, n)).entries
+    hint = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        # make the last column sum hint_j * column j, so a (hint, -1) is a kernel vector
+        hint = hint[:-1] + [-1]
+        rows = [row[:-1] + (sum(x * y for x, y in zip(row[:-1], hint[:-1])),) for row in rows]
+    return M(rows), tuple(hint)
+
+
+class TestIsSingular:
+    def test_frozen(self):
+        assert is_singular(M([[1, 1], [1, 1]]))
+        assert is_singular(M([[1, 1], [1, 1]]), (1, -1))
+        assert not is_singular(M([[1, 1], [1, 2]]), (1, -1))
+        assert not is_singular(M([]))
+        assert is_singular(M([[0]]))
+
+    def test_rejects_a_bad_shape_or_pivot(self):
+        with pytest.raises(DimensionMismatchError):
+            is_singular(M([[1, 2]]))
+        with pytest.raises(InvalidParamsError):
+            is_singular(M([[1]]), prev=0)
+
+    @settings(max_examples=200)
+    @given(square_with_hint())
+    def test_equals_the_exact_rank_with_any_hint(self, case):
+        a, hint = case
+        exact = oracles.gaussian_rank([list(row) for row in a.entries]) < a.rows
+        assert is_singular(a, hint) == is_singular(a) == exact
+
+    def test_a_true_kernel_needs_no_determinant(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("determinant taken")
+
+        monkeypatch.setattr(exactla, "_det_mod", fail)
+        assert is_singular(M([[2, -2], [-2, 2]]), (1, 1))
+
+    def test_a_zero_vector_or_wrong_length_proves_nothing(self):
+        a = M([[2, 1], [1, 2]])
+        assert not is_singular(a, (0, 0))
+        assert not is_singular(a, (1,))
+
+    @settings(max_examples=100)
+    @given(square_matrices(max_n=5))
+    def test_a_zero_modular_determinant_falls_back_to_the_exact_kernel(self, a):
+        exact = oracles.gaussian_rank([list(row) for row in a.entries]) < a.rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "_det_mod", lambda a: 0)
+            assert is_singular(a) == exact
 
 
 class TestRank:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
+from oracles import rank, resume_rank
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, generate, is_all_positive
@@ -19,8 +20,6 @@ from sgmyc.exactla import (
     determinant,
     inertia,
     multiply,
-    rank,
-    resume_rank,
     subtract,
     transpose,
 )
