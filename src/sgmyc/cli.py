@@ -153,8 +153,8 @@ def cmd_balance(args, g: core.SignedGraph) -> tuple[int, dict, str]:
 def cmd_chromatic(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     try:
         n, _ = coloring.chromatic_number(g, node_budget=args.budget)
-        # the witness printed is the least coloring in the static order, found
-        # by a search of its own under a budget of its own
+        # the witness printed is the least coloring in the static order: the
+        # same search loop with the static pick rule, under a budget of its own
         cert = coloring.least_coloring(g, n, node_budget=args.budget) if args.certificate else None
     except BudgetExhaustedError as exc:
         payload = {"status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}

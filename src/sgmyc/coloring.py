@@ -33,8 +33,8 @@ bounded by the interpreter's recursion limit.
 
 The constraint c(u) != s * c(v) is invariant under the signed
 permutations of the pairs {+i, -i}: permuting the pairs and flipping the
-sign within any of them maps proper colorings to proper colorings.  Both
-searches break that symmetry by pair opening.  If the vertices colored so
+sign within any of them maps proper colorings to proper colorings.  The
+search breaks that symmetry by pair opening.  If the vertices colored so
 far use the pairs 1..m, the next vertex tries only 0 (for odd n),
 +-1..+-m and, when m < k = n // 2, the one new pair as +(m+1).  These
 candidates are a prefix of the trial order.
@@ -48,31 +48,33 @@ fixes the partial coloring, and it maps c to a proper coloring that gives
 v a candidate color.  So a node has a proper extension only if one of its
 candidates does, and the search refutes n only when M_n admits no proper
 coloring.  The argument looks at the partial coloring at one node, not at
-the rule that chose its vertices, so it holds for the saturation order.
+the rule that chose its vertices, so it holds under either pick rule.
 
-least_coloring runs the static-order search at one n: vertices in
-descending degree order (ties by vertex id), colors in trial order, pair
-opening, and the colors that earlier neighbours forbid gathered once when
-the search enters a depth.  Read a coloring as the vector of the trial
-positions of its colors in branch order; plain backtracking returns the
-lexicographically least proper coloring, and pair opening leaves that
-witness unchanged.  Suppose the least proper coloring breaks the rule,
-first at vertex v.  The swap above keeps every earlier vertex and moves v
-to an earlier trial position, which gives a lexicographically smaller
-proper coloring, and none exists.  So the least proper coloring obeys the
-rule, and the pruned search, visiting the same candidates in the same
-order minus the pruned ones, returns it too.  It is the witness
-`sgmyc chromatic --certificate` prints, at n = chi; chromatic_number never
-runs this search.
+least_coloring runs the same loop at one n with the static pick rule:
+the vertex at depth i is the i-th in descending degree order (ties by
+vertex id), so its colored neighbours are exactly its earlier ones.  Its
+candidates, the order it tries them in and the nodes it counts are then
+those of plain backtracking in that order under pair opening.  Nothing
+pops the heap, but the sweep still bounds it.  Read a coloring as the
+vector of the trial positions of its colors in branch order; plain
+backtracking returns the lexicographically least proper coloring, and
+pair opening leaves that witness unchanged.  Suppose the least proper
+coloring breaks the rule, first at vertex v.  The swap above keeps every
+earlier vertex and moves v to an earlier trial position, which gives a
+lexicographically smaller proper coloring, and none exists.  So the
+least proper coloring obeys the rule, and the pruned search, visiting
+the same candidates in the same order minus the pruned ones, returns it
+too.  It is the witness `sgmyc chromatic --certificate` prints, at
+n = chi; chromatic_number never picks statically.
 
 The optional node budget counts colors tried, one node each, across one
-call of either search, and raises BudgetExhaustedError when it runs out.
-From chromatic_number the error carries the n being searched as a lower
-bound, since every smaller color set was refuted, and the nodes spent;
-from least_coloring it carries its own n.  Pair opening tries fewer
-colors, so a given budget decides more inputs than plain backtracking
-would.  A negative budget is rejected.  The library itself never imposes
-a budget.
+call of chromatic_number or least_coloring, and raises
+BudgetExhaustedError when it runs out.  From chromatic_number the error
+carries the n being searched as a lower bound, since every smaller color
+set was refuted, and the nodes spent; from least_coloring it carries its
+own n.  Pair opening tries fewer colors, so a given budget decides more
+inputs than plain backtracking would.  A negative budget is rejected.
+The library itself never imposes a budget.
 
 The Mycielskian interacts with the chromatic number through a sandwich:
 chi(M) is chi or chi + 1, equality holds for all-negative input, the +1
@@ -157,8 +159,9 @@ def _check_budget(node_budget: int | None) -> None:
         raise InvalidParamsError(f"node budget must be at least 0, got {node_budget}")
 
 
-def _degree_order(g: SignedGraph) -> tuple[list[int], list[int]]:
-    """Vertices by descending degree (ties by id), and each vertex's position in that order."""
+def _branch_graph(g: SignedGraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Vertices by descending degree (ties by id), and the (position, sign)
+    neighbours of each vertex, vertices named by their position in that order."""
     degree = [0] * (g.p + 1)
     for u, v, _ in g.edges:
         degree[u] += 1
@@ -168,16 +171,11 @@ def _degree_order(g: SignedGraph) -> tuple[list[int], list[int]]:
     pos = [0] * (g.p + 1)
     for i, v in enumerate(order):
         pos[v] = i
-    return order, pos
-
-
-def _trial_tables(n: int) -> tuple[list[int], list[int]]:
-    """Colors as positions in the trial order of M_n: the position of each
-    negated color, and how many positions a vertex may try with m = 0..n//2
-    pairs open."""
-    trial = color_trial_order(n)
-    odd, k = n % 2, n // 2
-    return [trial.index(-c) for c in trial], [odd + 2 * m + (m < k) for m in range(k + 1)]
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in order]
+    for u, v, s in g.edges:
+        neighbours[pos[u]].append((pos[v], s))
+        neighbours[pos[v]].append((pos[u], s))
+    return order, neighbours
 
 
 def _coloring(order: list[int], n: int, positions: list[int]) -> SignedColoring:
@@ -197,33 +195,43 @@ def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[in
     if antibalanced:
         # the constant 1 colors an all-negative graph; switching back gives zeta itself
         return 2, SignedColoring(2, to_all_negative)
-    order, pos = _degree_order(g)
-    # (position, sign) of the neighbours of each position
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in order]
-    for u, v, s in g.edges:
-        neighbours[pos[u]].append((pos[v], s))
-        neighbours[pos[v]].append((pos[u], s))
+    order, neighbours = _branch_graph(g)
     nodes = 0
     # p distinct positive values color any graph, so the loop ends by n = 2p
     for n in range(3, 2 * g.p + 1):
-        positions, nodes = _dsatur(neighbours, n, nodes, node_budget)
+        positions, nodes = _search(neighbours, n, nodes, node_budget)
         if positions is not None:
             return n, _coloring(order, n, positions)
     raise ConsistencyError("no coloring found below the terminating bound")
 
 
-def _dsatur(
-    neighbours: list[list[tuple[int, int]]], n: int, nodes: int, node_budget: int | None
-) -> tuple[list[int] | None, int]:
-    """One DSATUR search over M_n: the trial position of each vertex, or None, and the nodes so far.
+def least_coloring(g: SignedGraph, n: int, node_budget: int | None = None) -> SignedColoring | None:
+    """The least proper coloring over M_n in the static order, or None when M_n admits none."""
+    _check_budget(node_budget)
+    order, neighbours = _branch_graph(g)
+    # the search starts from vertex 0, so the null graph skips it; either
+    # way the trial order rejects n < 1
+    positions = _search(neighbours, n, 0, node_budget, static=True)[0] if order else []
+    return None if positions is None else _coloring(order, n, positions)
 
-    Vertices are named by their position in the degree order, so the
-    smaller name wins a tie in saturation.
+
+def _search(
+    neighbours: list[list[tuple[int, int]]], n: int, nodes: int, node_budget: int | None, static: bool = False
+) -> tuple[list[int] | None, int]:
+    """One search over M_n: the trial position of each vertex, or None, and the nodes so far.
+
+    Vertices are named by their position in the degree order.  The next
+    vertex is the most saturated uncolored one, the smaller name winning a
+    tie, or with static the one named by the depth.
     """
     p = len(neighbours)
-    negated, limit = _trial_tables(n)
-    odd = n % 2
-    # bit t of a mask stands for the color at trial position t
+    trial = color_trial_order(n)
+    odd, k = n % 2, n // 2
+    # bit t of a mask stands for the color at trial position t: the
+    # position of each negated color, and how many positions a vertex may
+    # try with m = 0..k pairs open
+    negated = [trial.index(-c) for c in trial]
+    limit = [odd + 2 * m + (m < k) for m in range(k + 1)]
     count = [0] * (p * n)  # count[v * n + t]: colored neighbours of v that forbid position t
     forbidden = [0] * p  # bit t set when count[v * n + t] > 0
     sat = [0] * p  # saturation: the bits set in forbidden[v]
@@ -284,70 +292,23 @@ def _dsatur(
         i += 1
         if i == p:
             return color, nodes
+        # swept under either pick, or a static search would grow the heap
+        # by one entry per saturation change
         if len(heap) > 4 * p:
             heap = [(n - sat[u]) * p + u for u in range(p) if color[u] < 0]
             heapq.heapify(heap)
-        while True:
-            key = pop(heap)
-            v = key % p
-            if color[v] < 0 and key // p == n - sat[v]:
-                break
+        if static:
+            v = i
+        else:
+            while True:
+                key = pop(heap)
+                v = key % p
+                if color[v] < 0 and key // p == n - sat[v]:
+                    break
         picked[i] = v
         opened[i] = m
         allowed[i] = ((1 << limit[m]) - 1) & ~forbidden[v]
         nxt[i] = 0
-
-
-def least_coloring(g: SignedGraph, n: int, node_budget: int | None = None) -> SignedColoring | None:
-    """The least proper coloring over M_n in the static order, or None when M_n admits none."""
-    _check_budget(node_budget)
-    # bit t of a mask stands for the color at trial position t
-    negated, limit = _trial_tables(n)
-    odd = n % 2
-    p = g.p
-    if p == 0:
-        return SignedColoring(n, ())
-    order, pos = _degree_order(g)
-    # (depth, sign) of the neighbours of each depth that come earlier in the branch order
-    earlier: list[list[tuple[int, int]]] = [[] for _ in order]
-    for u, v, s in g.edges:
-        a, b = pos[u], pos[v]
-        if a < b:
-            earlier[b].append((a, s))
-        else:
-            earlier[a].append((b, s))
-    nxt = [0] * p  # next trial position to try at each depth; the color taken is at nxt - 1
-    opened = [0] * p  # pairs open before each depth
-    allowed = [0] * p  # candidates at each depth that no earlier neighbour forbids
-    allowed[0] = (1 << limit[0]) - 1
-    nodes = 0
-    i = 0
-    while i >= 0:
-        start = nxt[i]
-        rest = allowed[i] >> start << start
-        # every position from start up to the color taken, or up to the
-        # limit when none is left, counts as one color tried
-        end = (rest & -rest).bit_length() if rest else limit[opened[i]]
-        nodes += end - start
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExhaustedError(n, nodes=node_budget)
-        if not rest:
-            i -= 1
-            continue
-        nxt[i] = end
-        m = opened[i]
-        i += 1
-        if i == p:
-            return _coloring(order, n, [t - 1 for t in nxt])
-        # the color taken at position odd + 2m is +(m+1), a new pair
-        m = opened[i] = m + (end == odd + 2 * m + 1)
-        forbidden = 0
-        for j, s in earlier[i]:
-            t = nxt[j] - 1
-            forbidden |= 1 << (t if s > 0 else negated[t])
-        allowed[i] = ((1 << limit[m]) - 1) & ~forbidden
-        nxt[i] = 0
-    return None
 
 
 def extend_coloring_to_mycielskian(g: SignedGraph, coloring: SignedColoring) -> SignedColoring:

@@ -119,6 +119,36 @@ def reference_chromatic(g, node_budget=None):
     raise ConsistencyError("no coloring found below the terminating bound")
 
 
+def least_proper_coloring(g, n):
+    """The lexicographically least proper coloring over M_n, or None.
+
+    Colorings are read as sequences over the vertices in descending degree
+    order (ties by vertex id), each vertex running through 0, 1, -1, 2,
+    -2, ...  Enumeration in that order skips a prefix that already breaks
+    an edge, with all its extensions, and so misses no proper coloring.
+    """
+    trial = sorted(oracle_color_set(n), key=lambda c: (abs(c), -c))
+    inc = incident_edges(g)
+    order = sorted(range(1, g.p + 1), key=lambda v: (-len(inc[v]), v))
+    colors = {}
+
+    def extend(i):
+        if i == g.p:
+            return True
+        v = order[i]
+        for c in trial:
+            if all(u not in colors or c != s * colors[u] for u, s in inc[v]):
+                colors[v] = c
+                if extend(i + 1):
+                    return True
+                del colors[v]
+        return False
+
+    if not extend(0):
+        return None
+    return SignedColoring(n, tuple(colors[v] for v in range(1, g.p + 1)))
+
+
 def brute_force_colorable(g, n):
     """Whether any proper coloring over M_n exists at all."""
     return any(

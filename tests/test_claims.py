@@ -121,12 +121,21 @@ def negated_lower_block(ctx, monkeypatch):
     ctx.__dict__["factors"] = (pm, with_entries(bm, lower))
 
 
+def asymmetric_lower_block(ctx, monkeypatch):
+    # twin 1 meets the next twin, or the root, in one direction only; an
+    # elimination of this lower block raises NotSymmetricError
+    p = ctx.g.p
+    pm, bm = ctx.factors
+    ctx.__dict__["factors"] = (pm, with_entries(bm, {(p, p + 1): bm.entries[p][p + 1] + 1}))
+
+
 # corruptions of the factor pair beyond bumped_factor, each on the inputs
 # with p >= 1: the null graph has no twin, so its B is the 1 x 1 lower block
 INERTIA_CORRUPTIONS = {
     "non_unimodular_factor": non_unimodular_factor,
     "off_diagonal_block": off_diagonal_block,
     "negated_lower_block": negated_lower_block,
+    "asymmetric_lower_block": asymmetric_lower_block,
 }
 
 

@@ -2,9 +2,10 @@
 
 import sys
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -191,6 +192,42 @@ class TestChromaticNumber:
         assert least_coloring(canonicalize(0, []), 1) == SignedColoring(1, ())
         with pytest.raises(InvalidParamsError):
             least_coloring(canonicalize(0, []), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_graphs(min_p=0, max_p=7))
+    @example(canonicalize(0, []))
+    @example(canonicalize(1, []))
+    def test_least_coloring_is_the_least_at_every_n(self, g):
+        chi = chromatic_number(g)[0]
+        for n in range(1, chi + 3):
+            least = oracles.least_proper_coloring(g, n)
+            assert (least is None) == (n < chi)
+            assert least_coloring(g, n) == least
+
+    @pytest.mark.parametrize("level, n, smallest", [(4, 3, 687), (5, 4, 388_238)])
+    def test_least_coloring_refutation_node_counts(self, level, n, smallest):
+        g = tower(level)[level - 1]
+        assert least_coloring(g, n, node_budget=smallest) is None
+        with pytest.raises(BudgetExhaustedError) as exc:
+            least_coloring(g, n, node_budget=smallest - 1)
+        assert exc.value.lower_bound == n
+        assert exc.value.nodes == smallest - 1
+
+    def test_static_search_memory_does_not_grow_with_its_nodes(self):
+        # least_coloring never pops the saturation heap, so only the sweep
+        # keeps it from growing by one entry per saturation change: without
+        # it the 40,000-node run peaks about 150 KB above the 5,000-node one
+        g = tower(5)[4]
+
+        def peak(budget):
+            tracemalloc.start()
+            with pytest.raises(BudgetExhaustedError):
+                least_coloring(g, 4, node_budget=budget)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        assert peak(40_000) < peak(5_000) + 16_384
 
     def test_long_path_needs_no_recursion(self):
         p = 5000
