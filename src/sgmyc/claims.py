@@ -11,14 +11,17 @@ eliminates each matrix once.  The other modules are called through
 their module attributes, so a wrapper installed on a module's function
 sees the calls made here too.
 
-The matrix claims check certificates instead of eliminating the
-(2p+1) x (2p+1) matrices of the Mycielskian.  inertia-additivity checks
-exactly that A_M = P B P^T, that P is lower triangular with +-1 on its
-diagonal, so det P = +-1, and that B is the block sum of A and
-D (-N) D, with N the negative join and D = diag(I, -1).  Sylvester's law
-of inertia then gives inertia(A_M) = inertia(A) + inertia(D (-N) D), and
-rank N equals the rank of that lower block, with no elimination of A_M
-or N.  laplacian-balance offers the balance certificate's switching as
+The matrix claims compare a block formula built from G (sgmyc.matrices)
+with the matrix of the Mycielskian the Context constructs, whose
+adjacency, degree and Laplacian matrices are the generic builders
+applied to it.  They check certificates instead of eliminating those
+(2p+1) x (2p+1) matrices.  inertia-additivity checks exactly that
+A_M = P B P^T, that P is lower triangular with +-1 on its diagonal, so
+det P = +-1, and that B is the block sum of A and the negative join of
+the negated input.  Sylvester's law of inertia then gives inertia(A_M) =
+inertia(A) + inertia(lower block), with no elimination of A_M.
+incidence-laplacian checks H H^T = L, H_M H_M^T = L_M and D_M - A_M =
+L_M.  laplacian-balance offers the balance certificate's switching as
 a kernel vector of L and the all-ones vector as one of the Schur
 complement S; exactla.is_singular checks the vector, or a determinant
 mod a prime, and eliminates exactly only when neither settles it.
@@ -58,11 +61,11 @@ class Context:
 
     @cached_property
     def adjacency_myc(self) -> exactla.IntMatrix:
-        return matrices.adjacency_mycielskian(self.g)
+        return matrices.adjacency(self.myc[0])
 
     @cached_property
     def laplacian_myc(self) -> exactla.IntMatrix:
-        return matrices.laplacian_mycielskian(self.g)
+        return matrices.laplacian(self.myc[0])
 
     @cached_property
     def schur_myc(self) -> matrices.TwinSchur:
@@ -73,17 +76,20 @@ class Context:
         return matrices.congruence_factors(self.g)
 
     @cached_property
-    def inertias(self) -> tuple[exactla.Inertia, exactla.Inertia, exactla.Inertia]:
-        """Inertias of A_M, of A and of the lower diagonal block of B.
+    def lower_block(self) -> exactla.IntMatrix:
+        """B's lower diagonal block: the negative join of the negated input."""
+        return matrices.negative_join(balance.negate(self.g))
 
-        The first is the sum of the other two, by Sylvester's law of inertia
-        once inertia-additivity has checked that A_M = P B P^T with det P =
-        +-1 and B block diagonal; A_M itself is never eliminated.
+    @cached_property
+    def inertias(self) -> tuple[exactla.Inertia, exactla.Inertia, exactla.Inertia]:
+        """Inertias of A_M, of A and of B's lower diagonal block.
+
+        The first is the sum of the other two, by Sylvester's law of inertia,
+        as inertia-additivity checks that A_M = P B P^T with det P = +-1 and
+        B the block sum of A and lower_block.  Neither A_M nor B is built or
+        eliminated here.
         """
-        p = self.g.p
-        _, bm = self.factors
-        lower = exactla.IntMatrix.from_rows([row[p:] for row in bm.entries[p:]])
-        in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(lower)
+        in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(self.lower_block)
         return in_a + in_lower, in_a, in_lower
 
 
@@ -156,24 +162,20 @@ def _sandwich(ctx: Context) -> tuple[str, str]:
 
 
 def _inertia(ctx: Context) -> tuple[str, str]:
-    g, p = ctx.g, ctx.g.p
+    p = ctx.g.p
     pm, bm = ctx.factors
     # P is lower triangular with +-1 on its diagonal, so det P = +-1 and,
     # by Sylvester's law of inertia, A_M = P B P^T has the inertia of B
     ok = pm.is_square() and all(row[i] in (1, -1) and not any(row[i + 1 :]) for i, row in enumerate(pm.entries))
     ok = ok and exactla.multiply(exactla.multiply(pm, bm), exactla.transpose(pm)) == ctx.adjacency_myc
-    # B is the block sum of A and D (-N) D, with N the negative join and
-    # D = diag(I, -1): the lower block shares its rank, not its signature, with N
+    # B is the block sum of A and the negative join of the negated input,
+    # which shares its rank, not its signature, with the negative join of G
     top, bottom = bm.entries[:p], bm.entries[p:]
-    d = (1,) * p + (-1,)
-    neg_join = matrices.negative_join(g).entries
-    lower = tuple(tuple(-di * dj * x for dj, x in zip(d, row)) for di, row in zip(d, neg_join))
     ok = ok and not any(any(row[p:]) for row in top) and not any(any(row[:p]) for row in bottom)
     ok = ok and tuple(row[:p] for row in top) == ctx.adjacency.entries
-    ok = ok and tuple(row[p:] for row in bottom) == lower
+    ok = ok and tuple(row[p:] for row in bottom) == ctx.lower_block.entries
     if not ok:
-        # the inertias are read only from checked factors: an unchecked
-        # lower block need not even be symmetric
+        # the block inertias add up to inertia(A_M) only for checked factors
         return ("fail", "A_M is not P B P^T with det P = +-1 and B the block sum")
     in_am, in_a, in_lower = ctx.inertias
 
@@ -188,7 +190,7 @@ def _incidence(ctx: Context) -> tuple[str, str]:
     ok = exactla.gram(matrices.incidence(g)) == ctx.laplacian
     lm = ctx.laplacian_myc
     ok = ok and exactla.gram(matrices.incidence_mycielskian(g)) == lm
-    dm = matrices.degree_matrix_mycielskian(g)
+    dm = matrices.degree_matrix(ctx.myc[0])
     ok = ok and exactla.subtract(dm, ctx.adjacency_myc) == lm
     return _verdict(ok, "H H^T and the block Laplacian agree")
 

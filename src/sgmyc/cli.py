@@ -173,24 +173,19 @@ _MATRIX_KINDS = ("adjacency", "incidence", "laplacian", "degree", "negjoin")
 
 
 def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.IntMatrix:
-    if of == "input":
-        builders = {
-            "adjacency": matrices.adjacency,
-            "incidence": matrices.incidence,
-            "laplacian": matrices.laplacian,
-            "degree": matrices.degree_matrix,
-            "negjoin": matrices.negative_join,
-        }
-        return builders[kind](g)
+    # looked up per call, so a wrapper installed on a matrices function sees it
     builders = {
-        "adjacency": matrices.adjacency_mycielskian,
-        "incidence": matrices.incidence_mycielskian,
-        "laplacian": matrices.laplacian_mycielskian,
-        "degree": matrices.degree_matrix_mycielskian,
+        "adjacency": matrices.adjacency,
+        "incidence": matrices.incidence,
+        "laplacian": matrices.laplacian,
+        "degree": matrices.degree_matrix,
+        "negjoin": matrices.negative_join,
     }
-    if kind == "negjoin":
-        gm, _ = mycielskian(g)
-        return matrices.negative_join(gm)
+    if of == "mycielskian":
+        if kind == "incidence":
+            # the blocked column order, not the canonical edge order of M
+            return matrices.incidence_mycielskian(g)
+        g, _ = mycielskian(g)
     return builders[kind](g)
 
 
@@ -210,10 +205,8 @@ def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     if args.of == "input":
         ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
-        # A_M = P diag(A, lower block) P^T with P invertible: the inertias add,
-        # and the lower block is the negative join of the negated input
-        lower = matrices.negative_join(balance_mod.negate(g))
-        ine = exactla.inertia(matrices.adjacency(g)) + exactla.inertia(lower)
+        # A_M = P diag(A, lower block) P^T with P invertible: the inertias add
+        ine = claims.Context(g).inertias[0]
     else:
         ine = exactla.inertia(matrices.negative_join(g))
     payload = {

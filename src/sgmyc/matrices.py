@@ -1,12 +1,14 @@
 """Signed matrices: adjacency, incidence, Laplacian, and the Mycielskian blocks.
 
-All constructors return exact integer matrices over the fixed vertex
-labeling (originals 1..p, twins p+1..2p, root 2p+1), so the block forms
-line up entry for entry with the matrices of the constructed graphs.
-Each builder fills its integer rows in one pass over the edge list of
-the input and writes out its own block formula: none is derived from
-another builder or from the constructed Mycielskian, so the audit and
-the tests compare independent constructions.
+All constructors return exact integer matrices, each filled in one pass
+over the edge list of its input.  The adjacency, degree and Laplacian of
+the Mycielskian M are those of the graph mycielskian.mycielskian builds.
+The block formulas the paper proves take G itself, over the fixed
+labeling (originals 1..p, twins p+1..2p, root 2p+1): the factor pair
+(P, B) of A_M, the blocked incidence H_M and the twin-block Schur
+complement of L_M.  None is derived from another builder or from the
+constructed Mycielskian, so the audit compares each with the matrix of
+the graph it builds.
 
 The adjacency of the Mycielskian has the block shape
 
@@ -23,9 +25,9 @@ law of inertia makes rank and signature additive across the two diagonal
 blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
-inertia is therefore computed from the two blocks, A and the negative
-join of the negated input, each about half the size of A_M; the tests
-compare it with an elimination of the full matrix.
+inertia is therefore computed from the two blocks, A and
+negative_join(balance.negate(G)), each about half the size of A_M; the
+tests compare it with an elimination of the full matrix.
 
 The twins of the Mycielskian are pairwise non-adjacent, so in
 
@@ -81,25 +83,6 @@ def degree_matrix(g: SignedGraph) -> IntMatrix:
         d[u - 1][u - 1] += 1
         d[v - 1][v - 1] += 1
     return IntMatrix.from_rows(d)
-
-
-def adjacency_mycielskian(g: SignedGraph) -> IntMatrix:
-    """Block form of the Mycielskian adjacency over the fixed labeling.
-
-    [ A  A  0 ]
-    [ A  0  j ]
-    [ 0  j' 0 ]
-    """
-    p = g.p
-    a = _square(2 * p + 1)
-    for u, v, s in g.edges:
-        u, v = u - 1, v - 1
-        a[u][v] = a[v][u] = s
-        a[u][p + v] = a[p + v][u] = s
-        a[v][p + u] = a[p + u][v] = s
-    for t in range(p, 2 * p):
-        a[t][2 * p] = a[2 * p][t] = 1
-    return IntMatrix.from_rows(a)
 
 
 def negative_join(g: SignedGraph) -> IntMatrix:
@@ -189,46 +172,6 @@ def laplacian(g: SignedGraph) -> IntMatrix:
         lap[u - 1][u - 1] += 1
         lap[v - 1][v - 1] += 1
         lap[u - 1][v - 1] = lap[v - 1][u - 1] = -s
-    return IntMatrix.from_rows(lap)
-
-
-def degree_matrix_mycielskian(g: SignedGraph) -> IntMatrix:
-    """Diagonal degree matrix of the Mycielskian: 2d(v), then d(v)+1, then p."""
-    p = g.p
-    d = _square(2 * p + 1)
-    for t in range(p, 2 * p):
-        d[t][t] = 1
-    d[2 * p][2 * p] = p
-    for u, v, _ in g.edges:
-        for x in (u - 1, v - 1):
-            d[x][x] += 2
-            d[p + x][p + x] += 1
-    return IntMatrix.from_rows(d)
-
-
-def laplacian_mycielskian(g: SignedGraph) -> IntMatrix:
-    """Block form of the Mycielskian Laplacian.
-
-    [ 2D - A   -A      0 ]
-    [  -A     D + I   -j ]
-    [   0     -j'      p ]
-
-    which must agree with degree_matrix_mycielskian - adjacency_mycielskian.
-    """
-    p = g.p
-    lap = _square(2 * p + 1)
-    for t in range(p, 2 * p):
-        lap[t][t] = 1
-        lap[t][2 * p] = lap[2 * p][t] = -1
-    lap[2 * p][2 * p] = p
-    for u, v, s in g.edges:
-        u, v = u - 1, v - 1
-        for x in (u, v):
-            lap[x][x] += 2
-            lap[p + x][p + x] += 1
-        lap[u][v] = lap[v][u] = -s
-        lap[u][p + v] = lap[p + v][u] = -s
-        lap[v][p + u] = lap[p + u][v] = -s
     return IntMatrix.from_rows(lap)
 
 

@@ -17,7 +17,6 @@ import pytest
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
 from sgmyc import claims, coloring, core, matrices, mycielskian
 from sgmyc.exactla import IntMatrix, multiply, transpose
-from sgmyc.matrices import adjacency_mycielskian
 
 # small and degenerate inputs on which every corruption must show
 FAULT_GRAPHS = {
@@ -122,8 +121,8 @@ def negated_lower_block(ctx, monkeypatch):
 
 
 def asymmetric_lower_block(ctx, monkeypatch):
-    # twin 1 meets the next twin, or the root, in one direction only; an
-    # elimination of this lower block raises NotSymmetricError
+    # twin 1 meets the next twin, or the root, in one direction only, so B
+    # is not symmetric and its lower block is not the negative join of -G
     p = ctx.g.p
     pm, bm = ctx.factors
     ctx.__dict__["factors"] = (pm, with_entries(bm, {(p, p + 1): bm.entries[p][p + 1] + 1}))
@@ -198,7 +197,7 @@ def test_each_block_check_rejects_another_factorization_of_a_m(g, block):
     pm, bm = ctx.factors
     pm2, bm2 = congruent_pair(pm, bm, *RESHAPING_PIVOTS[block](g.p))
     assert bm2 != bm
-    assert multiply(multiply(pm2, bm2), transpose(pm2)) == adjacency_mycielskian(g)
+    assert multiply(multiply(pm2, bm2), transpose(pm2)) == ctx.adjacency_myc
     ctx.__dict__["factors"] = (pm2, bm2)
     assert status(ctx, "inertia-additivity") == "fail"
 
@@ -211,6 +210,27 @@ def test_non_unimodular_factor_keeps_the_product_without_edges(monkeypatch, grap
     pm, bm = ctx.factors
     assert multiply(multiply(pm, bm), transpose(pm)) == ctx.adjacency_myc
     assert status(ctx, "inertia-additivity") == "fail"
+
+
+def flipped_cross_edge(ctx):
+    """Write into ctx.myc the Mycielskian with its first cross edge v_u u_v negated."""
+    gm, lab = ctx.myc
+    p = ctx.g.p
+    k = next(i for i, (u, v, _) in enumerate(gm.edges) if u <= p < v <= 2 * p)
+    edges = [(u, v, -s if i == k else s) for i, (u, v, s) in enumerate(gm.edges)]
+    ctx.__dict__["myc"] = (core.canonicalize(gm.p, edges), lab)
+
+
+@pytest.mark.parametrize("graph", sorted(name for name, g in FAULT_GRAPHS.items() if g.q > 0))
+@pytest.mark.parametrize("name", ["inertia-additivity", "incidence-laplacian"])
+def test_matrix_claims_read_the_constructed_mycielskian(name, graph):
+    # each block formula is built from G, so only the comparison with the
+    # matrices of the constructed graph can catch a wrong construction
+    g = FAULT_GRAPHS[graph]
+    assert status(claims.Context(g), name) == "pass"
+    ctx = claims.Context(g)
+    flipped_cross_edge(ctx)
+    assert status(ctx, name) == "fail"
 
 
 @pytest.mark.parametrize("g", [K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG], ids=["K2+", "square1", "square2"])

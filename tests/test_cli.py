@@ -26,14 +26,15 @@ from conftest import (
     write_graph,
 )
 from strategies import signed_graphs
-from sgmyc import cli, matrices
+from sgmyc import cli, matrices, mycielskian
 from sgmyc.cli import main
 from sgmyc.core import canonicalize, dumps, generate, loads
 from sgmyc.exactla import inertia
-from sgmyc.matrices import adjacency_mycielskian, laplacian_mycielskian
 from sgmyc.mycielskian import tower
 
 PINNED = pathlib.Path(__file__).parent / "audit_pinned"
+# stdout of `matrix --kind K --of mycielskian`, text on SQUARE_ONE_NEG and --json on the null graph
+MATRIX_PINNED = pathlib.Path(__file__).parent / "matrix_pinned"
 
 # audit inputs whose text and --json reports are frozen in PINNED, with extra flags
 PINNED_AUDITS = {
@@ -294,6 +295,17 @@ class TestMatrix:
         assert code == 0
         assert (report["rows"], report["cols"]) == (9, 16)
 
+    @pytest.mark.parametrize("kind", cli._MATRIX_KINDS)
+    @pytest.mark.parametrize(
+        "name, g, flags", [("square_one_neg", SQUARE_ONE_NEG, []), ("null", canonicalize(0, []), ["--json"])]
+    )
+    def test_pinned_mycielskian_bytes(self, tmp_path, capsys, kind, name, g, flags):
+        path = write_graph(tmp_path, g)
+        code, out, err = run(capsys, "matrix", "--kind", kind, "--of", "mycielskian", *flags, path)
+        assert (code, err) == (0, "")
+        suffix = "json" if flags else "txt"
+        assert out == (MATRIX_PINNED / f"{name}.{kind}.{suffix}").read_text()
+
     def test_negjoin_of_mycielskian(self, tmp_path, capsys):
         path = write_graph(tmp_path, K2_POS)
         code, out, _ = run(
@@ -320,13 +332,25 @@ class TestInertia:
         assert (report["n_plus"], report["n_minus"], report["n_zero"]) == (3, 2, 0)
         assert report["rank"] == 5
 
+    def test_mycielskian_builds_neither_the_mycielskian_nor_its_factors(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inertia --of mycielskian built a matrix of the order of A_M")
+
+        monkeypatch.setattr(mycielskian, "mycielskian", refuse)
+        monkeypatch.setattr(cli, "mycielskian", refuse)
+        monkeypatch.setattr(matrices, "congruence_factors", refuse)
+        path = write_graph(tmp_path, SQUARE_ONE_NEG)
+        code, out, _ = run(capsys, "inertia", "--of", "mycielskian", path)
+        assert code == 0
+        assert out == "rank 9 n_plus 5 n_minus 4 n_zero 0\n"
+
     @settings(max_examples=40, deadline=None)
     @given(signed_graphs(max_p=8))
     @example(canonicalize(0, []))
     @example(canonicalize(1, []))
     @example(canonicalize(6, []))
     def test_mycielskian_block_path_matches_full_matrix(self, g):
-        want = inertia(adjacency_mycielskian(g))
+        want = inertia(matrices.adjacency(mycielskian.mycielskian(g)[0]))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.txt")
             with open(path, "w") as fh:
@@ -367,10 +391,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_failing_claim_exits_one(self, tmp_path, capsys, monkeypatch, flag):
-        def bumped(g):
-            return bump_corner(laplacian_mycielskian(g))
-
-        monkeypatch.setattr(matrices, "laplacian_mycielskian", bumped)
+        exact = matrices.incidence_mycielskian
+        monkeypatch.setattr(matrices, "incidence_mycielskian", lambda g: bump_corner(exact(g)))
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, out, _ = run(capsys, "audit", *flag, path)
         assert code == 1
