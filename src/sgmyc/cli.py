@@ -12,9 +12,12 @@ Subcommands:
 
 Every subcommand accepts --json for a machine readable report: the
 command name, the input digest (sha256 of the input bytes as read, or of
-the edge list generate makes), then the payload.  Each cmd_* returns
-(exit code, payload, text); only _run reads the input and writes stdout.
-Identical input and flags produce byte-identical output.
+the edge list generate makes), then the payload.  The report's bytes are
+json.dumps(report, indent=2) plus a newline: ASCII-escaped, with keys in
+the order they were emitted.  _json writes that layout; the stdlib's own
+indent encoder is pure Python.  Each cmd_* returns (exit code, payload,
+text); only _run reads the input and writes stdout.  Identical input and
+flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed audit claim, 2 malformed input or out
 of memory, 3 violated precondition, 4 exhausted search budget.  The
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import chain
 
 from . import balance as balance_mod
 from . import claims, coloring, core, exactla, matrices
@@ -57,6 +61,39 @@ def _read_input(path: str) -> tuple[core.SignedGraph, str]:
     return core.loads(text), _digest(data)
 
 
+def _json(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists and tuples.
+
+    A list of ints is one join, and a list of non-empty int rows of one
+    length is one row template per row, both at C speed; anything else
+    recurses, down to json.dumps of a scalar, an empty container or a key.
+    Items are tested by their exact type, so a bool never prints as an int.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON report keys must be str")
+        body = sep.join(json.dumps(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    types = set(map(type, obj))
+    if types == {int}:
+        body = sep.join(map(str, obj))
+    elif (
+        types <= {list, tuple}
+        and len(set(map(len, obj))) == 1
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        row_sep = ",\n" + inner + "  "
+        template = "[" + row_sep[1:] + row_sep.join(["%d"] * len(obj[0])) + "\n" + inner + "]"
+        body = sep.join(map(template.__mod__, map(tuple, obj)))
+    else:
+        body = sep.join(_json(x, inner) for x in obj)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -78,7 +115,7 @@ def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     }
     human = [
         f"vertices: {g.p}",
-        f"edges: {g.q} ({g.positive_count} positive, {g.negative_count} negative)",
+        f"edges: {g.q} ({payload['positive_edges']} positive, {payload['negative_edges']} negative)",
         f"connected: {'yes' if payload['connected'] else 'no'}",
         f"triangle-free: {'yes' if payload['triangle_free'] else 'no'}",
         "vertex degree d+ d- net",
@@ -121,7 +158,7 @@ def cmd_mycielskian(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     sidecar = lab.to_json_dict()
     if args.output:
         _write(args.output, text)
-        _write(args.output + ".labeling.json", json.dumps(sidecar, indent=2) + "\n")
+        _write(args.output + ".labeling.json", _json(sidecar) + "\n")
     payload = {
         "balanced_variant": bool(args.balanced),
         "vertices": out_graph.p,
@@ -314,7 +351,7 @@ def _run(args) -> int:
     if args.json:
         # generate reads no input; its digest is that of the edge list it made
         report = dict(command=args.command, input_digest=digest or _digest(text.encode("utf-8")), **payload)
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
     elif not getattr(args, "output", None):
         sys.stdout.write(text)
     return code

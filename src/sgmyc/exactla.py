@@ -155,15 +155,6 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out), b.cols)
 
 
-def subtract(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatchError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return IntMatrix(
-        tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
-        a.cols,
-    )
-
-
 def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
     """Clear column c below row r against the pivot m[r][c]; returns the pivot.
 

@@ -22,7 +22,8 @@ the root deletion behind the chromatic tests, are the package's former
 public functions, kept unchanged for the tests that use them.  So are
 rank and resume_rank, the two drivers of the package's Bareiss kernel
 that `sgmyc audit` no longer calls: the tests of that kernel, the exact
-fallback of exactla.is_singular, run through them.
+fallback of exactla.is_singular, run through them.  So is subtract,
+the entrywise difference behind the test that L = D - A.
 """
 
 from itertools import product
@@ -42,6 +43,7 @@ from sgmyc import exactla
 from sgmyc.errors import (
     BudgetExhaustedError,
     ConsistencyError,
+    DimensionMismatchError,
     InvalidParamsError,
     LengthMismatchError,
     NotACycleError,
@@ -490,3 +492,12 @@ def resume_rank(state: exactla.IntMatrix, prev: int) -> int:
     if not prev:
         raise InvalidParamsError("resume_rank needs a nonzero pivot")
     return exactla._row_echelon([list(row) for row in state.entries], state.cols, prev)[0]
+
+
+def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatchError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    return exactla.IntMatrix(
+        tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
+        a.cols,
+    )

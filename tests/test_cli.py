@@ -556,6 +556,106 @@ class TestDigest:
         assert report["input_digest"] == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
+# every --json report and sidecar: the layout is json.dumps(report, indent=2)
+JSON_GRAPHS = {"square_one_neg": SQUARE_ONE_NEG, "square_two_neg": SQUARE_TWO_NEG, "null": canonicalize(0, [])}
+JSON_COMMANDS = [
+    ["info"],
+    ["balance"],
+    ["mycielskian"],
+    ["mycielskian", "--balanced"],
+    ["chromatic", "--certificate"],
+    ["chromatic", "--budget", "0"],
+    *(["matrix", "--kind", kind, "--of", of] for kind in cli._MATRIX_KINDS for of in ("input", "mycielskian")),
+    *(["inertia", "--of", of] for of in ("input", "mycielskian", "negjoin")),
+    ["audit"],
+]
+# the balanced variant of an unbalanced input exits 3 with no report
+JSON_CASES = [
+    pytest.param(argv, name, id=f"{' '.join(argv)}-{name}")
+    for argv in JSON_COMMANDS
+    for name in JSON_GRAPHS
+    if (argv, name) != (["mycielskian", "--balanced"], "square_one_neg")
+]
+
+
+def stdlib_layout(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, name", JSON_CASES)
+def test_json_report_is_the_stdlib_layout(tmp_path, capsys, argv, name):
+    code, out, _ = run(capsys, *argv, "--json", write_graph(tmp_path, JSON_GRAPHS[name]))
+    exhausted = argv == ["chromatic", "--budget", "0"] and name == "square_one_neg"
+    assert code == (4 if exhausted else 0)
+    assert out == stdlib_layout(out)
+
+
+def test_generate_json_report_is_the_stdlib_layout(capsys):
+    code, out, _ = run(capsys, "generate", "random", "--order", "7", "--seed", "3", "--json")
+    assert code == 0
+    assert out == stdlib_layout(out)
+
+
+@pytest.mark.parametrize("name", ["square_two_neg", "null"])
+@pytest.mark.parametrize("flags", [[], ["--balanced"]], ids=["plain", "balanced"])
+def test_labeling_sidecar_is_the_stdlib_layout(tmp_path, capsys, name, flags):
+    target = tmp_path / "m.txt"
+    path = write_graph(tmp_path, JSON_GRAPHS[name])
+    code, out, _ = run(capsys, "mycielskian", *flags, "--json", "-o", str(target), path)
+    sidecar = (tmp_path / "m.txt.labeling.json").read_text()
+    assert code == 0
+    assert sidecar == json.dumps(json.loads(out)["labeling"], indent=2) + "\n"
+
+
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+def rows_of_one_length(item):
+    """Lists of rows, each a list or a tuple, all of one length, zero included."""
+    return st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(item, min_size=n, max_size=n) | st.tuples(*[item] * n), max_size=5)
+    )
+
+
+JSON_VALUES = st.recursive(
+    INTS
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | rows_of_one_length(INTS)
+    | rows_of_one_length(INTS | st.booleans())
+    | st.lists(st.lists(INTS, max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example({"é \"q\"\n\x00\u2028": [[1, True], [], [2**70, -3], [[[1, 2], [3, 4]]], [None, "\x1f"]], "": {}})
+@example([(1, 2, -1), (1, 3, 1)])
+@example([[1, 2], [3, False]])
+@example([[], []])
+def test_json_writer_is_the_stdlib_indent_encoder(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_keys_that_are_not_str():
+    with pytest.raises(TypeError):
+        cli._json({"rows": {1: [2]}})
+
+
+def test_no_json_call_in_the_package_passes_indent():
+    # the indented layout has one writer, cli._json: the stdlib's indent
+    # encoder is pure Python, while its compact encoder is C
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps"):
+                assert not {k.arg for k in node.keywords} & {"indent", None}, f"{path.name}:{node.lineno}"
+
+
 def test_commands_leave_reading_and_printing_to_run():
     # each cmd_* maps arguments and a graph to its report; the input is read
     # and stdout written in one place only

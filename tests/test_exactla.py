@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import rank, resume_rank
+from oracles import rank, resume_rank, subtract
 from sgmyc import exactla
 from sgmyc.exactla import (
     PRIME,
@@ -20,7 +20,6 @@ from sgmyc.exactla import (
     inertia,
     is_singular,
     multiply,
-    subtract,
     transpose,
 )
 from sgmyc.errors import DimensionMismatchError, InvalidParamsError, NotSymmetricError

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
-from oracles import rank, resume_rank
+from oracles import rank, resume_rank, subtract
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, generate, is_all_positive
@@ -20,7 +20,6 @@ from sgmyc.exactla import (
     determinant,
     inertia,
     multiply,
-    subtract,
     transpose,
 )
 from sgmyc.matrices import (
