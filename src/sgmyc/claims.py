@@ -23,9 +23,10 @@ inertia(A) + inertia(lower block), with no elimination of A_M.
 incidence-laplacian checks H H^T = L and H_M H_M^T = L_M, the blocked
 incidence against the Laplacian of the constructed graph.
 laplacian-balance offers the balance certificate's switching as
-a kernel vector of L and the all-ones vector as one of the Schur
-complement S; exactla.is_singular checks the vector, or a determinant
-mod a prime, and eliminates exactly only when neither settles it.
+a kernel vector of L and the all-ones vector as one of the scaled Schur
+complement c S; exactla.is_singular checks the vector, or a determinant
+mod a prime, and takes the exact determinant only when neither settles
+it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class Context:
         return matrices.laplacian(self.myc[0])
 
     @cached_property
-    def schur_myc(self) -> matrices.TwinSchur:
+    def schur_myc(self) -> exactla.IntMatrix:
         return matrices.laplacian_mycielskian_schur(self.g)
 
     @cached_property
@@ -204,8 +205,7 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
     ok = singular == ctx.cert.balanced
     # L_M is singular iff S is, the twin block eliminated first being
     # invertible; and L_M 1 = 0, whenever it holds, gives S 1 = 0
-    schur = ctx.schur_myc
-    singular_m = exactla.is_singular(schur.scaled, (1,) * (g.p + 1), schur.det_c)
+    singular_m = exactla.is_singular(ctx.schur_myc, (1,) * (g.p + 1))
     ok = ok and singular_m == core.is_all_positive(g)
     return _verdict(ok, f"Laplacian singular: {singular}")
 

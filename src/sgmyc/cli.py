@@ -27,6 +27,7 @@ environment variable SG_SEED overrides the generator seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -270,7 +271,9 @@ def cmd_audit(args, g: core.SignedGraph) -> tuple[int, dict, str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="sgmyc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_common(sub.add_parser("info", help="graph summary"))
     p.add_argument("file")
-    p.set_defaults(func=cmd_info)
 
     p = with_common(sub.add_parser("generate", help="generate a signed graph"))
     p.add_argument("kind", choices=("path", "cycle", "complete", "random"))
@@ -291,39 +293,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-prob", type=float, dest="neg_prob")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_generate)
 
     p = with_common(sub.add_parser("mycielskian", help="Mycielskian of the input"))
     p.add_argument("file")
     p.add_argument("--balanced", action="store_true", help="balanced variant, input must be balanced")
     p.add_argument("-o", "--output", help="write edge list here plus a .labeling.json sidecar")
-    p.set_defaults(func=cmd_mycielskian)
 
     p = with_common(sub.add_parser("balance", help="balance certificate"))
     p.add_argument("file")
-    p.set_defaults(func=cmd_balance)
 
     p = with_common(sub.add_parser("chromatic", help="exact signed chromatic number"))
     p.add_argument("file")
     p.add_argument("--certificate", action="store_true", help="include a witness coloring")
     p.add_argument("--budget", type=int, help="node budget for the search")
-    p.set_defaults(func=cmd_chromatic)
 
     p = with_common(sub.add_parser("matrix", help="exact matrices"))
     p.add_argument("file")
     p.add_argument("--kind", choices=_MATRIX_KINDS, default="adjacency")
     p.add_argument("--of", choices=("input", "mycielskian"), default="input")
-    p.set_defaults(func=cmd_matrix)
 
     p = with_common(sub.add_parser("inertia", help="rank and signature of an adjacency"))
     p.add_argument("file")
     p.add_argument("--of", choices=("input", "mycielskian", "negjoin"), default="input")
-    p.set_defaults(func=cmd_inertia)
 
     p = with_common(sub.add_parser("audit", help="re-verify structural claims on the input"))
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=2_000_000, help="node budget for chromatic checks")
-    p.set_defaults(func=cmd_audit)
 
     return parser
 
@@ -347,7 +342,11 @@ def _fold_pattern_value(argv: list[str]) -> list[str]:
 
 def _run(args) -> int:
     g, digest = (None, None) if args.command == "generate" else _read_input(args.file)
-    code, payload, text = args.func(args, g)
+    # looked up per call, not bound into the cached parser, so a wrapper
+    # installed on a cmd_* function is the one that runs
+    commands = {"info": cmd_info, "generate": cmd_generate, "mycielskian": cmd_mycielskian, "balance": cmd_balance,
+                "chromatic": cmd_chromatic, "matrix": cmd_matrix, "inertia": cmd_inertia, "audit": cmd_audit}
+    code, payload, text = commands[args.command](args, g)
     if args.json:
         # generate reads no input; its digest is that of the edge list it made
         report = dict(command=args.command, input_digest=digest or _digest(text.encode("utf-8")), **payload)
@@ -358,8 +357,7 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_fold_pattern_value(sys.argv[1:] if argv is None else list(argv)))
+    args = build_parser().parse_args(_fold_pattern_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _run(args)
     except PreconditionError as exc:

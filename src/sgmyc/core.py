@@ -184,11 +184,12 @@ def is_connected(g: SignedGraph) -> bool:
 
 
 def is_triangle_free(g: SignedGraph) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.p + 1)}
+    # bit w of adj[v] is set when w is a neighbour of v
+    adj = [0] * (g.p + 1)
     for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return all(adj[u].isdisjoint(adj[v]) for u, v, _ in g.edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return not any(adj[u] & adj[v] for u, v, _ in g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ One fraction-free kernel (Bareiss 1968) does every elimination.  Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
 the division is exact: every entry is a minor of the input, so growth
-stays polynomial.  The determinant and the exact fallback of
-is_singular share one row-pivoting driver.
+stays polynomial.  The determinant drives it with row pivots and stops
+at the first column with no pivot, where the determinant is 0.
 
 Inertia drives the same update with symmetric pivots, so the k-th pivot
 d_k is a leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1},
@@ -22,31 +22,16 @@ in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
-An elimination can also be resumed part way.  Write a square matrix as
-[[C, B'], [B, E]] with C a k x k block whose leading principal minors
-are nonzero, such as an invertible diagonal block.  Run on the whole
-matrix, the kernel pivots through C without a row swap, and Sylvester's
-identity says what it leaves behind: the last pivot is det(C), and
-trailing entry (i, j) is the minor of C bordered by row i and column j,
-which is det(C) * (E - B C^-1 B')[i][j].  That is det(C) * S for the
-Schur complement S.  So starting the kernel on det(C) * S with prev =
-det(C) performs exactly the divisions the full run would perform next:
-each is exact and every later entry is still a minor of the whole
-matrix.  By rank additivity over the invertible block C (Guttman 1946),
-the whole matrix has rank k + rank(S), so it is singular exactly when S
-is, and is_singular can decide that from det(C) * S without forming the
-whole matrix.
-
 is_singular tries two certificates before it eliminates anything
 exactly.  A nonzero kernel vector v with a v = 0, offered by the caller,
 proves a singular at the cost of one product.  Otherwise det(a) is taken
 mod the prime PRIME = 2^31 - 1 by Gaussian elimination over the integers
-mod PRIME; a nonzero residue proves det(a) nonzero.  For a = det(C) * S
-of order n, det(a) = det(C)^n det(S), so a nonzero residue proves S
-nonsingular with no inverse of det(C).  Only a zero residue, from a
-singular matrix or a prime that happens to divide det(a), leaves the
-question to the exact kernel, so the verdict is exact and deterministic
-for every input and every offered vector.
+mod PRIME; a nonzero residue proves det(a) nonzero.  Only a zero
+residue, from a singular matrix or a prime that happens to divide
+det(a), leaves the question to the exact determinant, so the verdict is
+exact and deterministic for every input and every offered vector.  A
+nonzero multiple c a has the same kernel, and det(c a) = c^n det(a), so
+a caller may pass any such multiple, say one that clears denominators.
 
 Products visit only the nonzero entries of their operands; gram forms
 h h^T column by column, so an incidence matrix with two nonzeros per
@@ -173,34 +158,21 @@ def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
     return piv
 
 
-def _row_echelon(m: list[list[int]], ncols: int, prev: int = 1) -> tuple[int, int, int]:
-    """Fraction-free row echelon form in place, skipping columns without a pivot.
-
-    prev is the pivot the elimination of m continues from: 1 for a fresh
-    start.  Returns the rank, the sign of the row permutation and the last
-    pivot.
-    """
-    r, sign = 0, 1
-    for c in range(ncols):
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        prev = _bareiss_step(m, r, c, prev)
-        r += 1
-    return r, sign, prev
-
-
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by fraction-free elimination with row pivots."""
     if not a.is_square():
         raise DimensionMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    r, sign, last = _row_echelon([list(row) for row in a.entries], a.cols)
-    return sign * last if r == a.rows else 0
+    m = [list(row) for row in a.entries]
+    sign = prev = 1
+    for c in range(a.rows):
+        piv = next((i for i in range(c, a.rows) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        prev = _bareiss_step(m, c, c, prev)
+    return sign * prev
 
 
 def _det_mod(a: IntMatrix) -> int:
@@ -238,25 +210,19 @@ def _det_mod(a: IntMatrix) -> int:
     return det
 
 
-def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None, prev: int = 1) -> bool:
-    """Whether the square matrix S with a = prev * S is singular, decided exactly.
+def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
+    """Whether the square matrix a is singular, decided exactly.
 
     A nonzero kernel with a * kernel = 0 proves it singular; a determinant
     that is nonzero mod PRIME proves it nonsingular.  Either way nothing
-    is eliminated exactly.  Otherwise the Bareiss kernel decides, resumed
-    from prev as in the module docstring, so a must be the trailing state
-    the kernel reaches with last pivot prev (any a with prev = 1).
+    is eliminated exactly.  Otherwise the exact determinant decides.
     """
     if not a.is_square():
         raise DimensionMismatchError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
-    if not prev:
-        raise InvalidParamsError("a resumed elimination needs a nonzero pivot")
     if kernel is not None and len(kernel) == a.cols and any(kernel):
         if not any(sum(map(mul, row, kernel)) for row in a.entries):
             return True
-    if _det_mod(a):
-        return False
-    return _row_echelon([list(row) for row in a.entries], a.cols, prev)[0] < a.rows
+    return not _det_mod(a) and determinant(a) == 0
 
 
 def gram(h: IntMatrix) -> IntMatrix:

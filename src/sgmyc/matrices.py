@@ -5,10 +5,10 @@ over the edge list of its input.  The adjacency, degree and Laplacian of
 the Mycielskian M are those of the graph mycielskian.mycielskian builds.
 The block formulas the paper proves take G itself, over the fixed
 labeling (originals 1..p, twins p+1..2p, root 2p+1): the factor pair
-(P, B) of A_M, the blocked incidence H_M and the twin-block Schur
-complement of L_M.  None is derived from another builder or from the
-constructed Mycielskian, so the audit compares each with the matrix of
-the graph it builds.
+(P, B) of A_M, the blocked incidence H_M and the scaled twin-block
+Schur complement of L_M.  None is derived from another builder or from
+the constructed Mycielskian, so the audit compares each with the matrix
+of the graph it builds.
 
 The adjacency of the Mycielskian has the block shape
 
@@ -36,15 +36,14 @@ The twins of the Mycielskian are pairwise non-adjacent, so in
           [   0     -j'      p ]
 
 the twin block C = D + I is diagonal with entries d_i + 1 >= 1, always
-invertible, and det(C) is their product.  Eliminating it first leaves
-the Schur complement S = E - B C^-1 B' on the originals and the root,
-where B holds the twin columns of those rows and E is their own block.
-So S = E - sum over twins t of b_t b_t' / (d_t + 1), and the column b_t
-of twin t is nonzero only at its neighbours in G and at the root: det(C)
-* S is an integer matrix built in O(p + sum of d_i^2) updates straight
-from the incidence lists.  It is exactly the state fraction-free elimination
-reaches on L_M after the twin block, which is why exactla.is_singular
-can finish the job from it, and rank(L_M) = p + rank(S).
+invertible.  Eliminating it first leaves the Schur complement
+S = E - B C^-1 B' on the originals and the root, where B holds the twin
+columns of those rows and E is their own block.  So S = E - sum over
+twins t of b_t b_t' / (d_t + 1), and the column b_t of twin t is nonzero
+only at its neighbours in G and at the root: c * S with c = lcm(d_i + 1)
+is an integer matrix built in O(p + sum of d_i^2) updates straight from
+the incidence lists.  By rank additivity over the invertible block C
+(Guttman 1946), rank(L_M) = p + rank(S), and c * S has the rank of S.
 
 Incidence columns fix one orientation per edge: +1 at the smaller
 endpoint u of edge (u, v, s) and -s at v, so that H H^T equals the
@@ -57,8 +56,7 @@ of those two pieces, and every column still has exactly two nonzeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
+from math import lcm
 
 from .core import SignedGraph, incident_edges
 from .exactla import IntMatrix
@@ -175,45 +173,25 @@ def laplacian(g: SignedGraph) -> IntMatrix:
     return IntMatrix.from_rows(lap)
 
 
-@dataclass(frozen=True)
-class TwinSchur:
-    """The Schur complement S of the twin block C of L_M, kept fraction-free.
+def laplacian_mycielskian_schur(g: SignedGraph) -> IntMatrix:
+    """c * S for the twin block C = D + I of the Mycielskian Laplacian.
 
-    scaled is det(C) * S, an integer matrix over the originals 1..p and
-    then the root; det_c is det(C).  rows and cols give the shape of S,
-    which bench/tracing.py reads from whatever a function here returns.
-    """
-
-    scaled: IntMatrix
-    det_c: int
-
-    @property
-    def rows(self) -> int:
-        return self.scaled.rows
-
-    @property
-    def cols(self) -> int:
-        return self.scaled.cols
-
-
-def laplacian_mycielskian_schur(g: SignedGraph) -> TwinSchur:
-    """det(C) * S for the twin block C = D + I of the Mycielskian Laplacian.
-
-    E is [[2D - A, 0], [0, p]] and b_t is -s at each neighbour of t
-    joined by sign s and -1 at the root (see the module docstring).  L_M
-    itself is never formed.
+    c = lcm(d_i + 1) clears every denominator of S; the rows and columns
+    are the originals 1..p and then the root.  E is [[2D - A, 0], [0, p]]
+    and b_t is -s at each neighbour of t joined by sign s and -1 at the
+    root (see the module docstring).  L_M itself is never formed.
     """
     p = g.p
     inc = incident_edges(g)
-    det_c = prod(len(nbrs) + 1 for nbrs in inc.values())
+    c = lcm(*(len(nbrs) + 1 for nbrs in inc.values()))
     s = [[0] * (p + 1) for _ in range(p + 1)]
     for u, v, sign in g.edges:
-        s[u - 1][v - 1] = s[v - 1][u - 1] = -sign * det_c
+        s[u - 1][v - 1] = s[v - 1][u - 1] = -sign * c
     root = s[p]
-    root[p] = p * det_c
+    root[p] = p * c
     for t, nbrs in inc.items():
-        s[t - 1][t - 1] += 2 * len(nbrs) * det_c
-        w = det_c // (len(nbrs) + 1)
+        s[t - 1][t - 1] += 2 * len(nbrs) * c
+        w = c // (len(nbrs) + 1)
         root[p] -= w
         for x, sx in nbrs:
             row = s[x - 1]
@@ -221,4 +199,4 @@ def laplacian_mycielskian_schur(g: SignedGraph) -> TwinSchur:
             root[x - 1] -= sx * w
             for y, sy in nbrs:
                 row[y - 1] -= sx * sy * w
-    return TwinSchur(IntMatrix.from_rows(s), det_c)
+    return IntMatrix.from_rows(s)

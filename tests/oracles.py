@@ -19,14 +19,13 @@ the result through canonicalize; they are the reference for the exact
 graphs and switchings the one-pass constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
-public functions, kept unchanged for the tests that use them.  So are
-rank and resume_rank, the two drivers of the package's Bareiss kernel
-that `sgmyc audit` no longer calls: the tests of that kernel, the exact
-fallback of exactla.is_singular, run through them.  So is subtract,
-the entrywise difference behind the test that L = D - A.
+public functions, kept unchanged for the tests that use them.  So is
+rank, the package's former row-echelon driver of its Bareiss step,
+which the tests of that step run through.  So is subtract, the
+entrywise difference behind the test that L = D - A.
 """
 
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from sgmyc.balance import BalanceCertificate, certify_balance, cycle_sign
@@ -247,7 +246,7 @@ def gaussian_rank(rows):
 
 
 def twin_schur_complement(lm_rows, p):
-    """(det C, S) for the twin block C of a dense Mycielskian Laplacian.
+    """S for the twin block C of a dense Mycielskian Laplacian.
 
     C is rows and columns p..2p-1, inverted by Fraction Gauss-Jordan with
     row pivoting; S = E - B C^-1 B' over the originals and then the root.
@@ -258,15 +257,12 @@ def twin_schur_complement(lm_rows, p):
     rest = list(range(p)) + [2 * p]
     c = [[Fraction(lm_rows[i][j]) for j in twins] for i in twins]
     inv = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
-    det = Fraction(1)
     for k in range(p):
         piv = next(i for i in range(k, p) if c[i][k])
         if piv != k:
             c[k], c[piv] = c[piv], c[k]
             inv[k], inv[piv] = inv[piv], inv[k]
-            det = -det
         f = c[k][k]
-        det *= f
         c[k] = [x / f for x in c[k]]
         inv[k] = [x / f for x in inv[k]]
         for i in range(p):
@@ -275,11 +271,19 @@ def twin_schur_complement(lm_rows, p):
                 c[i] = [x - h * y for x, y in zip(c[i], c[k])]
                 inv[i] = [x - h * y for x, y in zip(inv[i], inv[k])]
     b_inv = [[sum(lm_rows[i][p + a] * inv[a][t] for a in range(p)) for t in range(p)] for i in rest]
-    s = [
+    return [
         [lm_rows[i][j] - sum(x * lm_rows[p + t][j] for t, x in enumerate(b_row)) for j in rest]
         for i, b_row in zip(rest, b_inv)
     ]
-    return det, s
+
+
+def is_triangle_free(g: SignedGraph) -> bool:
+    """No three vertices pairwise adjacent, by checking every triple."""
+    edges = {(u, v) for u, v, _ in g.edges}
+    return not any(
+        (a, b) in edges and (a, c) in edges and (b, c) in edges
+        for a, b, c in combinations(range(1, g.p + 1), 3)
+    )
 
 
 def laplace_determinant(rows):
@@ -477,21 +481,20 @@ def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
 
 
 def rank(a: exactla.IntMatrix) -> int:
-    """Exact rank by fraction-free elimination."""
-    return exactla._row_echelon([list(row) for row in a.entries], a.cols)[0]
-
-
-def resume_rank(state: exactla.IntMatrix, prev: int) -> int:
-    """Rank of S, continuing a fraction-free elimination from state = prev * S.
-
-    state must be the exact trailing state the kernel reaches with last
-    pivot prev, such as det(C) * S with prev = det(C) for the Schur
-    complement S of an invertible diagonal block C (see the docstring of
-    sgmyc.exactla); any other state makes the divisions inexact.
-    """
-    if not prev:
-        raise InvalidParamsError("resume_rank needs a nonzero pivot")
-    return exactla._row_echelon([list(row) for row in state.entries], state.cols, prev)[0]
+    """Exact rank by fraction-free row echelon form, skipping columns without a pivot."""
+    m = [list(row) for row in a.entries]
+    r, prev = 0, 1
+    for c in range(a.cols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        prev = exactla._bareiss_step(m, r, c, prev)
+        r += 1
+    return r
 
 
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:

@@ -122,6 +122,12 @@ def test_documented_api_exists():
     assert documented_api() <= public_functions() | public_methods()
 
 
+def test_documented_api_has_no_caller_in_the_package():
+    # the README lists what has no caller inside the package, so a
+    # function that gains one must leave the list
+    assert not sorted(documented_api() & (used_functions() | read_methods()))
+
+
 def test_the_scan_sees_calls_through_module_attributes_and_imported_names():
     tree = ast.parse(
         "from . import core as c\n"

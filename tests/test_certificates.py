@@ -3,7 +3,7 @@
 inertia-additivity derives inertia(A_M) from the congruence it checks,
 and laplacian-balance proves a Laplacian singular by a kernel vector or
 nonsingular by a determinant mod a prime, falling back to the exact
-elimination otherwise.  These tests hold the certified answers to the
+determinant otherwise.  These tests hold the certified answers to the
 exact ones, force the fallback, feed wrong certificates, and count the
 eliminations one audit runs.
 """
@@ -39,10 +39,9 @@ def test_certified_verdicts_equal_the_exact_kernel(g):
     zeta = balance.certify_balance(g).to_all_positive
     exact = oracles.rank(lap) < g.p
     assert exactla.is_singular(lap, zeta) == exactla.is_singular(lap) == exact
-    ts = matrices.laplacian_mycielskian_schur(g)
-    ones = (1,) * (g.p + 1)
-    exact_m = oracles.resume_rank(ts.scaled, ts.det_c) < g.p + 1
-    assert exactla.is_singular(ts.scaled, ones, ts.det_c) == exactla.is_singular(ts.scaled, None, ts.det_c) == exact_m
+    scaled = matrices.laplacian_mycielskian_schur(g)
+    exact_m = oracles.rank(scaled) < g.p + 1
+    assert exactla.is_singular(scaled, (1,) * (g.p + 1)) == exactla.is_singular(scaled) == exact_m
 
 
 GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "square+": SQUARE_POS, "C5+": CYCLE5_POS}
@@ -51,19 +50,19 @@ GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_a_zero_modular_determinant_falls_back_to_the_exact_kernel(monkeypatch, name):
     g = GRAPHS[name]
-    lap, ts = matrices.laplacian(g), matrices.laplacian_mycielskian_schur(g)
-    exact = (oracles.rank(lap) < g.p, oracles.resume_rank(ts.scaled, ts.det_c) < g.p + 1)
+    lap, scaled = matrices.laplacian(g), matrices.laplacian_mycielskian_schur(g)
+    exact = (oracles.rank(lap) < g.p, oracles.rank(scaled) < g.p + 1)
     runs = []
-    kernel = exactla._row_echelon
+    determinant = exactla.determinant
 
-    def recording(m, ncols, prev=1):
-        runs.append(len(m))
-        return kernel(m, ncols, prev)
+    def recording(a):
+        runs.append(a.rows)
+        return determinant(a)
 
     monkeypatch.setattr(exactla, "_det_mod", lambda a: 0)
-    monkeypatch.setattr(exactla, "_row_echelon", recording)
+    monkeypatch.setattr(exactla, "determinant", recording)
     # no kernel vector offered, so only the fallback can decide
-    got = (exactla.is_singular(lap), exactla.is_singular(ts.scaled, None, ts.det_c))
+    got = (exactla.is_singular(lap), exactla.is_singular(scaled))
     assert got == exact
     assert runs == [g.p, g.p + 1]
     assert status(claims.Context(g), "laplacian-balance") == "pass"
@@ -122,22 +121,22 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert balance.certify_balance(g).balanced == (kind != "unbalanced")
     assert core.is_all_positive(g) == (kind == "all-positive")
     orders, fallbacks, dets = [], [], []
-    inertia, kernel, det_mod = exactla.inertia, exactla._row_echelon, exactla._det_mod
+    inertia, determinant, det_mod = exactla.inertia, exactla.determinant, exactla._det_mod
 
     def counted_inertia(a):
         orders.append(a.rows)
         return inertia(a)
 
-    def counted_kernel(m, ncols, prev=1):
-        fallbacks.append(len(m))
-        return kernel(m, ncols, prev)
+    def counted_determinant(a):
+        fallbacks.append(a.rows)
+        return determinant(a)
 
     def counted_det_mod(a):
         dets.append(det_mod(a))
         return dets[-1]
 
     monkeypatch.setattr(exactla, "inertia", counted_inertia)
-    monkeypatch.setattr(exactla, "_row_echelon", counted_kernel)
+    monkeypatch.setattr(exactla, "determinant", counted_determinant)
     monkeypatch.setattr(exactla, "_det_mod", counted_det_mod)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))

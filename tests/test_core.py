@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG
 from strategies import graphs_with_switchings, signed_graphs
 from sgmyc.core import (
@@ -228,6 +229,14 @@ class TestPredicates:
     def test_triangle_free(self):
         assert is_triangle_free(SQUARE_ONE_NEG)
         assert not is_triangle_free(canonicalize(3, [(1, 2, 1), (1, 3, 1), (2, 3, -1)]))
+
+    @settings(max_examples=200)
+    @given(signed_graphs(min_p=0, max_p=8), st.data())
+    def test_triangle_free_matches_every_triple(self, g, data):
+        # at most p of the edges too, so that triangle-free graphs are common
+        few = data.draw(st.lists(st.sampled_from(g.edges), max_size=g.p, unique=True)) if g.edges else []
+        for h in (g, canonicalize(g.p, few)):
+            assert is_triangle_free(h) == oracles.is_triangle_free(h)
 
 
 class TestGenerate:

@@ -1,14 +1,14 @@
 """Exact integer matrices: arithmetic, Bareiss elimination, inertia."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import rank, resume_rank, subtract
+from oracles import rank, subtract
 from sgmyc import exactla
 from sgmyc.exactla import (
     PRIME,
@@ -223,8 +223,6 @@ class TestIsSingular:
     def test_rejects_a_bad_shape_or_pivot(self):
         with pytest.raises(DimensionMismatchError):
             is_singular(M([[1, 2]]))
-        with pytest.raises(InvalidParamsError):
-            is_singular(M([[1]]), prev=0)
 
     @settings(max_examples=200)
     @given(square_with_hint())
@@ -279,6 +277,8 @@ class TestRank:
 
 
 class TestResumeRank:
+    """The rank past an invertible diagonal block, from its scaled Schur complement."""
+
     @settings(max_examples=80)
     @given(
         st.lists(st.integers(min_value=-6, max_value=6).filter(bool), min_size=1, max_size=4),
@@ -291,26 +291,17 @@ class TestResumeRank:
         b1 = data.draw(matrices(k, n))
         b2 = data.draw(matrices(n, k))
         e = data.draw(matrices(n, n))
-        det_c = prod(diag)
-        # det(C) * S, with S = E - B2 C^-1 B1
-        w = [det_c // c for c in diag]
-        state = [
-            [det_c * e.entries[i][j] - sum(w[t] * b2.entries[i][t] * b1.entries[t][j] for t in range(k))
+        c = lcm(*diag)
+        # c * S, with S = E - B2 C^-1 B1
+        w = [c // d for d in diag]
+        scaled = [
+            [c * e.entries[i][j] - sum(w[t] * b2.entries[i][t] * b1.entries[t][j] for t in range(k))
              for j in range(n)]
             for i in range(n)
         ]
         a = [[diag[i] if i == j else 0 for j in range(k)] + list(b1.entries[i]) for i in range(k)]
         a += [list(b2.entries[i]) + list(e.entries[i]) for i in range(n)]
-        resumed = resume_rank(IntMatrix(tuple(map(tuple, state)), n), det_c)
-        assert k + resumed == oracles.gaussian_rank(a)
-
-    def test_from_a_fresh_start_is_rank(self):
-        a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        assert resume_rank(a, 1) == rank(a) == 2
-
-    def test_rejects_a_zero_pivot(self):
-        with pytest.raises(InvalidParamsError):
-            resume_rank(M([[1]]), 0)
+        assert k + rank(IntMatrix(tuple(map(tuple, scaled)), n)) == oracles.gaussian_rank(a)
 
 
 class TestInertia:
