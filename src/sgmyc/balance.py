@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import SignedGraph, SwitchingFunction, incident_edges
-from .errors import NotACycleError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,21 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
     """Product of edge signs around a simple cycle given as a vertex list.
 
     The list holds each vertex once; the closing edge from the last vertex
-    back to the first is implied.  Raises NotACycleError when the sequence
+    back to the first is implied.  Raises InputError when the sequence
     is too short, repeats a vertex, or uses a non-edge.
     """
     k = len(cycle)
     if k < 3:
-        raise NotACycleError(f"cycle needs at least 3 vertices, got {k}")
+        raise InputError(f"cycle needs at least 3 vertices, got {k}")
     if len(set(cycle)) != k:
-        raise NotACycleError("cycle repeats a vertex")
+        raise InputError("cycle repeats a vertex")
     signs = {(u, v): s for u, v, s in g.edges}
     sign = 1
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
         s = signs.get((u, v) if u < v else (v, u))
         if s is None:
-            raise NotACycleError(f"({u},{v}) is not an edge")
+            raise InputError(f"({u},{v}) is not an edge")
         sign *= s
     return sign
 

@@ -94,31 +94,18 @@ from dataclasses import dataclass
 
 from . import balance
 from .core import SignedGraph
-from .errors import (
-    BudgetExhaustedError,
-    ColorOutOfSetError,
-    ConsistencyError,
-    InvalidParamsError,
-    LengthMismatchError,
-    NotProperError,
-)
+from .errors import BudgetExhaustedError, ConsistencyError, InputError, PreconditionError
 
 
 def color_set(n: int) -> tuple[int, ...]:
     """Members of M_n in ascending order."""
-    if n < 1:
-        raise InvalidParamsError("color set needs n >= 1")
-    k = n // 2
-    values = list(range(-k, k + 1))
-    if n % 2 == 0:
-        values.remove(0)
-    return tuple(values)
+    return tuple(sorted(color_trial_order(n)))
 
 
 def color_trial_order(n: int) -> tuple[int, ...]:
     """Members of M_n in solver order: 0 when present, then 1, -1, 2, -2, ..."""
     if n < 1:
-        raise InvalidParamsError("color set needs n >= 1")
+        raise InputError("color set needs n >= 1")
     k = n // 2
     order = [0] if n % 2 == 1 else []
     for v in range(1, k + 1):
@@ -137,26 +124,26 @@ class SignedColoring:
 def is_proper(g: SignedGraph, coloring: SignedColoring) -> bool:
     """Check c(u) != s * c(v) on every edge."""
     if len(coloring.colors) != g.p:
-        raise LengthMismatchError(
+        raise InputError(
             f"coloring has {len(coloring.colors)} colors, graph has {g.p} vertices"
         )
     allowed = set(color_set(coloring.n))
     for v, c in enumerate(coloring.colors, start=1):
         if c not in allowed:
-            raise ColorOutOfSetError(f"vertex {v} has color {c}, not in M_{coloring.n}")
+            raise InputError(f"vertex {v} has color {c}, not in M_{coloring.n}")
     return all(coloring.colors[u - 1] != s * coloring.colors[v - 1] for u, v, s in g.edges)
 
 
 def deficiency(g: SignedGraph, coloring: SignedColoring) -> int:
     """How many colors of M_n a proper coloring leaves unused."""
     if not is_proper(g, coloring):
-        raise NotProperError("deficiency is defined for proper colorings only")
+        raise PreconditionError("deficiency is defined for proper colorings only")
     return coloring.n - len(set(coloring.colors))
 
 
 def _check_budget(node_budget: int | None) -> None:
     if node_budget is not None and node_budget < 0:
-        raise InvalidParamsError(f"node budget must be at least 0, got {node_budget}")
+        raise InputError(f"node budget must be at least 0, got {node_budget}")
 
 
 def _branch_graph(g: SignedGraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -319,7 +306,7 @@ def extend_coloring_to_mycielskian(g: SignedGraph, coloring: SignedColoring) -> 
     twins copy the adjusted colors, the root takes -(k+1).
     """
     if not is_proper(g, coloring):
-        raise NotProperError("only proper colorings extend")
+        raise PreconditionError("only proper colorings extend")
     n = coloring.n
     k = n // 2
     if n % 2 == 0:

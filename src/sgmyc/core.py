@@ -22,14 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    InvalidParamsError,
-    LengthMismatchError,
-    LoopEdgeError,
-    VertexOutOfRangeError,
-)
+from .errors import InputError
 
 Edge = tuple[int, int, int]
 
@@ -67,27 +60,27 @@ def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     reported first, then a loop, a bad endpoint, a bad sign, a duplicate.
     """
     if type(p) is not int:
-        raise InvalidParamsError(f"vertex count must be an int, got {p!r}")
+        raise InputError(f"vertex count must be an int, got {p!r}")
     if p < 0:
-        raise InvalidParamsError(f"vertex count must be nonnegative, got {p}")
+        raise InputError(f"vertex count must be nonnegative, got {p}")
     width = p + 1
     seen: set[int] = set()
     out: list[Edge] = []
     for e in edges:
         u, v, s = e
         if not (type(u) is type(v) is type(s) is int):
-            raise InvalidParamsError(f"edge {(u, v, s)!r} must hold three ints")
+            raise InputError(f"edge {(u, v, s)!r} must hold three ints")
         a, b = (u, v) if u < v else (v, u)
         if not (1 <= a < b <= p and (s == 1 or s == -1)):
             if u == v:
-                raise LoopEdgeError(f"loop at vertex {u}")
+                raise InputError(f"loop at vertex {u}")
             if not (1 <= u <= p) or not (1 <= v <= p):
-                raise VertexOutOfRangeError(f"edge ({u},{v}) outside 1..{p}")
-            raise InvalidParamsError(f"edge ({u},{v}) has sign {s}, expected +1 or -1")
+                raise InputError(f"edge ({u},{v}) outside 1..{p}")
+            raise InputError(f"edge ({u},{v}) has sign {s}, expected +1 or -1")
         # 1 <= a < b <= p, so a * (p + 1) + b names the pair uniquely
         key = a * width + b
         if key in seen:
-            raise DuplicateEdgeError(f"edge ({a},{b}) given twice")
+            raise InputError(f"edge ({a},{b}) given twice")
         seen.add(key)
         out.append((a, b, s))
     out.sort()
@@ -109,10 +102,10 @@ def incident_edges(g: SignedGraph) -> dict[int, list[tuple[int, int]]]:
 
 def validate_switching(g: SignedGraph, zeta: Sequence[int]) -> SwitchingFunction:
     if len(zeta) != g.p:
-        raise LengthMismatchError(f"switching has length {len(zeta)}, graph has {g.p} vertices")
+        raise InputError(f"switching has length {len(zeta)}, graph has {g.p} vertices")
     for i, z in enumerate(zeta):
-        if z not in (1, -1):
-            raise InvalidParamsError(f"switching entry for vertex {i + 1} is {z}, expected +1 or -1")
+        if type(z) is not int or z not in (1, -1):
+            raise InputError(f"switching entry for vertex {i + 1} is {z}, expected +1 or -1")
     return tuple(zeta)
 
 
@@ -198,7 +191,7 @@ def is_triangle_free(g: SignedGraph) -> bool:
 
 def _pattern_signs(pattern: str, count: int, what: str) -> list[int]:
     if len(pattern) != count:
-        raise InvalidParamsError(f"{what} needs {count} pattern signs, got {len(pattern)}")
+        raise InputError(f"{what} needs {count} pattern signs, got {len(pattern)}")
     signs = []
     for ch in pattern:
         if ch == "+":
@@ -206,7 +199,7 @@ def _pattern_signs(pattern: str, count: int, what: str) -> list[int]:
         elif ch == "-":
             signs.append(-1)
         else:
-            raise InvalidParamsError(f"pattern character {ch!r}, expected '+' or '-'")
+            raise InputError(f"pattern character {ch!r}, expected '+' or '-'")
     return signs
 
 
@@ -229,14 +222,14 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
     if kind == "path":
         p = int(take("length", 0))
         if p < 1:
-            raise InvalidParamsError("path length must be >= 1")
+            raise InputError("path length must be >= 1")
         pattern = take("pattern")
         signs = _pattern_signs(str(pattern), p - 1, "path") if pattern is not None else [1] * (p - 1)
         edges = [(i, i + 1, signs[i - 1]) for i in range(1, p)]
     elif kind == "cycle":
         p = int(take("length", 0))
         if p < 3:
-            raise InvalidParamsError("cycle length must be >= 3")
+            raise InputError("cycle length must be >= 3")
         pattern = take("pattern")
         signs = _pattern_signs(str(pattern), p, "cycle") if pattern is not None else [1] * p
         edges = [(i, i + 1, signs[i - 1]) for i in range(1, p)]
@@ -244,24 +237,24 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
     elif kind == "complete":
         n = int(take("order", 0))
         if n < 1:
-            raise InvalidParamsError("complete order must be >= 1")
+            raise InputError("complete order must be >= 1")
         edges = [(i, j, -1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         p = n
     elif kind == "random":
         p = int(take("order", 0))
         if p < 1:
-            raise InvalidParamsError("random order must be >= 1")
+            raise InputError("random order must be >= 1")
         edge_prob = float(take("edge_prob", 0.5))
         neg_prob = float(take("neg_prob", 0.5))
         if not (0.0 <= edge_prob <= 1.0 and 0.0 <= neg_prob <= 1.0):
-            raise InvalidParamsError("probabilities must lie in [0, 1]")
+            raise InputError("probabilities must lie in [0, 1]")
         if params:
-            raise InvalidParamsError(f"unknown parameters {sorted(params)}")
+            raise InputError(f"unknown parameters {sorted(params)}")
         return _random_connected(p, edge_prob, neg_prob, seed)
     else:
-        raise InvalidParamsError(f"unknown generator kind {kind!r}")
+        raise InputError(f"unknown generator kind {kind!r}")
     if params:
-        raise InvalidParamsError(f"unknown parameters {sorted(params)}")
+        raise InputError(f"unknown parameters {sorted(params)}")
     return canonicalize(p, edges)
 
 
@@ -275,7 +268,7 @@ def _random_connected(p: int, edge_prob: float, neg_prob: float, seed: int | Non
         g = canonicalize(p, [(u, v, s) for (u, v), s in zip(chosen, signs)])
         if is_connected(g):
             return g
-    raise InvalidParamsError(
+    raise InputError(
         f"could not draw a connected graph on {p} vertices with edge_prob={edge_prob}"
     )
 
@@ -301,30 +294,30 @@ def loads(text: str) -> SignedGraph:
             continue
         rows.append((lineno, line))
     if not rows:
-        raise EdgeListFormatError("empty edge list input")
+        raise InputError("empty edge list input")
     lineno, header = rows[0]
     parts = header.split()
     if len(parts) != 2:
-        raise EdgeListFormatError(f"line {lineno}: header must be 'p q'")
+        raise InputError(f"line {lineno}: header must be 'p q'")
     try:
         p, q = int(parts[0]), int(parts[1])
     except ValueError:
-        raise EdgeListFormatError(f"line {lineno}: header must hold two integers") from None
+        raise InputError(f"line {lineno}: header must hold two integers") from None
     body = rows[1:]
     if len(body) != q:
-        raise EdgeListFormatError(f"header promises {q} edges, found {len(body)}")
+        raise InputError(f"header promises {q} edges, found {len(body)}")
     triples = []
     for lineno, line in body:
         parts = line.split()
         if len(parts) != 3:
-            raise EdgeListFormatError(f"line {lineno}: edge lines must be 'u v s'")
+            raise InputError(f"line {lineno}: edge lines must be 'u v s'")
         try:
             u, v = int(parts[0]), int(parts[1])
             s = int(parts[2])
         except ValueError:
-            raise EdgeListFormatError(f"line {lineno}: edge lines must hold integers") from None
+            raise InputError(f"line {lineno}: edge lines must hold integers") from None
         if s not in (1, -1):
-            raise EdgeListFormatError(f"line {lineno}: sign must be +1 or -1, got {parts[2]}")
+            raise InputError(f"line {lineno}: sign must be +1 or -1, got {parts[2]}")
         triples.append((u, v, s))
     return canonicalize(p, triples)
 

@@ -3,7 +3,8 @@
 Entries are Python ints, never floats, so results carry no rounding
 error at any size that fits in memory.
 
-One fraction-free kernel (Bareiss 1968) does every elimination.  Its update
+One fraction-free kernel (Bareiss 1968) does every exact elimination.
+Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
 the division is exact: every entry is a minor of the input, so growth
@@ -45,7 +46,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InvalidParamsError, NotSymmetricError
+from .errors import InputError, PreconditionError
 
 # a prime below 2^31, so a product of two residues fits in 62 bits
 PRIME = 2**31 - 1
@@ -70,16 +71,16 @@ class IntMatrix:
         if self.ncols < 0:
             object.__setattr__(self, "ncols", inferred)
         elif self.entries and self.ncols != inferred:
-            raise DimensionMismatchError(f"declared {self.ncols} columns, rows have {inferred}")
+            raise InputError(f"declared {self.ncols} columns, rows have {inferred}")
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
         data = tuple(map(tuple, rows))
         if data and any(len(row) != len(data[0]) for row in data):
-            raise DimensionMismatchError("rows have unequal lengths")
+            raise InputError("rows have unequal lengths")
         bad = sorted(t.__name__ for t in set().union(*(map(type, row) for row in data)) - {int})
         if bad:
-            raise InvalidParamsError(f"matrix entries must be ints, got {', '.join(bad)}")
+            raise InputError(f"matrix entries must be ints, got {', '.join(bad)}")
         return IntMatrix(data)
 
     @property
@@ -127,7 +128,7 @@ def transpose(a: IntMatrix) -> IntMatrix:
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product that visits only the nonzero entries of a and b."""
     if a.cols != b.rows:
-        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        raise InputError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     b_nonzeros = [[(j, row[j]) for j in compress(range(b.cols), row)] for row in b.entries]
     out = []
     for row in a.entries:
@@ -161,7 +162,7 @@ def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free elimination with row pivots."""
     if not a.is_square():
-        raise DimensionMismatchError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
+        raise InputError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     m = [list(row) for row in a.entries]
     sign = prev = 1
     for c in range(a.rows):
@@ -218,7 +219,7 @@ def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
     is eliminated exactly.  Otherwise the exact determinant decides.
     """
     if not a.is_square():
-        raise DimensionMismatchError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
+        raise InputError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
     if kernel is not None and len(kernel) == a.cols and any(kernel):
         if not any(sum(map(mul, row, kernel)) for row in a.entries):
             return True
@@ -243,9 +244,9 @@ def gram(h: IntMatrix) -> IntMatrix:
 def inertia(a: IntMatrix) -> Inertia:
     """Signature of a symmetric matrix by symmetric fraction-free elimination."""
     if not a.is_square():
-        raise NotSymmetricError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
+        raise PreconditionError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
-        raise NotSymmetricError("matrix is not symmetric")
+        raise PreconditionError("matrix is not symmetric")
     n = a.rows
     m = [list(row) for row in a.entries]
     plus = minus = 0

@@ -45,12 +45,7 @@ from .core import (
     incident_edges,
     is_all_positive,
 )
-from .errors import (
-    LengthMismatchError,
-    InvalidParamsError,
-    NotAMycielskianError,
-    NotBalancedError,
-)
+from .errors import InputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -107,16 +102,16 @@ def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) ->
     """
     p = lab.p
     if len(rs) != p:
-        raise LengthMismatchError(f"root signature has length {len(rs)}, expected {p}")
+        raise InputError(f"root signature has length {len(rs)}, expected {p}")
     for i, s in enumerate(rs):
-        if s not in (1, -1):
-            raise InvalidParamsError(f"root signature entry for vertex {i + 1} is {s}")
+        if type(s) is not int or s not in (1, -1):
+            raise InputError(f"root signature entry for vertex {i + 1} is {s}")
     if gm.p != lab.root:
-        raise NotAMycielskianError(f"expected {lab.root} vertices, got {gm.p}")
+        raise PreconditionError(f"expected {lab.root} vertices, got {gm.p}")
     g = SignedGraph(p, tuple(e for e in gm.edges if e[1] <= p))
     old_signs = [s for _, v, s in gm.edges if v == lab.root]
     if len(old_signs) != p or _build(g, old_signs) != gm:
-        raise NotAMycielskianError("graph is not the Mycielskian of its original edges")
+        raise PreconditionError("graph is not the Mycielskian of its original edges")
     return _build(g, rs)
 
 
@@ -134,13 +129,13 @@ def balanced_mycielskian(
 
     Returns the graph together with the switching function on 2p + 1
     vertices that takes it to all-positive (zeta copied onto the twins,
-    +1 on the root).  Raises NotBalancedError for unbalanced input.
+    +1 on the root).  Raises PreconditionError for unbalanced input.
     cert, when given, is certify_balance(g) already made by the caller.
     """
     if cert is None:
         cert = certify_balance(g)
     if not cert.balanced:
-        raise NotBalancedError(f"input is unbalanced, negative cycle {list(cert.witness)}")
+        raise PreconditionError(f"input is unbalanced, negative cycle {list(cert.witness)}")
     zeta = cert.to_all_positive
     if not is_all_positive(g):
         zeta = tuple(-z for z in zeta)
@@ -156,7 +151,7 @@ def tower(n: int) -> list[SignedGraph]:
     triangle-free, and from level 2 on is never all-positive.
     """
     if n < 1:
-        raise InvalidParamsError("tower needs n >= 1")
+        raise InputError("tower needs n >= 1")
     levels = [canonicalize(1, [])]
     if n >= 2:
         levels.append(canonicalize(2, [(1, 2, -1)]))

@@ -39,16 +39,7 @@ from sgmyc.core import (
     switch,
 )
 from sgmyc import exactla
-from sgmyc.errors import (
-    BudgetExhaustedError,
-    ConsistencyError,
-    DimensionMismatchError,
-    InvalidParamsError,
-    LengthMismatchError,
-    NotACycleError,
-    NotAMycielskianError,
-    NotBalancedError,
-)
+from sgmyc.errors import BudgetExhaustedError, ConsistencyError, InputError, PreconditionError
 from sgmyc.mycielskian import MycielskianLabeling
 
 
@@ -376,7 +367,7 @@ def _reference_split_mycielskian(gm: SignedGraph, lab: MycielskianLabeling):
     """Partition edges into original, cross and root groups, or complain."""
     p = lab.p
     if gm.p != 2 * p + 1:
-        raise NotAMycielskianError(f"expected {2 * p + 1} vertices, got {gm.p}")
+        raise PreconditionError(f"expected {2 * p + 1} vertices, got {gm.p}")
     original: list[tuple[int, int, int]] = []
     cross: list[tuple[int, int, int]] = []
     root: list[tuple[int, int, int]] = []
@@ -388,7 +379,7 @@ def _reference_split_mycielskian(gm: SignedGraph, lab: MycielskianLabeling):
         elif u <= p and v <= p:
             original.append((u, v, s))
         elif u > p and v > p:
-            raise NotAMycielskianError(f"twins {u} and {v} are adjacent")
+            raise PreconditionError(f"twins {u} and {v} are adjacent")
         else:
             cross.append((u, v, s))
     return original, cross, root
@@ -404,19 +395,19 @@ def reference_resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequenc
     """
     p = lab.p
     if len(rs) != p:
-        raise LengthMismatchError(f"root signature has length {len(rs)}, expected {p}")
+        raise InputError(f"root signature has length {len(rs)}, expected {p}")
     for i, s in enumerate(rs):
         if s not in (1, -1):
-            raise InvalidParamsError(f"root signature entry for vertex {i + 1} is {s}")
+            raise InputError(f"root signature entry for vertex {i + 1} is {s}")
     original, cross, root = _reference_split_mycielskian(gm, lab)
     if sorted(u for u, _, _ in root) != list(range(p + 1, 2 * p + 1)):
-        raise NotAMycielskianError("root must be adjacent to exactly the twin set")
+        raise PreconditionError("root must be adjacent to exactly the twin set")
     expected_cross = set()
     for u, v, s in original:
         expected_cross.add((min(u, lab.twin(v)), max(u, lab.twin(v)), s))
         expected_cross.add((min(v, lab.twin(u)), max(v, lab.twin(u)), s))
     if set(cross) != expected_cross:
-        raise NotAMycielskianError("cross edges do not mirror the original edges")
+        raise PreconditionError("cross edges do not mirror the original edges")
     edges = original + cross + [(lab.twin(i), lab.root, rs[i - 1]) for i in range(1, p + 1)]
     return canonicalize(gm.p, edges)
 
@@ -433,11 +424,11 @@ def reference_balanced_mycielskian(g: SignedGraph) -> tuple[SignedGraph, Switchi
 
     Returns the graph together with the switching function on 2p + 1
     vertices that takes it to all-positive (zeta copied onto the twins,
-    +1 on the root).  Raises NotBalancedError for unbalanced input.
+    +1 on the root).  Raises PreconditionError for unbalanced input.
     """
     cert = certify_balance(g)
     if not cert.balanced:
-        raise NotBalancedError(f"input is unbalanced, negative cycle {list(cert.witness)}")
+        raise PreconditionError(f"input is unbalanced, negative cycle {list(cert.witness)}")
     zeta = cert.to_all_positive
     if not is_all_positive(g):
         zeta = tuple(-z for z in zeta)
@@ -468,14 +459,14 @@ def verify_certificate(g: SignedGraph, cert: BalanceCertificate) -> bool:
         return False
     try:
         return cycle_sign(g, cert.witness) == -1
-    except NotACycleError:
+    except InputError:
         return False
 
 
 def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
     """Drop the root vertex and its star, keeping originals and twins."""
     if gm.p != lab.root:
-        raise LengthMismatchError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
+        raise InputError(f"graph has {gm.p} vertices, labeling expects {lab.root}")
     # the root is the largest label, so it can only be the upper endpoint
     return SignedGraph(2 * lab.p, tuple(e for e in gm.edges if e[1] != lab.root))
 
@@ -499,7 +490,7 @@ def rank(a: exactla.IntMatrix) -> int:
 
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:
     if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatchError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+        raise InputError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     return exactla.IntMatrix(
         tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
         a.cols,

@@ -5,7 +5,9 @@ other function or module-level statement of the package, or be named in
 the "Library API" section of README.md.  A public method or property of
 a package class must be read as an attribute somewhere in the package
 outside its own definition, or be named there too.  So no function or
-method is kept only for the tests to call.
+method is kept only for the tests to call.  Likewise every class in
+errors.py but the root and ConsistencyError is named in some except
+clause of the package, so no error class is kept only for the tests.
 """
 
 import ast
@@ -144,3 +146,26 @@ def test_the_scan_sees_calls_through_module_attributes_and_imported_names():
         (("m", "f"), "f"),
     }
     assert set(attribute_reads("m", tree)) == {("loads", ("m", None, "f")), ("n", ("m", "K", "m"))}
+
+
+def caught_names():
+    """Name of each class that some except clause under src/sgmyc/ catches."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for part in ast.walk(node.type):
+                    if isinstance(part, ast.Name):
+                        names.add(part.id)
+                    elif isinstance(part, ast.Attribute):
+                        names.add(part.attr)
+    return names
+
+
+def test_every_error_class_is_caught_in_the_package():
+    # one class per way of failing that a caller tells apart; the root and
+    # the bug signal are the only classes no except clause needs to name
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    uncaught = defined - caught_names() - {"SignedGraphError", "ConsistencyError"}
+    assert not sorted(uncaught)

@@ -30,13 +30,7 @@ from sgmyc.coloring import (
     least_coloring,
 )
 from sgmyc.core import canonicalize, generate, is_all_negative, switch
-from sgmyc.errors import (
-    BudgetExhaustedError,
-    ColorOutOfSetError,
-    InvalidParamsError,
-    LengthMismatchError,
-    NotProperError,
-)
+from sgmyc.errors import BudgetExhaustedError, InputError, PreconditionError
 from sgmyc.mycielskian import mycielskian, tower
 
 
@@ -56,9 +50,9 @@ class TestColorSets:
         assert color_trial_order(5) == (0, 1, -1, 2, -2)
 
     def test_n_positive(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="color set needs n >= 1"):
             color_set(0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="color set needs n >= 1"):
             color_trial_order(0)
 
     @given(st.integers(min_value=1, max_value=20))
@@ -84,13 +78,13 @@ class TestIsProper:
         assert not is_proper(K2_NEG, SignedColoring(2, (1, -1)))
 
     def test_color_out_of_set(self):
-        with pytest.raises(ColorOutOfSetError):
+        with pytest.raises(InputError, match="vertex 1 has color 0, not in M_2"):
             is_proper(K2_POS, SignedColoring(2, (0, 1)))
-        with pytest.raises(ColorOutOfSetError):
+        with pytest.raises(InputError, match="vertex 1 has color 2, not in M_2"):
             is_proper(K2_POS, SignedColoring(2, (2, 1)))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError, match="coloring has 1 colors, graph has 2 vertices"):
             is_proper(K2_POS, SignedColoring(2, (1,)))
 
     @given(signed_graphs(max_p=6), st.data())
@@ -111,7 +105,7 @@ class TestDeficiency:
         assert deficiency(K2_POS, SignedColoring(2, (1, -1))) == 0
 
     def test_requires_proper(self):
-        with pytest.raises(NotProperError):
+        with pytest.raises(PreconditionError, match="deficiency is defined for proper colorings only"):
             deficiency(K2_POS, SignedColoring(2, (1, 1)))
 
 
@@ -190,7 +184,7 @@ class TestChromaticNumber:
         assert least_coloring(SQUARE_ONE_NEG, 2) is None
         assert least_coloring(tower(4)[3], 3) is None
         assert least_coloring(canonicalize(0, []), 1) == SignedColoring(1, ())
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="color set needs n >= 1"):
             least_coloring(canonicalize(0, []), 0)
 
     @settings(max_examples=150, deadline=None)
@@ -346,7 +340,7 @@ class TestExtension:
         assert is_proper(gm, ext)
 
     def test_requires_proper(self):
-        with pytest.raises(NotProperError):
+        with pytest.raises(PreconditionError, match="only proper colorings extend"):
             extend_coloring_to_mycielskian(K2_POS, SignedColoring(2, (1, 1)))
 
     @settings(deadline=None)

@@ -24,14 +24,7 @@ from sgmyc.core import (
     switch,
     validate_switching,
 )
-from sgmyc.errors import (
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    InvalidParamsError,
-    LengthMismatchError,
-    LoopEdgeError,
-    VertexOutOfRangeError,
-)
+from sgmyc.errors import InputError
 
 
 class TestCanonicalize:
@@ -59,39 +52,41 @@ class TestCanonicalize:
         assert g.p == 0 and g.q == 0
 
     def test_loop_rejected(self):
-        with pytest.raises(LoopEdgeError):
+        with pytest.raises(InputError, match="loop at vertex 2"):
             canonicalize(3, [(2, 2, 1)])
 
     def test_duplicate_rejected_either_orientation(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(InputError, match=r"edge \(1,2\) given twice"):
             canonicalize(3, [(1, 2, 1), (2, 1, -1)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(InputError, match=r"edge \(1,4\) outside 1\.\.3"):
             canonicalize(3, [(1, 4, 1)])
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(InputError, match=r"edge \(0,2\) outside 1\.\.3"):
             canonicalize(3, [(0, 2, 1)])
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match=r"edge \(1,2\) has sign 2, expected \+1 or -1"):
             canonicalize(3, [(1, 2, 2)])
 
+    # every rejection is an InputError, told apart by its message; case only
+    # labels the test ids, which keep the names these tests are tracked under
     @pytest.mark.parametrize(
-        "p, edges, error, message",
+        "p, edges, case, message",
         [
-            (2.0, [], InvalidParamsError, "vertex count must be an int, got 2.0"),
-            (True, [], InvalidParamsError, "vertex count must be an int, got True"),
-            (2, [(True, 2, 1)], InvalidParamsError, "edge (True, 2, 1) must hold three ints"),
-            (2, [(1, 2.0, 1)], InvalidParamsError, "edge (1, 2.0, 1) must hold three ints"),
-            (2, [(1, 2, 1.0)], InvalidParamsError, "edge (1, 2, 1.0) must hold three ints"),
-            (2, [(1, 2, True)], InvalidParamsError, "edge (1, 2, True) must hold three ints"),
+            (2.0, [], "InvalidParamsError", "vertex count must be an int, got 2.0"),
+            (True, [], "InvalidParamsError", "vertex count must be an int, got True"),
+            (2, [(True, 2, 1)], "InvalidParamsError", "edge (True, 2, 1) must hold three ints"),
+            (2, [(1, 2.0, 1)], "InvalidParamsError", "edge (1, 2.0, 1) must hold three ints"),
+            (2, [(1, 2, 1.0)], "InvalidParamsError", "edge (1, 2, 1.0) must hold three ints"),
+            (2, [(1, 2, True)], "InvalidParamsError", "edge (1, 2, True) must hold three ints"),
             # within one edge the type comes first; across edges input order rules
-            (3, [(1, 2, 1), (2, 2, 1.0)], InvalidParamsError, "edge (2, 2, 1.0) must hold three ints"),
-            (3, [(2, 2, 1), (1, 2, 1.0)], LoopEdgeError, "loop at vertex 2"),
+            (3, [(1, 2, 1), (2, 2, 1.0)], "InvalidParamsError", "edge (2, 2, 1.0) must hold three ints"),
+            (3, [(2, 2, 1), (1, 2, 1.0)], "LoopEdgeError", "loop at vertex 2"),
         ],
     )
-    def test_non_int_rejected(self, p, edges, error, message):
-        with pytest.raises(error) as exc:
+    def test_non_int_rejected(self, p, edges, case, message):
+        with pytest.raises(InputError) as exc:
             canonicalize(p, edges)
         assert str(exc.value) == message
 
@@ -109,38 +104,38 @@ class TestErrorPrecedence:
     a duplicate."""
 
     @pytest.mark.parametrize(
-        "edges, error, message",
+        "edges, case, message",
         [
-            ([(9, 9, 5)], LoopEdgeError, "loop at vertex 9"),
-            ([(2, 2, 5)], LoopEdgeError, "loop at vertex 2"),
-            ([(9, 1, 5)], VertexOutOfRangeError, "edge (9,1) outside 1..3"),
-            ([(1, 2, 1), (2, 1, 0)], InvalidParamsError, "edge (2,1) has sign 0, expected +1 or -1"),
-            ([(1, 2, 1), (3, 3, 1), (1, 9, 1)], LoopEdgeError, "loop at vertex 3"),
-            ([(1, 2, 1), (0, 2, 1), (3, 3, 1)], VertexOutOfRangeError, "edge (0,2) outside 1..3"),
-            ([(2, 1, 1), (1, 2, -1), (3, 3, 1)], DuplicateEdgeError, "edge (1,2) given twice"),
-            ([(3, 2, 1), (2, 3, 1), (1, 2, 7)], DuplicateEdgeError, "edge (2,3) given twice"),
+            ([(9, 9, 5)], "LoopEdgeError", "loop at vertex 9"),
+            ([(2, 2, 5)], "LoopEdgeError", "loop at vertex 2"),
+            ([(9, 1, 5)], "VertexOutOfRangeError", "edge (9,1) outside 1..3"),
+            ([(1, 2, 1), (2, 1, 0)], "InvalidParamsError", "edge (2,1) has sign 0, expected +1 or -1"),
+            ([(1, 2, 1), (3, 3, 1), (1, 9, 1)], "LoopEdgeError", "loop at vertex 3"),
+            ([(1, 2, 1), (0, 2, 1), (3, 3, 1)], "VertexOutOfRangeError", "edge (0,2) outside 1..3"),
+            ([(2, 1, 1), (1, 2, -1), (3, 3, 1)], "DuplicateEdgeError", "edge (1,2) given twice"),
+            ([(3, 2, 1), (2, 3, 1), (1, 2, 7)], "DuplicateEdgeError", "edge (2,3) given twice"),
         ],
     )
-    def test_canonicalize(self, edges, error, message):
-        with pytest.raises(error) as exc:
+    def test_canonicalize(self, edges, case, message):
+        with pytest.raises(InputError) as exc:
             canonicalize(3, edges)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
-        "text, error, message",
+        "text, case, message",
         [
             # every line is read as text before any edge is checked
-            ("3 2\n1 1 +1\n1 2 x\n", EdgeListFormatError, "line 3: edge lines must hold integers"),
-            ("3 2\n1 1 +1\n1 2 +2\n", EdgeListFormatError, "line 3: sign must be +1 or -1, got +2"),
-            ("3 2\n1 1 +1\n1 2\n", EdgeListFormatError, "line 3: edge lines must be 'u v s'"),
-            ("3 3\n1 1 +1\n1 2 x\n", EdgeListFormatError, "header promises 3 edges, found 2"),
-            ("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n", DuplicateEdgeError, "edge (1,2) given twice"),
-            ("3 2\n3 3 +1\n2 1 -1\n", LoopEdgeError, "loop at vertex 3"),
-            ("3 2\n# c\n1 4 -1\n3 3 +1\n", VertexOutOfRangeError, "edge (1,4) outside 1..3"),
+            ("3 2\n1 1 +1\n1 2 x\n", "EdgeListFormatError", "line 3: edge lines must hold integers"),
+            ("3 2\n1 1 +1\n1 2 +2\n", "EdgeListFormatError", "line 3: sign must be +1 or -1, got +2"),
+            ("3 2\n1 1 +1\n1 2\n", "EdgeListFormatError", "line 3: edge lines must be 'u v s'"),
+            ("3 3\n1 1 +1\n1 2 x\n", "EdgeListFormatError", "header promises 3 edges, found 2"),
+            ("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n", "DuplicateEdgeError", "edge (1,2) given twice"),
+            ("3 2\n3 3 +1\n2 1 -1\n", "LoopEdgeError", "loop at vertex 3"),
+            ("3 2\n# c\n1 4 -1\n3 3 +1\n", "VertexOutOfRangeError", "edge (1,4) outside 1..3"),
         ],
     )
-    def test_loads(self, text, error, message):
-        with pytest.raises(error) as exc:
+    def test_loads(self, text, case, message):
+        with pytest.raises(InputError) as exc:
             loads(text)
         assert str(exc.value) == message
 
@@ -154,14 +149,19 @@ class TestSwitching:
         assert switch(SQUARE_ONE_NEG, (1, 1, 1, 1)) == SQUARE_ONE_NEG
 
     def test_length_checked(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError, match="switching has length 3, graph has 4 vertices"):
             switch(SQUARE_ONE_NEG, (1, 1, 1))
 
     def test_entries_checked(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="switching entry for vertex 2 is 0, expected"):
             switch(SQUARE_ONE_NEG, (1, 0, 1, 1))
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="switching entry for vertex 2 is 2, expected"):
             validate_switching(SQUARE_ONE_NEG, (1, 2, 1, 1))
+        # a float or bool equal to a sign would otherwise land in an edge
+        for z in (1.0, -1.0, True):
+            with pytest.raises(InputError) as exc:
+                switch(SQUARE_ONE_NEG, (z, -1, 1, 1))
+            assert str(exc.value) == f"switching entry for vertex 1 is {z}, expected +1 or -1"
 
     @given(graphs_with_switchings(max_p=7))
     def test_involution(self, gz):
@@ -265,19 +265,19 @@ class TestGenerate:
         assert generate("random", {"order": 6}) == generate("random", {"order": 6}, seed=0)
 
     def test_bad_params(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="cycle length must be >= 3"):
             generate("cycle", {"length": 2})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="path length must be >= 1"):
             generate("path", {"length": 0})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="cycle needs 3 pattern signs, got 2"):
             generate("cycle", {"length": 3, "pattern": "+-"})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="pattern character 'x', expected"):
             generate("cycle", {"length": 3, "pattern": "+x-"})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match=r"probabilities must lie in \[0, 1\]"):
             generate("random", {"order": 3, "edge_prob": 1.5})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match=r"unknown parameters \['bogus'\]"):
             generate("random", {"order": 3, "bogus": 1})
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="unknown generator kind 'nonesuch'"):
             generate("nonesuch", {})
 
     @settings(max_examples=25)
@@ -302,23 +302,23 @@ class TestTextFormat:
         assert load(str(path)) == SQUARE_ONE_NEG
 
     def test_malformed_header(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match="line 1: header must be 'p q'"):
             loads("2\n")
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match="line 1: header must hold two integers"):
             loads("a b\n")
 
     def test_edge_count_mismatch(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match="header promises 2 edges, found 1"):
             loads("2 2\n1 2 -1\n")
 
     def test_malformed_edge_line(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match="line 2: edge lines must be 'u v s'"):
             loads("2 1\n1 2\n")
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match="line 2: edge lines must hold integers"):
             loads("2 1\n1 2 minus\n")
 
     def test_bad_sign_value(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(InputError, match=r"line 2: sign must be \+1 or -1, got 3"):
             loads("2 1\n1 2 3\n")
 
     @given(signed_graphs(max_p=8))

@@ -22,7 +22,7 @@ from sgmyc.exactla import (
     multiply,
     transpose,
 )
-from sgmyc.errors import DimensionMismatchError, InvalidParamsError, NotSymmetricError
+from sgmyc.errors import InputError, PreconditionError
 
 M = IntMatrix.from_rows
 
@@ -90,13 +90,13 @@ def product_operands(draw, max_dim=4):
 
 class TestConstruction:
     def test_ragged_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="rows have unequal lengths"):
             M([[1, 2], [3]])
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), True, 1.5], ids=repr)
     def test_non_int_entry_rejected(self, bad):
         # whole Fractions and bools compare equal to ints, yet only ints enter
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match=f"matrix entries must be ints, got {type(bad).__name__}$"):
             M([[1, bad]])
 
     def test_shape_queries(self):
@@ -114,9 +114,9 @@ class TestArithmetic:
         assert multiply(a, b) == M([[2, 1], [4, 3]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="cannot multiply 1x2 by 1x2"):
             multiply(M([[1, 2]]), M([[1, 2]]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="shape mismatch 1x1 vs 1x2"):
             subtract(M([[1]]), M([[1, 2]]))
 
     def test_subtract(self):
@@ -164,7 +164,7 @@ class TestDeterminant:
         assert determinant(M([[7]])) == 7
 
     def test_not_square(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="determinant needs a square matrix, got 1x2"):
             determinant(M([[1, 2]]))
 
     @settings(max_examples=60)
@@ -221,7 +221,7 @@ class TestIsSingular:
         assert is_singular(M([[0]]))
 
     def test_rejects_a_bad_shape_or_pivot(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="singularity needs a square matrix, got 1x2"):
             is_singular(M([[1, 2]]))
 
     @settings(max_examples=200)
@@ -322,9 +322,9 @@ class TestInertia:
         assert inertia(M([[0, 0, 1], [0, 2, 0], [1, 0, 0]])) == Inertia(2, 1, 0)
 
     def test_requires_symmetric(self):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(PreconditionError, match="matrix is not symmetric"):
             inertia(M([[0, 1], [2, 0]]))
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(PreconditionError, match="inertia needs a square matrix, got 1x2"):
             inertia(M([[1, 2]]))
 
     def test_addition(self):

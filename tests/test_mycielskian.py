@@ -27,12 +27,7 @@ from sgmyc.core import (
     is_triangle_free,
     switch,
 )
-from sgmyc.errors import (
-    InvalidParamsError,
-    LengthMismatchError,
-    NotAMycielskianError,
-    NotBalancedError,
-)
+from sgmyc.errors import InputError, PreconditionError
 from sgmyc.mycielskian import (
     MycielskianLabeling,
     balanced_mycielskian,
@@ -169,40 +164,49 @@ class TestResignRoot:
 
     def test_signature_validated(self):
         gm, lab = mycielskian(K2_NEG)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError, match="root signature has length 1, expected 2"):
             resign_root(gm, lab, (1,))
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="root signature entry for vertex 2 is 0$"):
             resign_root(gm, lab, (1, 0))
+        # a float or bool equal to a sign would otherwise land in a root edge
+        for z in (1.0, -1.0, True):
+            with pytest.raises(InputError) as exc:
+                resign_root(gm, lab, (1, z))
+            assert str(exc.value) == f"root signature entry for vertex 2 is {z}"
 
     def test_rejects_adjacent_twins(self):
         gm, lab = mycielskian(K2_NEG)
         bad = canonicalize(5, list(gm.edges) + [(3, 4, 1)])
-        with pytest.raises(NotAMycielskianError):
+        with pytest.raises(PreconditionError, match="graph is not the Mycielskian of its original edges"):
             resign_root(bad, lab, (1, 1))
 
     def test_rejects_wrong_root_star(self):
         gm, lab = mycielskian(K2_NEG)
         edges = [e for e in gm.edges if e != (3, 5, 1)] + [(1, 5, 1)]
         bad = canonicalize(5, edges)
-        with pytest.raises(NotAMycielskianError):
+        with pytest.raises(PreconditionError, match="graph is not the Mycielskian of its original edges"):
             resign_root(bad, lab, (1, 1))
 
     def test_rejects_cross_sign_mismatch(self):
         gm, lab = mycielskian(K2_NEG)
         edges = [(u, v, -s) if (u, v) == (1, 4) else (u, v, s) for u, v, s in gm.edges]
         bad = canonicalize(5, edges)
-        with pytest.raises(NotAMycielskianError):
+        with pytest.raises(PreconditionError, match="graph is not the Mycielskian of its original edges"):
             resign_root(bad, lab, (1, 1))
 
     def test_rejects_wrong_vertex_count(self):
-        with pytest.raises(NotAMycielskianError):
+        with pytest.raises(PreconditionError, match="expected 5 vertices, got 2"):
             resign_root(K2_NEG, MycielskianLabeling(2), (1, 1))
 
     @pytest.mark.parametrize("case", sorted(NOT_MYCIELSKIANS_OF_K2))
     def test_rejections_agree_with_reference(self, case):
         lab = MycielskianLabeling(2)
-        for resign in (resign_root, oracles.reference_resign_root):
-            with pytest.raises(NotAMycielskianError):
+        # each names the structural check that failed, in its own words
+        for resign, structure in (
+            (resign_root, "vertices, got|is not the Mycielskian"),
+            (oracles.reference_resign_root, "vertices, got|are adjacent|root must be|do not mirror"),
+        ):
+            with pytest.raises(PreconditionError, match=structure):
                 resign(NOT_MYCIELSKIANS_OF_K2[case], lab, (1, 1))
 
 
@@ -245,7 +249,7 @@ class TestBalancedMycielskian:
         assert zb == (-1, 1, -1, 1, 1)
 
     def test_unbalanced_rejected(self):
-        with pytest.raises(NotBalancedError):
+        with pytest.raises(PreconditionError, match="input is unbalanced, negative cycle"):
             balanced_mycielskian(SQUARE_ONE_NEG)
 
     def test_all_positive_input_gives_plain_mycielskian(self):
@@ -302,7 +306,7 @@ class TestTower:
             assert not is_all_positive(level)
 
     def test_needs_positive_n(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InputError, match="tower needs n >= 1"):
             tower(0)
 
 
@@ -324,8 +328,8 @@ class TestAgainstReference:
     def test_balanced_mycielskian(self, g):
         try:
             want = oracles.reference_balanced_mycielskian(g)
-        except NotBalancedError as exc:
-            with pytest.raises(NotBalancedError) as got:
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as got:
                 balanced_mycielskian(g)
             assert str(got.value) == str(exc)
             return
