@@ -212,6 +212,9 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
       complete  order n >= 1, every edge negative
       random    order p, edge_prob, neg_prob; connected by rejection sampling
 
+    Lengths and orders must be ints, and probabilities ints or floats;
+    anything else, a float length or a string, is an InputError.
+
     The same kind, params and seed always return the same graph.
     """
     params = dict(params or {})
@@ -219,15 +222,27 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
     def take(name, default=None):
         return params.pop(name, default)
 
+    def take_int(name):
+        x = take(name, 0)
+        if type(x) is not int:
+            raise InputError(f"{kind} {name} must be an integer, got {x!r}")
+        return x
+
+    def take_prob(name):
+        x = take(name, 0.5)
+        if type(x) not in (int, float):
+            raise InputError(f"{name} must be a real number, got {x!r}")
+        return float(x)
+
     if kind == "path":
-        p = int(take("length", 0))
+        p = take_int("length")
         if p < 1:
             raise InputError("path length must be >= 1")
         pattern = take("pattern")
         signs = _pattern_signs(str(pattern), p - 1, "path") if pattern is not None else [1] * (p - 1)
         edges = [(i, i + 1, signs[i - 1]) for i in range(1, p)]
     elif kind == "cycle":
-        p = int(take("length", 0))
+        p = take_int("length")
         if p < 3:
             raise InputError("cycle length must be >= 3")
         pattern = take("pattern")
@@ -235,17 +250,16 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
         edges = [(i, i + 1, signs[i - 1]) for i in range(1, p)]
         edges.append((p, 1, signs[p - 1]))
     elif kind == "complete":
-        n = int(take("order", 0))
+        n = take_int("order")
         if n < 1:
             raise InputError("complete order must be >= 1")
         edges = [(i, j, -1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         p = n
     elif kind == "random":
-        p = int(take("order", 0))
+        p = take_int("order")
         if p < 1:
             raise InputError("random order must be >= 1")
-        edge_prob = float(take("edge_prob", 0.5))
-        neg_prob = float(take("neg_prob", 0.5))
+        edge_prob, neg_prob = take_prob("edge_prob"), take_prob("neg_prob")
         if not (0.0 <= edge_prob <= 1.0 and 0.0 <= neg_prob <= 1.0):
             raise InputError("probabilities must lie in [0, 1]")
         if params:

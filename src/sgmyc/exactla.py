@@ -3,18 +3,15 @@
 Entries are Python ints, never floats, so results carry no rounding
 error at any size that fits in memory.
 
-One fraction-free kernel (Bareiss 1968) does every exact elimination.
+inertia runs the one exact elimination, fraction-free (Bareiss 1968).
 Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
 the division is exact: every entry is a minor of the input, so growth
-stays polynomial.  The determinant drives it with row pivots and stops
-at the first column with no pivot, where the determinant is 0.
-
-Inertia drives the same update with symmetric pivots, so the k-th pivot
-d_k is a leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1},
-and its sign is sign(d_k) * sign(d_{k-1}); by Sylvester's law of inertia
-these signs give the signature.  A zero pivot is repaired by a symmetric
+stays polynomial.  Pivots are symmetric, so the k-th pivot d_k is a
+leading principal minor, the k-th LDL^T pivot is d_k / d_{k-1}, and its
+sign is sign(d_k) * sign(d_{k-1}); by Sylvester's law of inertia these
+signs give the signature.  A zero pivot is repaired by a symmetric
 swap with a later nonzero diagonal entry or, when the trailing diagonal
 is all zero, by adding row and column j into k, which makes the pivot
 2 m[k][j].  Both repairs are unimodular congruences, and each trailing
@@ -23,16 +20,17 @@ in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
-is_singular tries two certificates before it eliminates anything
-exactly.  A nonzero kernel vector v with a v = 0, offered by the caller,
-proves a singular at the cost of one product.  Otherwise det(a) is taken
-mod the prime PRIME = 2^31 - 1 by Gaussian elimination over the integers
-mod PRIME; a nonzero residue proves det(a) nonzero.  Only a zero
-residue, from a singular matrix or a prime that happens to divide
-det(a), leaves the question to the exact determinant, so the verdict is
-exact and deterministic for every input and every offered vector.  A
-nonzero multiple c a has the same kernel, and det(c a) = c^n det(a), so
-a caller may pass any such multiple, say one that clears denominators.
+is_singular takes symmetric matrices, and tries two certificates before
+it eliminates anything exactly.  A nonzero integer kernel vector v with
+a v = 0, offered by the caller, proves a singular at the cost of one
+product.  Otherwise det(a) is taken mod the prime PRIME = 2^31 - 1 by
+Gaussian elimination over the integers mod PRIME; a nonzero residue
+proves det(a) nonzero.  Only a zero residue, from a singular matrix or
+a prime that happens to divide det(a), leaves the question to the exact
+inertia, singular iff it has a zero eigenvalue, so the verdict is exact
+and deterministic for every input and every offered vector.  A nonzero
+multiple c a has the same kernel, and det(c a) = c^n det(a), so a
+caller may pass any such multiple, say one that clears denominators.
 
 Products visit only the nonzero entries of their operands; gram forms
 h h^T column by column, so an incidence matrix with two nonzeros per
@@ -95,10 +93,7 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i + 1, self.rows))
+        return self.is_square() and self.entries == tuple(zip(*self.entries))
 
 
 @dataclass(frozen=True)
@@ -141,41 +136,6 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out), b.cols)
 
 
-def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
-    """Clear column c below row r against the pivot m[r][c]; returns the pivot.
-
-    Only columns after c are updated.  Each division by prev is exact.
-    """
-    row_r = m[r]
-    piv = row_r[c]
-    tail = row_r[c + 1 :]
-    for row_i in m[r + 1 :]:
-        f = row_i[c]
-        row_i[c] = 0
-        if f:
-            row_i[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row_i[c + 1 :], tail)]
-        elif piv != prev:
-            row_i[c + 1 :] = [piv * x // prev for x in row_i[c + 1 :]]
-    return piv
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination with row pivots."""
-    if not a.is_square():
-        raise InputError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    m = [list(row) for row in a.entries]
-    sign = prev = 1
-    for c in range(a.rows):
-        piv = next((i for i in range(c, a.rows) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        prev = _bareiss_step(m, c, c, prev)
-    return sign * prev
-
-
 def _det_mod(a: IntMatrix) -> int:
     """det(a) mod PRIME, by Gaussian elimination mod PRIME on packed rows.
 
@@ -212,18 +172,22 @@ def _det_mod(a: IntMatrix) -> int:
 
 
 def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
-    """Whether the square matrix a is singular, decided exactly.
+    """Whether the symmetric matrix a is singular, decided exactly.
 
-    A nonzero kernel with a * kernel = 0 proves it singular; a determinant
-    that is nonzero mod PRIME proves it nonsingular.  Either way nothing
-    is eliminated exactly.  Otherwise the exact determinant decides.
+    A nonzero int kernel with a * kernel = 0 proves it singular; a
+    determinant that is nonzero mod PRIME proves it nonsingular.  Either
+    way nothing is eliminated exactly.  Otherwise the exact inertia
+    decides.
     """
     if not a.is_square():
         raise InputError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
-    if kernel is not None and len(kernel) == a.cols and any(kernel):
+    if not a.is_symmetric():
+        raise PreconditionError("matrix is not symmetric")
+    # a float kernel proves nothing: its products round
+    if kernel is not None and len(kernel) == a.cols and any(kernel) and all(type(x) is int for x in kernel):
         if not any(sum(map(mul, row, kernel)) for row in a.entries):
             return True
-    return not _det_mod(a) and determinant(a) == 0
+    return not _det_mod(a) and inertia(a).n_zero > 0
 
 
 def gram(h: IntMatrix) -> IntMatrix:
@@ -267,9 +231,19 @@ def inertia(a: IntMatrix) -> Inertia:
                     row_k[t] += row_j[t]
                 for row in m[k:]:
                     row[k] += row[j]
-        if (m[k][k] > 0) == (prev > 0):
+        row_k = m[k]
+        piv = row_k[k]
+        if (piv > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        prev = _bareiss_step(m, k, k, prev)
+        # clear column k below row k; columns up to k are never read again
+        tail = row_k[k + 1 :]
+        for row_i in m[k + 1 :]:
+            f = row_i[k]
+            if f:
+                row_i[k + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row_i[k + 1 :], tail)]
+            elif piv != prev:
+                row_i[k + 1 :] = [piv * x // prev for x in row_i[k + 1 :]]
+        prev = piv
     return Inertia(plus, minus, n - plus - minus)

@@ -3,11 +3,13 @@
 Nothing here reuses toolkit algorithms: colorings are checked by full
 enumeration, balance by enumerating every simple cycle, and path signs
 by enumerating every simple path.  Matrix oracles work on plain lists of
-rows: ranks by Fraction elimination, determinants by cofactor expansion,
-inertia by Fraction congruence diagonalization, the twin-block Schur
-complement by Fraction Gauss-Jordan, none of them the package's
-fraction-free kernel.  The oracles only read the public data
-fields (p, edges), so agreement with the package is meaningful evidence.
+rows: ranks by Fraction elimination or by integer row echelon form with
+gcd-reduced rows, determinants by cofactor expansion or by plain
+Gaussian elimination mod a prime, inertia by Fraction congruence
+diagonalization, the twin-block Schur complement by Fraction
+Gauss-Jordan, none of them the package's fraction-free kernel.  The
+oracles only read the public data fields (p, edges), so agreement with
+the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
 The exceptions are the package's earlier code, kept as it was.
@@ -20,12 +22,11 @@ graphs and switchings the one-pass constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
 public functions, kept unchanged for the tests that use them.  So is
-rank, the package's former row-echelon driver of its Bareiss step,
-which the tests of that step run through.  So is subtract, the
-entrywise difference behind the test that L = D - A.
+subtract, the entrywise difference behind the test that L = D - A.
 """
 
 from itertools import combinations, product
+from math import gcd
 from typing import Sequence
 
 from sgmyc.balance import BalanceCertificate, certify_balance, cycle_sign
@@ -472,20 +473,48 @@ def delete_root(gm: SignedGraph, lab: MycielskianLabeling) -> SignedGraph:
 
 
 def rank(a: exactla.IntMatrix) -> int:
-    """Exact rank by fraction-free row echelon form, skipping columns without a pivot."""
+    """Exact rank by integer row echelon form, skipping columns without a pivot.
+
+    Each row below the pivot is cleared by cross-multiplication and then
+    divided by the gcd of its entries, which keeps them small without
+    the package's division by the previous pivot.
+    """
     m = [list(row) for row in a.entries]
-    r, prev = 0, 1
+    r = 0
     for c in range(a.cols):
-        if r == len(m):
-            break
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        prev = exactla._bareiss_step(m, r, c, prev)
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                row = [top[c] * x - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row) or 1
+                m[i] = [x // g for x in row]
         r += 1
     return r
+
+
+def det_mod(rows, prime):
+    """Determinant mod prime by plain Gaussian elimination over the residues."""
+    m = [[x % prime for x in row] for row in rows]
+    n, det = len(m), 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c] % prime
+        inv = pow(m[c][c], -1, prime)
+        for i in range(c + 1, n):
+            f = m[i][c] * inv % prime
+            if f:
+                m[i] = [(x - f * y) % prime for x, y in zip(m[i], m[c])]
+    return det % prime
 
 
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:

@@ -3,7 +3,7 @@
 inertia-additivity derives inertia(A_M) from the congruence it checks,
 and laplacian-balance proves a Laplacian singular by a kernel vector or
 nonsingular by a determinant mod a prime, falling back to the exact
-determinant otherwise.  These tests hold the certified answers to the
+inertia otherwise.  These tests hold the certified answers to the
 exact ones, force the fallback, feed wrong certificates, and count the
 eliminations one audit runs.
 """
@@ -54,14 +54,14 @@ def test_a_zero_modular_determinant_falls_back_to_the_exact_kernel(monkeypatch, 
     # Fraction elimination, not the Bareiss step the fallback itself runs
     exact = (oracles.gaussian_rank(lap.entries) < g.p, oracles.gaussian_rank(scaled.entries) < g.p + 1)
     runs = []
-    determinant = exactla.determinant
+    inertia = exactla.inertia
 
     def recording(a):
         runs.append(a.rows)
-        return determinant(a)
+        return inertia(a)
 
     monkeypatch.setattr(exactla, "_det_mod", lambda a: 0)
-    monkeypatch.setattr(exactla, "determinant", recording)
+    monkeypatch.setattr(exactla, "inertia", recording)
     # no kernel vector offered, so only the fallback can decide
     got = (exactla.is_singular(lap), exactla.is_singular(scaled))
     assert got == exact
@@ -121,23 +121,18 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert core.is_connected(g)
     assert balance.certify_balance(g).balanced == (kind != "unbalanced")
     assert core.is_all_positive(g) == (kind == "all-positive")
-    orders, fallbacks, dets = [], [], []
-    inertia, determinant, det_mod = exactla.inertia, exactla.determinant, exactla._det_mod
+    orders, dets = [], []
+    inertia, det_mod = exactla.inertia, exactla._det_mod
 
     def counted_inertia(a):
         orders.append(a.rows)
         return inertia(a)
-
-    def counted_determinant(a):
-        fallbacks.append(a.rows)
-        return determinant(a)
 
     def counted_det_mod(a):
         dets.append(det_mod(a))
         return dets[-1]
 
     monkeypatch.setattr(exactla, "inertia", counted_inertia)
-    monkeypatch.setattr(exactla, "determinant", counted_determinant)
     monkeypatch.setattr(exactla, "_det_mod", counted_det_mod)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
@@ -145,9 +140,9 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     with contextlib.redirect_stdout(out):
         code = cli.main(["audit", str(path), "--budget", "10"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
-    # inertia(A) and inertia of the lower block, nothing of order 2p + 1
+    # inertia(A) and inertia of the lower block, nothing of order 2p + 1,
+    # and no exact fallback of is_singular, which would be a third call
     assert sorted(orders) == [g.p, g.p + 1]
     # unbalanced: L and S by determinant; balanced: S only; all-positive: neither
     assert len(dets) == {"unbalanced": 2, "balanced": 1, "all-positive": 0}[kind]
     assert all(dets)
-    assert fallbacks == []

@@ -1,6 +1,7 @@
 """Data model: canonical form, switching, degrees, generators, text format."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,29 @@ class TestGenerate:
             generate("random", {"order": 3, "bogus": 1})
         with pytest.raises(InputError, match="unknown generator kind 'nonesuch'"):
             generate("nonesuch", {})
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("path", {"length": "x"}, "path length must be an integer, got 'x'"),
+            ("path", {"length": 3.7}, "path length must be an integer, got 3.7"),
+            ("cycle", {"length": 4.0}, "cycle length must be an integer, got 4.0"),
+            ("complete", {"order": True}, "complete order must be an integer, got True"),
+            ("random", {"order": "4"}, "random order must be an integer, got '4'"),
+            ("random", {"order": 4, "edge_prob": "x"}, "edge_prob must be a real number, got 'x'"),
+            ("random", {"order": 4, "neg_prob": None}, "neg_prob must be a real number, got None"),
+            ("random", {"order": 4, "edge_prob": True}, "edge_prob must be a real number, got True"),
+        ],
+    )
+    def test_params_of_the_wrong_type_rejected(self, kind, params, message):
+        # never converted: 3.7 would build a 3-vertex path, True would build K1
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            generate(kind, params)
+
+    def test_an_int_probability_is_a_real_number(self):
+        g = generate("random", {"order": 5, "edge_prob": 1, "neg_prob": 0})
+        assert g.q == 10 and is_all_positive(g)
+        assert g == generate("random", {"order": 5, "edge_prob": 1.0, "neg_prob": 0.0})
 
     @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=50))

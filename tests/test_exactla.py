@@ -1,4 +1,4 @@
-"""Exact integer matrices: arithmetic, Bareiss elimination, inertia."""
+"""Exact integer matrices: arithmetic, the determinant mod a prime, singularity, inertia."""
 
 from fractions import Fraction
 from math import lcm
@@ -15,7 +15,6 @@ from sgmyc.exactla import (
     Inertia,
     IntMatrix,
     _det_mod,
-    determinant,
     gram,
     inertia,
     is_singular,
@@ -47,7 +46,11 @@ def square_matrices(draw, max_n=5):
 
 @st.composite
 def symmetric_matrices(draw, max_n=5):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+    return draw(symmetric_of_order(draw(st.integers(min_value=0, max_value=max_n))))
+
+
+@st.composite
+def symmetric_of_order(draw, n):
     vals = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -155,61 +158,51 @@ class TestArithmetic:
         assert gram(h) == multiply(h, transpose(h))
 
 
-class TestDeterminant:
-    def test_frozen(self):
-        assert determinant(M([[0, 1, -1], [1, 0, -1], [-1, -1, 0]])) == 2
-        assert determinant(M([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])) == 1
-        assert determinant(M([[1, 2], [2, 4]])) == 0
-        assert determinant(M([])) == 1
-        assert determinant(M([[7]])) == 7
-
-    def test_not_square(self):
-        with pytest.raises(InputError, match="determinant needs a square matrix, got 1x2"):
-            determinant(M([[1, 2]]))
-
-    @settings(max_examples=60)
-    @given(square_matrices(max_n=5))
-    def test_matches_cofactor_expansion(self, a):
-        rows = [[a.entries[i][j] for j in range(a.cols)] for i in range(a.rows)]
-        assert determinant(a) == oracles.laplace_determinant(rows)
-
-    @given(square_matrices(max_n=4), square_matrices(max_n=4))
-    def test_multiplicative(self, a, b):
-        if a.rows == b.rows:
-            assert determinant(multiply(a, b)) == determinant(a) * determinant(b)
-
-
 class TestModularDeterminant:
     def test_frozen(self):
         assert _det_mod(M([])) == 1
         assert _det_mod(M([[1, 2], [2, 4]])) == 0
         assert _det_mod(M([[0, 1], [1, 0]])) == PRIME - 1
         assert _det_mod(M([[PRIME, 1], [0, 1]])) == 0
+        assert _det_mod(M([[0, 1, -1], [1, 0, -1], [-1, -1, 0]])) == 2
+        assert _det_mod(M([[7]])) == 7
+
+    @settings(max_examples=60)
+    @given(square_matrices(max_n=5))
+    def test_matches_cofactor_expansion(self, a):
+        assert _det_mod(a) == oracles.laplace_determinant(a.entries) % PRIME
+
+    @given(square_matrices(max_n=4), square_matrices(max_n=4))
+    def test_multiplicative(self, a, b):
+        if a.rows == b.rows:
+            assert _det_mod(multiply(a, b)) == _det_mod(a) * _det_mod(b) % PRIME
 
     @settings(max_examples=150)
     @given(square_matrices(max_n=6))
     def test_is_the_determinant_mod_the_prime(self, a):
-        assert _det_mod(a) == determinant(a) % PRIME
+        assert _det_mod(a) == oracles.det_mod(a.entries, PRIME)
 
     @settings(max_examples=20)
     @given(st.integers(min_value=1, max_value=40), st.randoms(use_true_random=False))
     def test_fields_hold_the_largest_residues(self, n, rng):
         # residues just below PRIME make every field grow the most between reads
         a = M([[rng.choice((-1, PRIME - 1, PRIME - 2, 2 * PRIME - 1)) for _ in range(n)] for _ in range(n)])
-        assert _det_mod(a) == determinant(a) % PRIME
+        assert _det_mod(a) == oracles.det_mod(a.entries, PRIME)
 
 
 @st.composite
-def square_with_hint(draw, max_n=5):
-    """A square matrix and a kernel hint, a true kernel vector about half the time."""
+def symmetric_with_hint(draw, max_n=5):
+    """A symmetric matrix and a kernel hint, a true kernel vector about half the time."""
     n = draw(st.integers(min_value=0, max_value=max_n))
-    rows = draw(matrices(n, n)).entries
     hint = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
-    if n and draw(st.booleans()):
-        # make the last column sum hint_j * column j, so a (hint, -1) is a kernel vector
-        hint = hint[:-1] + [-1]
-        rows = [row[:-1] + (sum(x * y for x, y in zip(row[:-1], hint[:-1])),) for row in rows]
-    return M(rows), tuple(hint)
+    if not (n and draw(st.booleans())):
+        return draw(symmetric_of_order(n)), tuple(hint)
+    # border a symmetric S with S h and h^T S h, so that (h, -1) is a kernel vector
+    s = draw(symmetric_of_order(n - 1)).entries
+    h = hint[:-1]
+    sh = [sum(x * y for x, y in zip(row, h)) for row in s]
+    rows = [list(row) + [x] for row, x in zip(s, sh)] + [sh + [sum(x * y for x, y in zip(sh, h))]]
+    return M(rows), tuple(h) + (-1,)
 
 
 class TestIsSingular:
@@ -224,8 +217,24 @@ class TestIsSingular:
         with pytest.raises(InputError, match="singularity needs a square matrix, got 1x2"):
             is_singular(M([[1, 2]]))
 
+    def test_rejects_a_non_symmetric_matrix_before_any_work(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("determinant taken")
+
+        monkeypatch.setattr(exactla, "_det_mod", fail)
+        with pytest.raises(PreconditionError, match="matrix is not symmetric"):
+            is_singular(M([[0, 1], [0, 0]]), (1, 0))
+        with pytest.raises(PreconditionError, match="matrix is not symmetric"):
+            is_singular(M([[1, 2], [3, 4]]))
+
+    def test_a_float_kernel_proves_nothing(self):
+        # 1e17 + 1 rounds to 1e17, so the float product is 0; det = 10^17
+        a = M([[10**17 + 1, 10**17], [10**17, 10**17]])
+        assert not is_singular(a, (1.0, -1.0))
+        assert is_singular(M([[1, 1], [1, 1]]), (1.0, -1.0))
+
     @settings(max_examples=200)
-    @given(square_with_hint())
+    @given(symmetric_with_hint())
     def test_equals_the_exact_rank_with_any_hint(self, case):
         a, hint = case
         exact = oracles.gaussian_rank([list(row) for row in a.entries]) < a.rows
@@ -244,7 +253,7 @@ class TestIsSingular:
         assert not is_singular(a, (1,))
 
     @settings(max_examples=100)
-    @given(square_matrices(max_n=5))
+    @given(symmetric_matrices(max_n=5))
     def test_a_zero_modular_determinant_falls_back_to_the_exact_kernel(self, a):
         exact = oracles.gaussian_rank([list(row) for row in a.entries]) < a.rows
         with pytest.MonkeyPatch.context() as mp:
@@ -343,7 +352,7 @@ class TestInertia:
     @given(symmetric_matrices(max_n=4))
     def test_determinant_sign_consistent(self, a):
         res = inertia(a)
-        det = determinant(a)
+        det = oracles.laplace_determinant(a.entries)
         if res.n_zero > 0:
             assert det == 0
         else:
@@ -354,7 +363,7 @@ class TestInertia:
     @settings(max_examples=40)
     @given(symmetric_matrices(max_n=4), square_matrices(max_n=4))
     def test_congruence_invariant(self, a, p):
-        if p.rows != a.rows or determinant(p) == 0:
+        if p.rows != a.rows or oracles.laplace_determinant(p.entries) == 0:
             return
         congruent = multiply(multiply(p, a), transpose(p))
         assert inertia(congruent) == inertia(a)

@@ -17,7 +17,6 @@ from sgmyc import matrices
 from sgmyc.exactla import (
     Inertia,
     IntMatrix,
-    determinant,
     inertia,
     multiply,
     transpose,
@@ -120,7 +119,7 @@ class TestNegativeJoin:
 
     def test_determinant_and_rank(self):
         nj = negative_join(K2_POS)
-        assert determinant(nj) == 2
+        assert oracles.laplace_determinant(nj.entries) == 2
         assert rank(nj) == 3
 
     @given(signed_graphs(max_p=6))
@@ -135,12 +134,12 @@ class TestCongruence:
     def test_factor_shapes(self):
         p_mat, b_mat = congruence_factors(SQUARE_ONE_NEG)
         assert p_mat.rows == b_mat.rows == 9
-        assert determinant(p_mat) == (-1) ** 4
+        assert oracles.laplace_determinant(p_mat.entries) == (-1) ** 4
 
     def test_unimodular(self):
         for g in (K2_NEG, K2_POS, SQUARE_ONE_NEG):
             p_mat, _ = congruence_factors(g)
-            assert determinant(p_mat) in (1, -1)
+            assert oracles.laplace_determinant(p_mat.entries) in (1, -1)
 
     def test_frozen_factors(self):
         p_mat, b_mat = congruence_factors(K2_NEG)
