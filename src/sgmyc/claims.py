@@ -15,10 +15,14 @@ The matrix claims compare a block formula built from G (sgmyc.matrices)
 with the matrix of the Mycielskian the Context constructs, whose
 adjacency, degree and Laplacian matrices are the generic builders
 applied to it.  They check certificates instead of eliminating those
-(2p+1) x (2p+1) matrices.  inertia-additivity checks exactly that
-A_M = P B P^T, that P is lower triangular with +-1 on its diagonal, so
-det P = +-1, and that B is the block sum of A and the negative join of
-the negated input.  Sylvester's law of inertia then gives inertia(A_M) =
+(2p+1) x (2p+1) matrices.  inertia-additivity uses the paper's
+P = [[I,0,0],[I,-I,0],[0,0,1]], which is its own inverse, so A_M =
+P B P^T holds exactly when P A_M P^T = B.  P on the left replaces each
+twin row by its original's row minus its own, and P^T on the right does
+the same with the columns; the claim applies both to A_M and compares
+the result with the block sum B of A and the lower block, the negative
+join of the negated input, the very two matrices Context.inertias
+eliminates.  Sylvester's law of inertia then gives inertia(A_M) =
 inertia(A) + inertia(lower block), with no elimination of A_M.
 incidence-laplacian checks H_M H_M^T = L_M, the blocked incidence
 against the Laplacian of the constructed graph; H H^T = L on G alone
@@ -32,6 +36,7 @@ a prime, and only when neither settles it does the exact inertia decide.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import sub
 from typing import Callable
 
 from . import balance, coloring, core, exactla, matrices, mycielskian
@@ -74,10 +79,6 @@ class Context:
         return matrices.laplacian_mycielskian_schur(self.g)
 
     @cached_property
-    def factors(self) -> tuple[exactla.IntMatrix, exactla.IntMatrix]:
-        return matrices.congruence_factors(self.g)
-
-    @cached_property
     def lower_block(self) -> exactla.IntMatrix:
         """B's lower diagonal block: the negative join of the negated input."""
         return matrices.negative_join(balance.negate(self.g))
@@ -87,9 +88,8 @@ class Context:
         """Inertias of A_M, of A and of B's lower diagonal block.
 
         The first is the sum of the other two, by Sylvester's law of inertia,
-        as inertia-additivity checks that A_M = P B P^T with det P = +-1 and
-        B the block sum of A and lower_block.  Neither A_M nor B is built or
-        eliminated here.
+        as inertia-additivity checks that P A_M P^T, for the self-inverse P,
+        is the block sum of A and lower_block.  A_M is not eliminated.
         """
         in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(self.lower_block)
         return in_a + in_lower, in_a, in_lower
@@ -165,19 +165,17 @@ def _sandwich(ctx: Context) -> tuple[str, str]:
 
 def _inertia(ctx: Context) -> tuple[str, str]:
     p = ctx.g.p
-    pm, bm = ctx.factors
-    # P is lower triangular with +-1 on its diagonal, so det P = +-1 and,
-    # by Sylvester's law of inertia, A_M = P B P^T has the inertia of B
-    ok = pm.is_square() and all(row[i] in (1, -1) and not any(row[i + 1 :]) for i, row in enumerate(pm.entries))
-    ok = ok and exactla.multiply(exactla.multiply(pm, bm), exactla.transpose(pm)) == ctx.adjacency_myc
-    # B is the block sum of A and the negative join of the negated input,
-    # which shares its rank, not its signature, with the negative join of G
-    top, bottom = bm.entries[:p], bm.entries[p:]
-    ok = ok and not any(any(row[p:]) for row in top) and not any(any(row[:p]) for row in bottom)
-    ok = ok and tuple(row[:p] for row in top) == ctx.adjacency.entries
-    ok = ok and tuple(row[p:] for row in bottom) == ctx.lower_block.entries
+    am = ctx.adjacency_myc.entries
+    ok = len(am) == 2 * p + 1
+    if ok:
+        # P A_M P^T: each twin row, then each twin column, becomes its
+        # original's minus its own
+        rows = am[:p] + tuple(tuple(map(sub, am[i], am[p + i])) for i in range(p)) + am[2 * p :]
+        pap = [row[:p] + tuple(map(sub, row[:p], row[p : 2 * p])) + row[2 * p :] for row in rows]
+        right, left = (0,) * (p + 1), (0,) * p
+        ok = pap == [row + right for row in ctx.adjacency.entries] + [left + row for row in ctx.lower_block.entries]
     if not ok:
-        # the block inertias add up to inertia(A_M) only for checked factors
+        # the block inertias add up to inertia(A_M) only for a checked congruence
         return ("fail", "A_M is not P B P^T with det P = +-1 and B the block sum")
     in_am, in_a, in_lower = ctx.inertias
 

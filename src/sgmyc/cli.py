@@ -20,8 +20,7 @@ text); only _run reads the input and writes stdout.  Identical input and
 flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed audit claim, 2 malformed input or out
-of memory, 3 violated precondition, 4 exhausted search budget.  The
-environment variable SG_SEED overrides the generator seed.
+of memory, 3 violated precondition, 4 exhausted search budget.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from itertools import chain
 
@@ -128,20 +126,15 @@ def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict, str]:
 
 
 def cmd_generate(args, g: None) -> tuple[int, dict, str]:
-    seed = os.environ.get("SG_SEED", args.seed)
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise InputError(f"SG_SEED must be an integer, got {seed!r}") from None
     names = ("length", "order", "pattern", "edge_prob", "neg_prob")
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    out_graph = core.generate(args.kind, params, seed)
+    out_graph = core.generate(args.kind, params, args.seed)
     text = core.dumps(out_graph)
     if args.output:
         _write(args.output, text)
     payload = {
         "kind": args.kind,
-        "seed": seed,
+        "seed": args.seed,
         "vertices": out_graph.p,
         "edges": out_graph.edges,
     }

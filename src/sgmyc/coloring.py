@@ -104,7 +104,7 @@ def color_set(n: int) -> tuple[int, ...]:
 
 def color_trial_order(n: int) -> tuple[int, ...]:
     """Members of M_n in solver order: 0 when present, then 1, -1, 2, -2, ..."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("color set needs n >= 1")
     k = n // 2
     order = [0] if n % 2 == 1 else []

@@ -53,11 +53,12 @@ class SignedGraph:
 def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     """Build a SignedGraph from raw (u, v, s) triples.
 
-    Endpoints may come in either order.  A vertex count, endpoint or sign
-    that is not an int (bool included), loops, duplicate pairs, endpoints
-    outside 1..p, and signs outside {+1, -1} are rejected.  The first bad
-    edge in input order is reported; within one edge a non-int value is
-    reported first, then a loop, a bad endpoint, a bad sign, a duplicate.
+    Endpoints may come in either order.  An edge that is not three items,
+    a vertex count, endpoint or sign that is not an int (bool included),
+    loops, duplicate pairs, endpoints outside 1..p, and signs outside
+    {+1, -1} are rejected.  The first bad edge in input order is
+    reported; within one edge a non-int value is reported first, then a
+    loop, a bad endpoint, a bad sign, a duplicate.
     """
     if type(p) is not int:
         raise InputError(f"vertex count must be an int, got {p!r}")
@@ -67,7 +68,10 @@ def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     seen: set[int] = set()
     out: list[Edge] = []
     for e in edges:
-        u, v, s = e
+        try:
+            u, v, s = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} must hold three ints") from None
         if not (type(u) is type(v) is type(s) is int):
             raise InputError(f"edge {(u, v, s)!r} must hold three ints")
         a, b = (u, v) if u < v else (v, u)

@@ -32,9 +32,10 @@ and deterministic for every input and every offered vector.  A nonzero
 multiple c a has the same kernel, and det(c a) = c^n det(a), so a
 caller may pass any such multiple, say one that clears denominators.
 
-Products visit only the nonzero entries of their operands; gram forms
-h h^T column by column, so an incidence matrix with two nonzeros per
-column costs four updates a column.
+gram forms h h^T column by column over the nonzero entries of h, so an
+incidence matrix with two nonzeros per column costs four updates a
+column.  No general product is offered: the audit checks its
+congruence by row operations (sgmyc.claims).
 """
 
 from __future__ import annotations
@@ -55,21 +56,11 @@ class IntMatrix:
     """Immutable dense integer matrix.
 
     from_rows checks its entries; the constructor takes them as given.
-    ncols exists because a matrix with zero rows has no row to read the
-    width from; it defaults to -1, meaning infer from the entries.  Only
-    degenerate shapes like the transpose of a p x 0 incidence matrix
-    ever need it spelled out.
+    The width is read from the first row, so a matrix with no rows has
+    no columns either.
     """
 
     entries: tuple[tuple[int, ...], ...]
-    ncols: int = -1
-
-    def __post_init__(self) -> None:
-        inferred = len(self.entries[0]) if self.entries else 0
-        if self.ncols < 0:
-            object.__setattr__(self, "ncols", inferred)
-        elif self.entries and self.ncols != inferred:
-            raise InputError(f"declared {self.ncols} columns, rows have {inferred}")
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -87,7 +78,7 @@ class IntMatrix:
 
     @property
     def cols(self) -> int:
-        return self.ncols
+        return len(self.entries[0]) if self.entries else 0
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -110,30 +101,6 @@ class Inertia:
 
     def __add__(self, other: "Inertia") -> "Inertia":
         return Inertia(self.n_plus + other.n_plus, self.n_minus + other.n_minus, self.n_zero + other.n_zero)
-
-
-def transpose(a: IntMatrix) -> IntMatrix:
-    if a.cols == 0:
-        return IntMatrix((), a.rows)
-    if a.rows == 0:
-        return IntMatrix(((),) * a.cols, 0)
-    return IntMatrix(tuple(zip(*a.entries)))
-
-
-def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product that visits only the nonzero entries of a and b."""
-    if a.cols != b.rows:
-        raise InputError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_nonzeros = [[(j, row[j]) for j in compress(range(b.cols), row)] for row in b.entries]
-    out = []
-    for row in a.entries:
-        acc = [0] * b.cols
-        for k in compress(range(a.cols), row):
-            x = row[k]
-            for j, y in b_nonzeros[k]:
-                acc[j] += x * y
-        out.append(tuple(acc))
-    return IntMatrix(tuple(out), b.cols)
 
 
 def _det_mod(a: IntMatrix) -> int:
@@ -202,7 +169,7 @@ def gram(h: IntMatrix) -> IntMatrix:
             row = out[i]
             for j, y in col:
                 row[j] += x * y
-    return IntMatrix(tuple(map(tuple, out)), h.rows)
+    return IntMatrix(tuple(map(tuple, out)))
 
 
 def inertia(a: IntMatrix) -> Inertia:

@@ -4,11 +4,11 @@ All constructors return exact integer matrices, each filled in one pass
 over the edge list of its input.  The adjacency, degree and Laplacian of
 the Mycielskian M are those of the graph mycielskian.mycielskian builds.
 The block formulas the paper proves take G itself, over the fixed
-labeling (originals 1..p, twins p+1..2p, root 2p+1): the factor pair
-(P, B) of A_M, the blocked incidence H_M and the scaled twin-block
-Schur complement of L_M.  None is derived from another builder or from
-the constructed Mycielskian, so the audit compares each with the matrix
-of the graph it builds.
+labeling (originals 1..p, twins p+1..2p, root 2p+1): the blocked
+incidence H_M and the scaled twin-block Schur complement of L_M.
+Neither is derived from another builder or from the constructed
+Mycielskian, so the audit compares each with the matrix of the graph it
+builds.
 
 The adjacency of the Mycielskian has the block shape
 
@@ -26,8 +26,10 @@ blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
 inertia is therefore computed from the two blocks, A and
-negative_join(balance.negate(G)), each about half the size of A_M; the
-tests compare it with an elimination of the full matrix.
+negative_join(balance.negate(G)), each about half the size of A_M.
+Neither P nor B is built: P is its own inverse, so the audit applies P
+to A_M by row and column operations and compares the result with the
+two blocks (sgmyc.claims).
 
 The twins of the Mycielskian are pairwise non-adjacent, so in
 
@@ -95,30 +97,6 @@ def negative_join(g: SignedGraph) -> IntMatrix:
         rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
     rows.append([-1] * p + [0])
     return IntMatrix.from_rows(rows)
-
-
-def congruence_factors(g: SignedGraph) -> tuple[IntMatrix, IntMatrix]:
-    """The pair (P, B) with P B P^T equal to the Mycielskian adjacency.
-
-    P = [[I,0,0],[I,-I,0],[0,0,1]] has determinant (-1)^p.  B is block
-    diagonal with blocks A and [[-A,-j],[-j',0]]; the signs in the lower
-    block are part of the identity and are kept exactly as they must be
-    for the product to come out right.
-    """
-    p = g.p
-    pm = _square(2 * p + 1)
-    for i in range(p):
-        pm[i][i] = pm[p + i][i] = 1
-        pm[p + i][p + i] = -1
-    pm[2 * p][2 * p] = 1
-    bm = _square(2 * p + 1)
-    for u, v, s in g.edges:
-        u, v = u - 1, v - 1
-        bm[u][v] = bm[v][u] = s
-        bm[p + u][p + v] = bm[p + v][p + u] = -s
-    for t in range(p, 2 * p):
-        bm[t][2 * p] = bm[2 * p][t] = -1
-    return IntMatrix.from_rows(pm), IntMatrix.from_rows(bm)
 
 
 def incidence(g: SignedGraph) -> IntMatrix:

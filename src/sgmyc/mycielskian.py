@@ -150,7 +150,7 @@ def tower(n: int) -> list[SignedGraph]:
     k has signed chromatic number exactly k, stays balanced and
     triangle-free, and from level 2 on is never all-positive.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("tower needs n >= 1")
     levels = [canonicalize(1, [])]
     if n >= 2:

@@ -22,7 +22,10 @@ graphs and switchings the one-pass constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
 public functions, kept unchanged for the tests that use them.  So is
-subtract, the entrywise difference behind the test that L = D - A.
+subtract, the entrywise difference behind the test that L = D - A, and
+paper_factors, the explicit pair (P, B) of A_M = P B P^T, which
+inertia-additivity no longer builds; congruence_product multiplies it
+out by the triple loop.
 """
 
 from itertools import combinations, product
@@ -351,6 +354,34 @@ def triple_loop_product(a_rows, b_rows, q):
     return [[sum(row[t] * b_rows[t][j] for t in range(k)) for j in range(q)] for row in a_rows]
 
 
+def paper_factors(g: SignedGraph):
+    """The paper's pair (P, B) with A_M = P B P^T, as rows, from the edges of g.
+
+    P = [[I,0,0],[I,-I,0],[0,0,1]] has determinant (-1)^p.  B is block
+    diagonal with blocks A and [[-A,-j],[-j',0]].
+    """
+    p, n = g.p, 2 * g.p + 1
+    pm = [[0] * n for _ in range(n)]
+    for i in range(p):
+        pm[i][i] = pm[p + i][i] = 1
+        pm[p + i][p + i] = -1
+    pm[2 * p][2 * p] = 1
+    bm = [[0] * n for _ in range(n)]
+    for u, v, s in g.edges:
+        bm[u - 1][v - 1] = bm[v - 1][u - 1] = s
+        bm[p + u - 1][p + v - 1] = bm[p + v - 1][p + u - 1] = -s
+    for t in range(p, 2 * p):
+        bm[t][2 * p] = bm[2 * p][t] = -1
+    return pm, bm
+
+
+def congruence_product(p_rows, b_rows):
+    """P B P^T of square row lists, by the triple loop."""
+    n = len(p_rows)
+    pt = [list(col) for col in zip(*p_rows)]
+    return triple_loop_product(triple_loop_product(p_rows, b_rows, n), pt, n)
+
+
 def reference_mycielskian(g: SignedGraph) -> tuple[SignedGraph, MycielskianLabeling]:
     """Signed Mycielskian with the fixed labeling."""
     lab = MycielskianLabeling(g.p)
@@ -520,7 +551,4 @@ def det_mod(rows, prime):
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise InputError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return exactla.IntMatrix(
-        tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
-        a.cols,
-    )
+    return exactla.IntMatrix(tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)))

@@ -1,6 +1,7 @@
 """The audit's matrix verdicts rest on certificates, with the exact kernel behind them.
 
-inertia-additivity derives inertia(A_M) from the congruence it checks,
+inertia-additivity derives inertia(A_M) from the congruence it checks
+by row operations on A_M, building no factor of order 2p + 1,
 and laplacian-balance proves a Laplacian singular by a kernel vector or
 nonsingular by a determinant mod a prime, falling back to the exact
 inertia otherwise.  These tests hold the certified answers to the
@@ -9,6 +10,7 @@ eliminations one audit runs.
 """
 
 import contextlib
+import inspect
 import io
 import random
 
@@ -146,3 +148,30 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     # unbalanced: L and S by determinant; balanced: S only; all-positive: neither
     assert len(dets) == {"unbalanced": 2, "balanced": 1, "all-positive": 0}[kind]
     assert all(dets)
+
+
+def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
+    # of order 2p + 1, only the matrices of the constructed Mycielskian and
+    # the blocked incidence compared with its Laplacian are built
+    built = []
+
+    def recording(name, build):
+        def wrapped(*args):
+            result = build(*args)
+            built.extend((name, m.rows) for m in (result if isinstance(result, tuple) else (result,)))
+            return result
+
+        return wrapped
+
+    for name, fn in list(vars(matrices).items()):
+        if inspect.isfunction(fn) and fn.__module__ == matrices.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(matrices, name, recording(name, fn))
+    for kind, g in elimination_budget_inputs().items():
+        built.clear()
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(core.dumps(g))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["audit", str(path), "--budget", "10"])
+        assert code == 0 and out.getvalue().endswith("audit: ok\n")
+        large = {name for name, rows in built if rows >= 2 * g.p + 1}
+        assert "adjacency" in large and large <= {"adjacency", "laplacian", "incidence_mycielskian"}, (kind, large)

@@ -5,9 +5,9 @@ into the context's __dict__, where functools.cached_property keeps its
 value, or it patches a module function that sgmyc.claims calls through
 its module attribute.  The claim that reads the corrupted object must
 then fail, while the same claim passes on an untouched context of the
-same input.  inertia-additivity gets more corruptions of its factor pair
-(P, B), some of which keep P B P^T = A_M, so that each of its checks on
-P and on the blocks of B is shown to be needed.
+same input.  inertia-additivity gets more corruptions of A_M and of the
+two blocks whose sum P A_M P^T must equal, some of which keep every
+inertia, so that only the comparison itself can fail them.
 """
 
 import dataclasses
@@ -15,8 +15,9 @@ import dataclasses
 import pytest
 
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
+import oracles
 from sgmyc import claims, coloring, core, matrices, mycielskian
-from sgmyc.exactla import IntMatrix, multiply, transpose
+from sgmyc.exactla import IntMatrix
 
 # small and degenerate inputs on which every corruption must show
 FAULT_GRAPHS = {
@@ -66,8 +67,8 @@ def chromatic_two_up_on_mycielskian(ctx, monkeypatch):
 
 
 def bumped_factor(ctx, monkeypatch):
-    pm, bm = ctx.factors
-    ctx.__dict__["factors"] = (pm, bump_corner(bm))
+    # the lower block of the factor B
+    ctx.__dict__["lower_block"] = bump_corner(ctx.lower_block)
 
 
 def bumped_laplacian(ctx, monkeypatch):
@@ -99,42 +100,37 @@ def with_entries(m, changes):
     return IntMatrix.from_rows(rows)
 
 
-def non_unimodular_factor(ctx, monkeypatch):
-    # det P = 2; where vertex 1 has no edge, P B P^T is still A_M
-    pm, bm = ctx.factors
-    ctx.__dict__["factors"] = (with_entries(pm, {(0, 0): 2}), bm)
-
-
 def off_diagonal_block(ctx, monkeypatch):
-    # original 1 and twin 1 meet in B
+    # A_M = P B' P^T, where original 1 and twin 1 meet in B'
     p = ctx.g.p
-    pm, bm = ctx.factors
-    ctx.__dict__["factors"] = (pm, with_entries(bm, {(0, p): 1, (p, 0): 1}))
+    pm, bm = oracles.paper_factors(ctx.g)
+    bm[0][p] = bm[p][0] = 1
+    ctx.__dict__["adjacency_myc"] = IntMatrix.from_rows(oracles.congruence_product(pm, bm))
 
 
 def negated_lower_block(ctx, monkeypatch):
     # D N D in place of D (-N) D
-    p = ctx.g.p
-    pm, bm = ctx.factors
-    lower = {(i, j): -bm.entries[i][j] for i in range(p, 2 * p + 1) for j in range(p, 2 * p + 1)}
-    ctx.__dict__["factors"] = (pm, with_entries(bm, lower))
+    ctx.__dict__["lower_block"] = IntMatrix.from_rows([[-x for x in row] for row in ctx.lower_block.entries])
 
 
 def asymmetric_lower_block(ctx, monkeypatch):
-    # twin 1 meets the next twin, or the root, in one direction only, so B
-    # is not symmetric and its lower block is not the negative join of -G
-    p = ctx.g.p
-    pm, bm = ctx.factors
-    ctx.__dict__["factors"] = (pm, with_entries(bm, {(p, p + 1): bm.entries[p][p + 1] + 1}))
+    # twin 1 meets the next twin, or the root, in one direction only, so the
+    # lower block is not symmetric and not the negative join of -G
+    lower = ctx.lower_block
+    ctx.__dict__["lower_block"] = with_entries(lower, {(0, 1): lower.entries[0][1] + 1})
 
 
-# corruptions of the factor pair beyond bumped_factor, each on the inputs
-# with p >= 1: the null graph has no twin, so its B is the 1 x 1 lower block
+def bumped_adjacency(ctx, monkeypatch):
+    ctx.__dict__["adjacency"] = bump_corner(ctx.adjacency)
+
+
+# corruptions beyond bumped_factor, each on the inputs with p >= 1: the
+# null graph has neither a twin nor an adjacency entry
 INERTIA_CORRUPTIONS = {
-    "non_unimodular_factor": non_unimodular_factor,
     "off_diagonal_block": off_diagonal_block,
     "negated_lower_block": negated_lower_block,
     "asymmetric_lower_block": asymmetric_lower_block,
+    "bumped_adjacency": bumped_adjacency,
 }
 
 
@@ -165,50 +161,48 @@ def test_factor_corruption_fails_inertia_additivity(monkeypatch, corruption, gra
     assert status(ctx, "inertia-additivity") == "fail"
 
 
-def congruent_pair(pm, bm, i, j):
-    """(P E, E^-1 B E^-T) for E = I + e_ij with i > j.
+def input_as_mycielskian(ctx, monkeypatch):
+    ctx.__dict__["myc"] = (ctx.g, ctx.myc[1])
 
-    The product P B P^T is unchanged, and P E is still lower triangular
-    with +-1 on its diagonal.
-    """
-    p_rows = [list(row) for row in pm.entries]
-    for row in p_rows:
-        row[j] += row[i]
-    b = [list(row) for row in bm.entries]
-    b[i] = [x - y for x, y in zip(b[i], b[j])]
-    for row in b:
+
+@pytest.mark.parametrize("graph", sorted(FAULT_GRAPHS))
+@pytest.mark.parametrize("corruption", [extra_vertex, input_as_mycielskian], ids=["2p+2", "p"])
+def test_a_mycielskian_of_another_order_fails_inertia_additivity(monkeypatch, corruption, graph):
+    ctx = claims.Context(FAULT_GRAPHS[graph])
+    corruption(ctx, monkeypatch)
+    assert status(ctx, "inertia-additivity") == "fail"
+
+
+def congruent_block(m, i, j):
+    """E^-1 m E^-T for E = I + e_ij with i > j: row i, then column i, less row and column j."""
+    rows = [list(row) for row in m.entries]
+    rows[i] = [x - y for x, y in zip(rows[i], rows[j])]
+    for row in rows:
         row[i] -= row[j]
-    return IntMatrix.from_rows(p_rows), IntMatrix.from_rows(b)
+    return IntMatrix.from_rows(rows)
 
 
-# the pair (i, j) of congruent_pair that reshapes each block of B, for p >= 2
+# the block of B that a congruence reshapes, and its pair (i, j), for p >= 2
 RESHAPING_PIVOTS = {
-    "top": lambda p: (1, 0),
-    "off-diagonal": lambda p: (p, 0),
-    "lower": lambda p: (2 * p, p),
+    "top": ("adjacency", lambda p: (1, 0)),
+    "lower": ("lower_block", lambda p: (p, 0)),
 }
 
 
 @pytest.mark.parametrize("g", [K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG], ids=["K2-", "square1", "square2"])
 @pytest.mark.parametrize("block", list(RESHAPING_PIVOTS))
 def test_each_block_check_rejects_another_factorization_of_a_m(g, block):
-    # the product and the inertia sum hold, so only the block check can fail it
+    # A_M = (P E) B2 (P E)^T, with B2 the block sum of one block congruent
+    # to its own and the other; every inertia still holds, so only the
+    # comparison of P A_M P^T with the blocks can fail it
     ctx = claims.Context(g)
-    pm, bm = ctx.factors
-    pm2, bm2 = congruent_pair(pm, bm, *RESHAPING_PIVOTS[block](g.p))
-    assert bm2 != bm
-    assert multiply(multiply(pm2, bm2), transpose(pm2)) == ctx.adjacency_myc
-    ctx.__dict__["factors"] = (pm2, bm2)
-    assert status(ctx, "inertia-additivity") == "fail"
-
-
-@pytest.mark.parametrize("graph", ["null", "K1", "edgeless3"])
-def test_non_unimodular_factor_keeps_the_product_without_edges(monkeypatch, graph):
-    # so only the unimodularity check can fail it there
-    ctx = claims.Context(FAULT_GRAPHS[graph])
-    non_unimodular_factor(ctx, monkeypatch)
-    pm, bm = ctx.factors
-    assert multiply(multiply(pm, bm), transpose(pm)) == ctx.adjacency_myc
+    name, pivot = RESHAPING_PIVOTS[block]
+    before = ctx.inertias
+    reshaped = congruent_block(getattr(ctx, name), *pivot(g.p))
+    assert reshaped != getattr(ctx, name)
+    ctx.__dict__[name] = reshaped
+    del ctx.__dict__["inertias"]
+    assert ctx.inertias == before
     assert status(ctx, "inertia-additivity") == "fail"
 
 

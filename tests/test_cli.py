@@ -110,18 +110,6 @@ class TestGenerate:
         b = run(capsys, "generate", "random", "--order", "7", "--seed", "2")[1]
         assert a != b
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SG_SEED", "9")
-        with_env = run(capsys, "generate", "random", "--order", "6", "--seed", "1")[1]
-        monkeypatch.delenv("SG_SEED")
-        explicit = run(capsys, "generate", "random", "--order", "6", "--seed", "9")[1]
-        assert with_env == explicit
-
-    def test_env_seed_must_be_int(self, capsys, monkeypatch):
-        monkeypatch.setenv("SG_SEED", "soon")
-        code, _, err = run(capsys, "generate", "random", "--order", "4")
-        assert code == 2 and "SG_SEED" in err
-
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "generate", "cycle", "--length", "3", "--json")
         report = json.loads(out)
@@ -338,7 +326,6 @@ class TestInertia:
 
         monkeypatch.setattr(mycielskian, "mycielskian", refuse)
         monkeypatch.setattr(cli, "mycielskian", refuse)
-        monkeypatch.setattr(matrices, "congruence_factors", refuse)
         path = write_graph(tmp_path, SQUARE_ONE_NEG)
         code, out, _ = run(capsys, "inertia", "--of", "mycielskian", path)
         assert code == 0

@@ -55,6 +55,17 @@ class TestColorSets:
         with pytest.raises(InputError, match="color set needs n >= 1"):
             color_trial_order(0)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, True], ids=repr)
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(InputError) as exc:
+            color_trial_order(n)
+        assert str(exc.value) == "color set needs n >= 1"
+        for g in (SQUARE_ONE_NEG, canonicalize(0, [])):
+            with pytest.raises(InputError, match="color set needs n >= 1"):
+                least_coloring(g, n)
+        with pytest.raises(InputError, match="color set needs n >= 1"):
+            is_proper(K2_POS, SignedColoring(n, (1, -1)))
+
     @given(st.integers(min_value=1, max_value=20))
     def test_same_members_either_way(self, n):
         assert sorted(color_trial_order(n)) == sorted(color_set(n))

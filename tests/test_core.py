@@ -115,6 +115,12 @@ class TestErrorPrecedence:
             ([(1, 2, 1), (0, 2, 1), (3, 3, 1)], "VertexOutOfRangeError", "edge (0,2) outside 1..3"),
             ([(2, 1, 1), (1, 2, -1), (3, 3, 1)], "DuplicateEdgeError", "edge (1,2) given twice"),
             ([(3, 2, 1), (2, 3, 1), (1, 2, 7)], "DuplicateEdgeError", "edge (2,3) given twice"),
+            # an edge that does not unpack into three items
+            ([(1, 2)], "InvalidParamsError", "edge (1, 2) must hold three ints"),
+            ([(1, 2, 1, 0)], "InvalidParamsError", "edge (1, 2, 1, 0) must hold three ints"),
+            ([5], "InvalidParamsError", "edge 5 must hold three ints"),
+            ([(3, 3, 1), (1, 2)], "LoopEdgeError", "loop at vertex 3"),
+            ([(1, 3, 1), (1, 2), (3, 3, 1)], "InvalidParamsError", "edge (1, 2) must hold three ints"),
         ],
     )
     def test_canonicalize(self, edges, case, message):

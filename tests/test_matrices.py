@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import rank, subtract
@@ -13,17 +14,10 @@ from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG
 from strategies import signed_graphs
 from sgmyc.core import canonicalize, is_all_positive
 from sgmyc.balance import certify_balance, negate
-from sgmyc import matrices
-from sgmyc.exactla import (
-    Inertia,
-    IntMatrix,
-    inertia,
-    multiply,
-    transpose,
-)
+from sgmyc import claims, matrices
+from sgmyc.exactla import Inertia, IntMatrix, inertia
 from sgmyc.matrices import (
     adjacency,
-    congruence_factors,
     degree_matrix,
     incidence,
     incidence_mycielskian,
@@ -34,6 +28,22 @@ from sgmyc.matrices import (
 from sgmyc.mycielskian import mycielskian, tower
 
 M = IntMatrix.from_rows
+
+# the paper's P and B for K2 with its one edge negative
+K2_NEG_P = [
+    [1, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0],
+    [1, 0, -1, 0, 0],
+    [0, 1, 0, -1, 0],
+    [0, 0, 0, 0, 1],
+]
+K2_NEG_B = [
+    [0, -1, 0, 0, 0],
+    [-1, 0, 0, 0, 0],
+    [0, 0, 0, 1, -1],
+    [0, 0, 1, 0, -1],
+    [0, 0, -1, -1, 0],
+]
 
 
 def adjacency_m(g):
@@ -46,7 +56,12 @@ def laplacian_m(g):
     return laplacian(mycielskian(g)[0])
 
 
-@pytest.mark.parametrize("name", ["incidence_mycielskian", "congruence_factors", "laplacian_mycielskian_schur"])
+def gram_rows(h):
+    """h h^T of an IntMatrix by the triple loop, as an IntMatrix."""
+    return IntMatrix.from_rows(oracles.triple_loop_product(h.entries, tuple(zip(*h.entries)), h.rows))
+
+
+@pytest.mark.parametrize("name", ["incidence_mycielskian", "laplacian_mycielskian_schur"])
 def test_mycielskian_builder_uses_no_other_construction(name):
     # the block identities below and in the audit compare independent
     # constructions only while no block formula is derived from another
@@ -65,7 +80,7 @@ def test_every_builder_returns_int_matrices():
         fn for name, fn in vars(matrices).items()
         if inspect.isfunction(fn) and fn.__module__ == matrices.__name__ and not name.startswith("_")
     ]
-    assert len(builders) == 8
+    assert len(builders) == 7
     for build in builders:
         result = build(SQUARE_ONE_NEG)
         assert all(type(m) is IntMatrix for m in (result if isinstance(result, tuple) else (result,)))
@@ -131,48 +146,56 @@ class TestNegativeJoin:
 
 
 class TestCongruence:
+    """The paper's factorization A_M = P B P^T, with P and B built by oracles.paper_factors."""
+
     def test_factor_shapes(self):
-        p_mat, b_mat = congruence_factors(SQUARE_ONE_NEG)
-        assert p_mat.rows == b_mat.rows == 9
-        assert oracles.laplace_determinant(p_mat.entries) == (-1) ** 4
+        p_mat, b_mat = oracles.paper_factors(SQUARE_ONE_NEG)
+        assert len(p_mat) == len(b_mat) == 9
+        assert oracles.laplace_determinant(p_mat) == (-1) ** 4
 
     def test_unimodular(self):
         for g in (K2_NEG, K2_POS, SQUARE_ONE_NEG):
-            p_mat, _ = congruence_factors(g)
-            assert oracles.laplace_determinant(p_mat.entries) in (1, -1)
+            p_mat, _ = oracles.paper_factors(g)
+            assert oracles.laplace_determinant(p_mat) in (1, -1)
 
     def test_frozen_factors(self):
-        p_mat, b_mat = congruence_factors(K2_NEG)
-        assert p_mat == M(
-            [
-                [1, 0, 0, 0, 0],
-                [0, 1, 0, 0, 0],
-                [1, 0, -1, 0, 0],
-                [0, 1, 0, -1, 0],
-                [0, 0, 0, 0, 1],
-            ]
-        )
-        assert b_mat == M(
-            [
-                [0, -1, 0, 0, 0],
-                [-1, 0, 0, 0, 0],
-                [0, 0, 0, 1, -1],
-                [0, 0, 1, 0, -1],
-                [0, 0, -1, -1, 0],
-            ]
-        )
+        p_mat, b_mat = oracles.paper_factors(K2_NEG)
+        assert p_mat == K2_NEG_P
+        assert b_mat == K2_NEG_B
 
     @given(signed_graphs(max_p=6))
     def test_product_identity(self, g):
-        p_mat, b_mat = congruence_factors(g)
-        assert multiply(multiply(p_mat, b_mat), transpose(p_mat)) == adjacency_m(g)
+        p_mat, b_mat = oracles.paper_factors(g)
+        assert M(oracles.congruence_product(p_mat, b_mat)) == adjacency_m(g)
 
     @given(signed_graphs(max_p=6))
     def test_lower_block_is_negative_join_of_negated_graph(self, g):
-        _, b_mat = congruence_factors(g)
-        lower = M([row[g.p:] for row in b_mat.entries[g.p:]])
+        _, b_mat = oracles.paper_factors(g)
+        lower = M([row[g.p:] for row in b_mat[g.p:]])
         negated = canonicalize(g.p, [(u, v, -s) for u, v, s in g.edges])
         assert lower == negative_join(negated)
+
+    @settings(max_examples=150)
+    @given(signed_graphs(max_p=7), st.none() | st.integers(min_value=0, max_value=200))
+    @example(K2_NEG, None)
+    @example(K2_NEG, 0)
+    @example(canonicalize(0, []), None)
+    def test_claim_verdict_is_whether_p_b_p_t_is_a_m(self, g, k):
+        # inertia-additivity applies P by row operations to the A_M of the
+        # graph the audit builds; here P B P^T is multiplied out, on the
+        # clean Mycielskian and with one of its edge signs flipped
+        ctx = claims.Context(g)
+        gm, lab = ctx.myc
+        flip = None if k is None or not gm.q else k % gm.q
+        if flip is not None:
+            edges = [(u, v, -s if i == flip else s) for i, (u, v, s) in enumerate(gm.edges)]
+            ctx.__dict__["myc"] = (canonicalize(gm.p, edges), lab)
+        p_mat, b_mat = oracles.paper_factors(g)
+        if g == K2_NEG:
+            assert (p_mat, b_mat) == (K2_NEG_P, K2_NEG_B)
+        holds = M(oracles.congruence_product(p_mat, b_mat)) == ctx.adjacency_myc
+        assert holds == (flip is None)
+        assert claims.check("inertia-additivity", ctx)["status"] == ("pass" if holds else "fail")
 
     @given(signed_graphs(max_p=6))
     def test_rank_and_nullity_additive_with_negative_join(self, g):
@@ -242,8 +265,7 @@ class TestIncidence:
 
     @given(signed_graphs(max_p=7))
     def test_gram_is_laplacian(self, g):
-        h = incidence(g)
-        assert multiply(h, transpose(h)) == laplacian(g)
+        assert gram_rows(incidence(g)) == laplacian(g)
 
     @given(signed_graphs(max_p=6))
     def test_mycielskian_shape_and_support(self, g):
@@ -269,8 +291,7 @@ class TestIncidence:
 
     @given(signed_graphs(max_p=6))
     def test_mycielskian_gram_is_mycielskian_laplacian(self, g):
-        hm = incidence_mycielskian(g)
-        assert multiply(hm, transpose(hm)) == laplacian_m(g)
+        assert gram_rows(incidence_mycielskian(g)) == laplacian_m(g)
 
 
 class TestLaplacian:

@@ -309,6 +309,12 @@ class TestTower:
         with pytest.raises(InputError, match="tower needs n >= 1"):
             tower(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True], ids=repr)
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(InputError) as exc:
+            tower(n)
+        assert str(exc.value) == "tower needs n >= 1"
+
 
 class TestAgainstReference:
     """The one-pass constructions return what the earlier build, sort and check code did."""
