@@ -24,9 +24,10 @@ the result with the block sum B of A and the lower block, the negative
 join of the negated input, the very two matrices Context.inertias
 eliminates.  Sylvester's law of inertia then gives inertia(A_M) =
 inertia(A) + inertia(lower block), with no elimination of A_M.
-incidence-laplacian checks H_M H_M^T = L_M, the blocked incidence
-against the Laplacian of the constructed graph; H H^T = L on G alone
-would compare two generic builders of one graph.  laplacian-balance
+incidence-laplacian compares H_M H_M^T, summed from the columns of the
+blocked incidence without forming it, with the Laplacian of the
+constructed graph; H H^T = L on G alone would compare two generic
+builders of one graph.  laplacian-balance
 offers the balance certificate's switching as a kernel vector of L and
 the all-ones vector as one of the scaled Schur complement c S, both
 symmetric; exactla.is_singular checks the vector, or a determinant mod
@@ -186,7 +187,7 @@ def _inertia(ctx: Context) -> tuple[str, str]:
 
 
 def _incidence(ctx: Context) -> tuple[str, str]:
-    ok = exactla.gram(matrices.incidence_mycielskian(ctx.g)) == ctx.laplacian_myc
+    ok = matrices.incidence_mycielskian_gram(ctx.g) == ctx.laplacian_myc
     return _verdict(ok, "H H^T and the block Laplacian agree")
 
 

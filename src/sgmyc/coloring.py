@@ -97,11 +97,6 @@ from .core import SignedGraph
 from .errors import BudgetExhaustedError, ConsistencyError, InputError, PreconditionError
 
 
-def color_set(n: int) -> tuple[int, ...]:
-    """Members of M_n in ascending order."""
-    return tuple(sorted(color_trial_order(n)))
-
-
 def color_trial_order(n: int) -> tuple[int, ...]:
     """Members of M_n in solver order: 0 when present, then 1, -1, 2, -2, ..."""
     if type(n) is not int or n < 1:
@@ -127,7 +122,7 @@ def is_proper(g: SignedGraph, coloring: SignedColoring) -> bool:
         raise InputError(
             f"coloring has {len(coloring.colors)} colors, graph has {g.p} vertices"
         )
-    allowed = set(color_set(coloring.n))
+    allowed = set(color_trial_order(coloring.n))
     for v, c in enumerate(coloring.colors, start=1):
         if c not in allowed:
             raise InputError(f"vertex {v} has color {c}, not in M_{coloring.n}")
@@ -142,6 +137,8 @@ def deficiency(g: SignedGraph, coloring: SignedColoring) -> int:
 
 
 def _check_budget(node_budget: int | None) -> None:
+    if node_budget is not None and type(node_budget) is not int:
+        raise InputError(f"node budget must be an integer, got {node_budget!r}")
     if node_budget is not None and node_budget < 0:
         raise InputError(f"node budget must be at least 0, got {node_budget}")
 

@@ -216,11 +216,13 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
       complete  order n >= 1, every edge negative
       random    order p, edge_prob, neg_prob; connected by rejection sampling
 
-    Lengths and orders must be ints, and probabilities ints or floats;
-    anything else, a float length or a string, is an InputError.
+    Lengths, orders and the seed must be ints, and probabilities ints or
+    floats; anything else, a float length or a string, is an InputError.
 
     The same kind, params and seed always return the same graph.
     """
+    if seed is not None and type(seed) is not int:
+        raise InputError(f"seed must be an integer, got {seed!r}")
     params = dict(params or {})
 
     def take(name, default=None):

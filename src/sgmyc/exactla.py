@@ -32,16 +32,13 @@ and deterministic for every input and every offered vector.  A nonzero
 multiple c a has the same kernel, and det(c a) = c^n det(a), so a
 caller may pass any such multiple, say one that clears denominators.
 
-gram forms h h^T column by column over the nonzero entries of h, so an
-incidence matrix with two nonzeros per column costs four updates a
-column.  No general product is offered: the audit checks its
-congruence by row operations (sgmyc.claims).
+No general product is offered: the audit checks its congruence by row
+operations and sums H_M H_M^T from the columns of H_M (sgmyc.claims).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -155,21 +152,6 @@ def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
         if not any(sum(map(mul, row, kernel)) for row in a.entries):
             return True
     return not _det_mod(a) and inertia(a).n_zero > 0
-
-
-def gram(h: IntMatrix) -> IntMatrix:
-    """h h^T, summed column by column over the nonzeros of each column."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(h.cols)]
-    for i, row in enumerate(h.entries):
-        for k in compress(range(h.cols), row):
-            columns[k].append((i, row[k]))
-    out = [[0] * h.rows for _ in range(h.rows)]
-    for col in columns:
-        for i, x in col:
-            row = out[i]
-            for j, y in col:
-                row[j] += x * y
-    return IntMatrix(tuple(map(tuple, out)))
 
 
 def inertia(a: IntMatrix) -> Inertia:

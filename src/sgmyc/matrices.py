@@ -5,8 +5,8 @@ over the edge list of its input.  The adjacency, degree and Laplacian of
 the Mycielskian M are those of the graph mycielskian.mycielskian builds.
 The block formulas the paper proves take G itself, over the fixed
 labeling (originals 1..p, twins p+1..2p, root 2p+1): the blocked
-incidence H_M and the scaled twin-block Schur complement of L_M.
-Neither is derived from another builder or from the constructed
+incidence H_M with H_M H_M^T, and the scaled twin-block Schur complement
+of L_M.  None is derived from another builder or from the constructed
 Mycielskian, so the audit compares each with the matrix of the graph it
 builds.
 
@@ -54,6 +54,9 @@ column order: the original edges, then for each original edge its two
 cross copies, then the root star.  Splitting each original column x(e)
 into its u part and v part makes the cross columns literal rearrangements
 of those two pieces, and every column still has exactly two nonzeros.
+So H_M is written once, as the list of those pairs, and its first q
+columns are H on the original rows.  H_M H_M^T is summed from the same
+list, four updates a column, without forming the 3q + p columns of H_M.
 """
 
 from __future__ import annotations
@@ -104,41 +107,48 @@ def incidence(g: SignedGraph) -> IntMatrix:
 
     Edge (u, v, s) with u < v contributes +1 in row u and -s in row v.
     """
-    h = [[0] * g.q for _ in range(g.p)]
-    for k, (u, v, s) in enumerate(g.edges):
-        h[u - 1][k] = 1
-        h[v - 1][k] = -s
-    return IntMatrix.from_rows(h)
+    return _fill(g.p, _mycielskian_columns(g)[: g.q])
 
 
 def incidence_mycielskian(g: SignedGraph) -> IntMatrix:
-    """(2p+1) x (3q+p) incidence of the Mycielskian in blocked column order.
+    """(2p+1) x (3q+p) incidence of the Mycielskian in blocked column order."""
+    return _fill(2 * g.p + 1, _mycielskian_columns(g))
 
-    Columns: original edges e_1..e_q, then for each k the cross pair
-    e_k' = v_u u_v and e_k'' = u_u v_v, then the root star.  The column of
-    e_k splits into the u part (+1 at u) and the v part (-s at v); e_k'
-    places the u part on the original rows and the v part on the twin
-    rows, e_k'' swaps the two, and root column i has +1 at twin i and -1
-    at the root.
+
+def incidence_mycielskian_gram(g: SignedGraph) -> IntMatrix:
+    """H_M H_M^T: x in row a and y in row b add x^2, y^2 and x y twice."""
+    out = _square(2 * g.p + 1)
+    for (a, x), (b, y) in _mycielskian_columns(g):
+        out[a][a] += x * x
+        out[b][b] += y * y
+        out[a][b] += x * y
+        out[b][a] += x * y
+    return IntMatrix.from_rows(out)
+
+
+def _mycielskian_columns(g: SignedGraph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """H_M's columns in blocked order, each as its nonzeros ((a, x), (b, y)), rows from 0.
+
+    e_k' = v_u u_v puts the u part of e_k (+1 at u) on the originals and its
+    v part (-s at v) on the twins, e_k'' = u_u v_v the other way round, and
+    root column i is +1 at twin i and -1 at the root.
     """
-    p, q = g.p, g.q
-    rows = 2 * p + 1
-    cols = 3 * q + p
-    h = [[0] * cols for _ in range(rows)]
-    for k, (u, v, s) in enumerate(g.edges):
-        h[u - 1][k] = 1
-        h[v - 1][k] = -s
-        cprime = q + 2 * k
-        cdouble = q + 2 * k + 1
-        h[u - 1][cprime] = 1
-        h[p + v - 1][cprime] = -s
-        h[v - 1][cdouble] = -s
-        h[p + u - 1][cdouble] = 1
-    for i in range(1, p + 1):
-        c = 3 * q + i - 1
-        h[p + i - 1][c] = 1
-        h[2 * p][c] = -1
-    return IntMatrix.from_rows(h)
+    p = g.p
+    edges = [((u - 1, 1), (v - 1, -s)) for u, v, s in g.edges]
+    cross = []
+    for u, v, s in g.edges:
+        cross += [((u - 1, 1), (p + v - 1, -s)), ((v - 1, -s), (p + u - 1, 1))]
+    return edges + cross + [((p + i, 1), (2 * p, -1)) for i in range(p)]
+
+
+def _fill(rows: int, columns: list[tuple[tuple[int, int], tuple[int, int]]]) -> IntMatrix:
+    """The rows x len(columns) matrix with the two nonzeros of each column."""
+    h = [[0] * len(columns) for _ in range(rows)]
+    for k, ((a, x), (b, y)) in enumerate(columns):
+        h[a][k] = x
+        h[b][k] = y
+    # a column list holds ints only, taken from the canonical edges, so no entry needs a check
+    return IntMatrix(tuple(map(tuple, h)))
 
 
 def laplacian(g: SignedGraph) -> IntMatrix:

@@ -30,7 +30,7 @@ from conftest import (
 )
 from sgmyc import claims
 from sgmyc.balance import certify_balance, cycle_sign
-from sgmyc.coloring import chromatic_number, color_set, extend_coloring_to_mycielskian, is_proper
+from sgmyc.coloring import chromatic_number, extend_coloring_to_mycielskian, is_proper
 from sgmyc.core import canonicalize, dumps, is_all_negative, loads
 from oracles import rank
 from sgmyc.exactla import inertia
@@ -276,7 +276,7 @@ def test_criterion_8_extension_construction(chrom):
     for g, n, coloring in chrom["pairs"]:
         ext = extend_coloring_to_mycielskian(g, coloring)
         gm, _ = mycielskian(g)
-        allowed = set(color_set(n + 1))
+        allowed = set(oracles.oracle_color_set(n + 1))
         if ext.n != n + 1 or not set(ext.colors) <= allowed:
             bad += 1
             continue

@@ -2,6 +2,7 @@
 
 inertia-additivity derives inertia(A_M) from the congruence it checks
 by row operations on A_M, building no factor of order 2p + 1,
+incidence-laplacian builds no matrix wider than 2p + 1,
 and laplacian-balance proves a Laplacian singular by a kernel vector or
 nonsingular by a determinant mod a prime, falling back to the exact
 inertia otherwise.  These tests hold the certified answers to the
@@ -152,13 +153,14 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
 
 def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
     # of order 2p + 1, only the matrices of the constructed Mycielskian and
-    # the blocked incidence compared with its Laplacian are built
+    # H_M H_M^T, summed from the columns of H_M, are built; H_M itself,
+    # 3q + p columns wide, is not
     built = []
 
     def recording(name, build):
         def wrapped(*args):
             result = build(*args)
-            built.extend((name, m.rows) for m in (result if isinstance(result, tuple) else (result,)))
+            built.extend((name, m.rows, m.cols) for m in (result if isinstance(result, tuple) else (result,)))
             return result
 
         return wrapped
@@ -173,5 +175,7 @@ def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.main(["audit", str(path), "--budget", "10"])
         assert code == 0 and out.getvalue().endswith("audit: ok\n")
-        large = {name for name, rows in built if rows >= 2 * g.p + 1}
-        assert "adjacency" in large and large <= {"adjacency", "laplacian", "incidence_mycielskian"}, (kind, large)
+        assert max(cols for _, _, cols in built) == 2 * g.p + 1, kind
+        assert "incidence_mycielskian" not in {name for name, _, _ in built}, kind
+        large = {name for name, rows, _ in built if rows >= 2 * g.p + 1}
+        assert "adjacency" in large and large <= {"adjacency", "laplacian", "incidence_mycielskian_gram"}, (kind, large)

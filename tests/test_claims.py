@@ -227,6 +227,27 @@ def test_matrix_claims_read_the_constructed_mycielskian(name, graph):
     assert status(ctx, name) == "fail"
 
 
+@pytest.mark.parametrize("graph", sorted(name for name, g in FAULT_GRAPHS.items() if g.q > 0))
+def test_a_sign_flip_in_the_block_formula_fails_incidence_laplacian(monkeypatch, graph):
+    # H_M is printed from, and H_M H_M^T summed from, one column list, so a
+    # wrong sign in it changes both, and only L_M of the built graph catches it
+    g = FAULT_GRAPHS[graph]
+    assert status(claims.Context(g), "incidence-laplacian") == "pass"
+    before = matrices.incidence_mycielskian(g)
+    exact = matrices._mycielskian_columns
+
+    def flipped(h):
+        columns = exact(h)
+        # e_1'' is -s at v_1 and +1 at twin u_1; negate the twin's entry
+        v, (twin, x) = columns[h.q + 1]
+        columns[h.q + 1] = (v, (twin, -x))
+        return columns
+
+    monkeypatch.setattr(matrices, "_mycielskian_columns", flipped)
+    assert matrices.incidence_mycielskian(g) != before
+    assert status(claims.Context(g), "incidence-laplacian") == "fail"
+
+
 @pytest.mark.parametrize("g", [K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG], ids=["K2+", "square1", "square2"])
 def test_degrees_fail_when_a_root_edge_is_negated(g):
     gm, lab = mycielskian.mycielskian(g)

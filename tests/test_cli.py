@@ -378,8 +378,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_failing_claim_exits_one(self, tmp_path, capsys, monkeypatch, flag):
-        exact = matrices.incidence_mycielskian
-        monkeypatch.setattr(matrices, "incidence_mycielskian", lambda g: bump_corner(exact(g)))
+        exact = matrices.incidence_mycielskian_gram
+        monkeypatch.setattr(matrices, "incidence_mycielskian_gram", lambda g: bump_corner(exact(g)))
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, out, _ = run(capsys, "audit", *flag, path)
         assert code == 1

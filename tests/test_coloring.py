@@ -18,11 +18,11 @@ from conftest import (
     cycles_and_paths,
 )
 from strategies import signed_graphs, switchings
+from sgmyc import claims
 from sgmyc.balance import is_antibalanced
 from sgmyc.coloring import (
     SignedColoring,
     chromatic_number,
-    color_set,
     color_trial_order,
     deficiency,
     extend_coloring_to_mycielskian,
@@ -36,11 +36,11 @@ from sgmyc.mycielskian import mycielskian, tower
 
 class TestColorSets:
     def test_members(self):
-        assert color_set(1) == (0,)
-        assert color_set(2) == (-1, 1)
-        assert color_set(3) == (-1, 0, 1)
-        assert color_set(4) == (-2, -1, 1, 2)
-        assert color_set(5) == (-2, -1, 0, 1, 2)
+        assert sorted(color_trial_order(1)) == [0]
+        assert sorted(color_trial_order(2)) == [-1, 1]
+        assert sorted(color_trial_order(3)) == [-1, 0, 1]
+        assert sorted(color_trial_order(4)) == [-2, -1, 1, 2]
+        assert sorted(color_trial_order(5)) == [-2, -1, 0, 1, 2]
 
     def test_trial_order(self):
         assert color_trial_order(1) == (0,)
@@ -51,9 +51,9 @@ class TestColorSets:
 
     def test_n_positive(self):
         with pytest.raises(InputError, match="color set needs n >= 1"):
-            color_set(0)
-        with pytest.raises(InputError, match="color set needs n >= 1"):
             color_trial_order(0)
+        with pytest.raises(InputError, match="color set needs n >= 1"):
+            is_proper(K2_POS, SignedColoring(0, (1, -1)))
 
     @pytest.mark.parametrize("n", [3.0, 2.5, True], ids=repr)
     def test_n_must_be_an_int(self, n):
@@ -68,10 +68,11 @@ class TestColorSets:
 
     @given(st.integers(min_value=1, max_value=20))
     def test_same_members_either_way(self, n):
-        assert sorted(color_trial_order(n)) == sorted(color_set(n))
-        assert len(color_set(n)) == n
+        members = sorted(color_trial_order(n))
+        assert members == oracles.oracle_color_set(n)
+        assert len(members) == len(set(members)) == n
         # symmetric: closed under negation
-        assert sorted(-c for c in color_set(n)) == list(color_set(n))
+        assert sorted(-c for c in members) == members
 
 
 class TestIsProper:
@@ -102,7 +103,7 @@ class TestIsProper:
     def test_matches_oracle(self, g, data):
         n = data.draw(st.integers(min_value=1, max_value=5))
         colors = tuple(
-            data.draw(st.sampled_from(color_set(n))) for _ in range(g.p)
+            data.draw(st.sampled_from(oracles.oracle_color_set(n))) for _ in range(g.p)
         )
         assert is_proper(g, SignedColoring(n, colors)) == oracles.oracle_is_proper(
             g.edges, colors
@@ -306,6 +307,22 @@ class TestChromaticNumber:
         assert exc.value.lower_bound >= 1
         assert "chromatic number >=" in str(exc.value)
 
+    @pytest.mark.parametrize("budget", ["x", [3], 2.5, True, -1], ids=repr)
+    def test_budget_must_be_an_int_of_at_least_zero(self, budget):
+        # never compared or stored: 2.5 would be reported as the nodes spent
+        if budget == -1:
+            message = "node budget must be at least 0, got -1"
+        else:
+            message = f"node budget must be an integer, got {budget!r}"
+        for check in (
+            lambda: chromatic_number(SQUARE_ONE_NEG, node_budget=budget),
+            lambda: least_coloring(SQUARE_ONE_NEG, 3, node_budget=budget),
+            lambda: claims.check("chromatic-sandwich", claims.Context(SQUARE_ONE_NEG, budget)),
+        ):
+            with pytest.raises(InputError) as exc:
+                check()
+            assert str(exc.value) == message
+
     def test_budget_not_hit_when_large(self):
         n, _ = chromatic_number(SQUARE_ONE_NEG, node_budget=10**6)
         assert n == 3
@@ -362,7 +379,7 @@ class TestExtension:
         assert ext.n == n + 1
         gm, _ = mycielskian(g)
         assert is_proper(gm, ext)
-        allowed = set(color_set(n + 1))
+        allowed = set(oracles.oracle_color_set(n + 1))
         assert all(c in allowed for c in ext.colors)
 
 

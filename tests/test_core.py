@@ -305,6 +305,13 @@ class TestGenerate:
         with pytest.raises(InputError, match=re.escape(message) + "$"):
             generate(kind, params)
 
+    @pytest.mark.parametrize("seed", [[1], {}, "7", b"x", 2.5, True], ids=repr)
+    def test_seed_of_the_wrong_type_rejected(self, seed):
+        # [1] and {} reached random.Random; "7", b"x", 2.5 and True seeded it
+        with pytest.raises(InputError) as exc:
+            generate("random", {"order": 4}, seed=seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
     def test_an_int_probability_is_a_real_number(self):
         g = generate("random", {"order": 5, "edge_prob": 1, "neg_prob": 0})
         assert g.q == 10 and is_all_positive(g)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,7 +15,6 @@ from sgmyc.exactla import (
     Inertia,
     IntMatrix,
     _det_mod,
-    gram,
     inertia,
     is_singular,
 )
@@ -80,14 +79,6 @@ def product(a, b):
     return M(oracles.triple_loop_product(a.entries, b.entries, b.cols))
 
 
-@st.composite
-def sparse_rows(draw, max_dim=4):
-    """The rows of a p x k matrix with many zeros; p or k may be 0."""
-    p, k = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(2))
-    cell = st.one_of(st.just(0), entries())
-    return [[draw(cell) for _ in range(k)] for _ in range(p)]
-
-
 class TestConstruction:
     def test_ragged_rejected(self):
         with pytest.raises(InputError, match="rows have unequal lengths"):
@@ -119,16 +110,6 @@ class TestArithmetic:
         a = M([[1, 2]])
         b = M([[3, -5]])
         assert subtract(a, b) == M([[-2, 7]])
-
-    @settings(max_examples=150)
-    @given(sparse_rows())
-    @example([[], []])
-    @example([])
-    def test_gram_is_h_times_its_transpose(self, h):
-        got = gram(M(h))
-        assert (got.rows, got.cols) == (len(h), len(h))
-        assert got == M(oracles.triple_loop_product(h, list(zip(*h)), len(h)))
-
 
 class TestModularDeterminant:
     def test_frozen(self):

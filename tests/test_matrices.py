@@ -21,6 +21,7 @@ from sgmyc.matrices import (
     degree_matrix,
     incidence,
     incidence_mycielskian,
+    incidence_mycielskian_gram,
     laplacian,
     laplacian_mycielskian_schur,
     negative_join,
@@ -61,7 +62,9 @@ def gram_rows(h):
     return IntMatrix.from_rows(oracles.triple_loop_product(h.entries, tuple(zip(*h.entries)), h.rows))
 
 
-@pytest.mark.parametrize("name", ["incidence_mycielskian", "laplacian_mycielskian_schur"])
+@pytest.mark.parametrize(
+    "name", ["incidence_mycielskian", "incidence_mycielskian_gram", "_mycielskian_columns", "laplacian_mycielskian_schur"]
+)
 def test_mycielskian_builder_uses_no_other_construction(name):
     # the block identities below and in the audit compare independent
     # constructions only while no block formula is derived from another
@@ -80,7 +83,7 @@ def test_every_builder_returns_int_matrices():
         fn for name, fn in vars(matrices).items()
         if inspect.isfunction(fn) and fn.__module__ == matrices.__name__ and not name.startswith("_")
     ]
-    assert len(builders) == 7
+    assert len(builders) == 8
     for build in builders:
         result = build(SQUARE_ONE_NEG)
         assert all(type(m) is IntMatrix for m in (result if isinstance(result, tuple) else (result,)))
@@ -292,6 +295,12 @@ class TestIncidence:
     @given(signed_graphs(max_p=6))
     def test_mycielskian_gram_is_mycielskian_laplacian(self, g):
         assert gram_rows(incidence_mycielskian(g)) == laplacian_m(g)
+
+    @given(signed_graphs(max_p=7))
+    @example(canonicalize(0, []))
+    def test_gram_summed_from_the_columns_is_h_times_its_transpose(self, g):
+        # the audit's H_M H_M^T, which never forms H_M, against the triple loop
+        assert incidence_mycielskian_gram(g) == gram_rows(incidence_mycielskian(g))
 
 
 class TestLaplacian:
