@@ -27,11 +27,20 @@ inertia(A) + inertia(lower block), with no elimination of A_M.
 incidence-laplacian compares H_M H_M^T, summed from the columns of the
 blocked incidence without forming it, with the Laplacian of the
 constructed graph; H H^T = L on G alone would compare two generic
-builders of one graph.  laplacian-balance
-offers the balance certificate's switching as a kernel vector of L and
-the all-ones vector as one of the scaled Schur complement c S, both
-symmetric; exactla.is_singular checks the vector, or a determinant mod
-a prime, and only when neither settles it does the exact inertia decide.
+builders of one graph.
+
+laplacian-balance proves L = H H^T nonsingular by a nonzero determinant
+of H on p columns, a spanning tree and one column closing a negative
+cycle, which form a basis of the frame matroid of a signed graph
+(Zaslavsky 1982).  _frame_det finds and computes it in O(p + q), from
+the first q columns of H_M for L, whose gram the claim checks, and from
+all of them for L_M, whose gram incidence-laplacian compares.  A kernel
+vector proves a Laplacian singular: the balance certificate's switching
+for L, the all-ones vector for L_M.  Where neither proof settles it,
+exactla.is_singular leaves it to the exact inertia.  On a connected
+input with the constructions right that never happens: the inertia of
+order 2p + 1 that L_M would take runs only where incidence-laplacian
+already fails.
 """
 
 from __future__ import annotations
@@ -76,8 +85,9 @@ class Context:
         return matrices.laplacian(self.myc[0])
 
     @cached_property
-    def schur_myc(self) -> exactla.IntMatrix:
-        return matrices.laplacian_mycielskian_schur(self.g)
+    def gram_myc(self) -> exactla.IntMatrix:
+        """H_M H_M^T, summed from the columns of the blocked incidence."""
+        return matrices.incidence_mycielskian_gram(self.g)
 
     @cached_property
     def lower_block(self) -> exactla.IntMatrix:
@@ -187,8 +197,54 @@ def _inertia(ctx: Context) -> tuple[str, str]:
 
 
 def _incidence(ctx: Context) -> tuple[str, str]:
-    ok = matrices.incidence_mycielskian_gram(ctx.g) == ctx.laplacian_myc
+    ok = ctx.gram_myc == ctx.laplacian_myc
     return _verdict(ok, "H H^T and the block Laplacian agree")
+
+
+def _frame_det(n: int, columns: matrices._Columns) -> int:
+    """det, up to sign, of the n rows of columns on a spanning tree and one more column.
+
+    Column ((a, x), (b, y)) joins rows a and b with the sign of -x y.  A
+    breadth-first search from row 0 takes the tree, t's column holding e
+    in row t and f in the row r it was reached from, and the switching
+    zeta that makes the tree positive.  The first column with zeta(a)
+    zeta(b) x y > 0 closes a negative cycle; with none, or a tree that
+    misses a row, the answer is 0.  Then, deepest row first, the closing
+    column becomes e times itself less its entry in row t times t's
+    column, which clears row t into row r and scales the determinant by
+    e.  That leaves a triangular matrix with diagonal e and, in row 0,
+    what is left of the closing column: the determinant times the e of
+    the steps that cleared a nonzero entry.
+    """
+    if not n:
+        return 1
+    at = [[] for _ in range(n)]
+    for (a, x), (b, y) in columns:
+        at[a].append((x, b, y))
+        at[b].append((y, a, x))
+    zeta, up, order = [1] + [0] * (n - 1), {}, [0]
+    for r in order:
+        for f, t, e in at[r]:
+            if not zeta[t]:
+                zeta[t] = -zeta[r] if f * e > 0 else zeta[r]
+                up[t] = (e, r, f)
+                order.append(t)
+    for (a, x), (b, y) in columns:
+        if zeta[a] * zeta[b] * x * y > 0 and len(order) == n:
+            break
+    else:
+        return 0
+    v, det = {a: x, b: y}, 1
+    for t in reversed(order[1:]):
+        e, r, f = up[t]
+        w = v.pop(t, 0)
+        if w:
+            # e times the closing column, less w times t's: det scales by e
+            v = {s: e * z for s, z in v.items()}
+            v[r] = v.get(r, 0) - w * f
+        else:
+            det *= e
+    return det * v.get(0, 0)
 
 
 def _laplacian_balance(ctx: Context) -> tuple[str, str]:
@@ -197,13 +253,18 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
         return ("skipped", "input has no vertices")
     if not core.is_connected(g):
         return ("skipped", "input is disconnected")
-    # a switching to all-positive is a kernel vector of L
-    singular = exactla.is_singular(ctx.laplacian, ctx.cert.to_all_positive)
-    ok = singular == ctx.cert.balanced
-    # L_M is singular iff S is, the twin block eliminated first being
-    # invertible; and L_M 1 = 0, whenever it holds, gives S 1 = 0
-    singular_m = exactla.is_singular(ctx.schur_myc, (1,) * (g.p + 1))
-    ok = ok and singular_m == core.is_all_positive(g)
+    columns, n = matrices._mycielskian_columns(g), 2 * g.p + 1
+    h = columns[: g.q]
+    # H of full rank on a frame basis proves H H^T nonsingular, once H H^T
+    # is checked to be the Laplacian: H is the first q columns of H_M, and
+    # H_M H_M^T the gram incidence-laplacian compares
+    frame = _frame_det(g.p, h) and matrices._gram(g.p, h) == ctx.laplacian
+    frame_m = _frame_det(n, columns) and ctx.gram_myc == ctx.laplacian_myc
+    # a switching to all-positive is a kernel vector of L, and so is 1 of
+    # L_M when no edge is negative
+    singular = not frame and exactla.is_singular(ctx.laplacian, ctx.cert.to_all_positive)
+    singular_m = not frame_m and exactla.is_singular(ctx.laplacian_myc, (1,) * n)
+    ok = singular == ctx.cert.balanced and singular_m == core.is_all_positive(g)
     return _verdict(ok, f"Laplacian singular: {singular}")
 
 

@@ -20,17 +20,13 @@ in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
-is_singular takes symmetric matrices, and tries two certificates before
-it eliminates anything exactly.  A nonzero integer kernel vector v with
-a v = 0, offered by the caller, proves a singular at the cost of one
-product.  Otherwise det(a) is taken mod the prime PRIME = 2^31 - 1 by
-Gaussian elimination over the integers mod PRIME; a nonzero residue
-proves det(a) nonzero.  Only a zero residue, from a singular matrix or
-a prime that happens to divide det(a), leaves the question to the exact
-inertia, singular iff it has a zero eigenvalue, so the verdict is exact
-and deterministic for every input and every offered vector.  A nonzero
-multiple c a has the same kernel, and det(c a) = c^n det(a), so a
-caller may pass any such multiple, say one that clears denominators.
+is_singular takes symmetric matrices.  A nonzero integer kernel vector v
+with a v = 0, offered by the caller, proves a singular at the cost of
+one product; otherwise the exact inertia decides, singular iff it has a
+zero eigenvalue, so the verdict is exact and deterministic for every
+input and every offered vector.  A proof that a is nonsingular is the
+caller's to give: the audit gives one for each Laplacian by a determinant
+of its incidence on a frame basis (sgmyc.claims).
 
 No general product is offered: the audit checks its congruence by row
 operations and sums H_M H_M^T from the columns of H_M (sgmyc.claims).
@@ -40,34 +36,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, PreconditionError
-
-# a prime below 2^31, so a product of two residues fits in 62 bits
-PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense integer matrix.
+    """Immutable dense integer matrix, its rows of ints taken as given.
 
-    from_rows checks its entries; the constructor takes them as given.
     The width is read from the first row, so a matrix with no rows has
     no columns either.
     """
 
     entries: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = tuple(map(tuple, rows))
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise InputError("rows have unequal lengths")
-        bad = sorted(t.__name__ for t in set().union(*(map(type, row) for row in data)) - {int})
-        if bad:
-            raise InputError(f"matrix entries must be ints, got {', '.join(bad)}")
-        return IntMatrix(data)
 
     @property
     def rows(self) -> int:
@@ -100,48 +82,11 @@ class Inertia:
         return Inertia(self.n_plus + other.n_plus, self.n_minus + other.n_minus, self.n_zero + other.n_zero)
 
 
-def _det_mod(a: IntMatrix) -> int:
-    """det(a) mod PRIME, by Gaussian elimination mod PRIME on packed rows.
-
-    Each row is one int that holds its residues in fields of a fixed
-    width, so one multiply-add of ints updates a whole row.  A field is
-    reduced only when it is read.  Each update adds less than PRIME^2 to
-    a field and there are fewer than n updates, so the width keeps every
-    field from carrying into the next.
-    """
-    prime, n = PRIME, a.rows
-    nbytes = (2 * prime.bit_length() + n.bit_length() + 8) // 8
-    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-
-    def pack(values: Iterable[int]) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
-
-    rows = [pack(x % prime for x in row) for row in a.entries]
-    det = 1
-    for c in range(n):
-        lead = [((r >> width * c) & mask) % prime for r in rows]
-        k = next((i for i, x in enumerate(lead) if x), None)
-        if k is None:
-            return 0
-        # moving row k of the remaining rows to the front takes k swaps
-        d = lead.pop(k)
-        det = (-det if k % 2 else det) * d % prime
-        data = rows.pop(k).to_bytes(n * nbytes, "little")
-        f = prime - pow(d, -1, prime)
-        fields = (int.from_bytes(data[j * nbytes : (j + 1) * nbytes], "little") for j in range(c + 1, n))
-        # the fields up to c are never read again, so the pivot row leaves them be
-        tail = pack([0] * (c + 1) + [y * f % prime for y in fields])
-        rows = [r + x * tail if x else r for r, x in zip(rows, lead)]
-    return det
-
-
 def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
     """Whether the symmetric matrix a is singular, decided exactly.
 
-    A nonzero int kernel with a * kernel = 0 proves it singular; a
-    determinant that is nonzero mod PRIME proves it nonsingular.  Either
-    way nothing is eliminated exactly.  Otherwise the exact inertia
-    decides.
+    A nonzero int kernel with a * kernel = 0 proves it singular, with
+    nothing eliminated; otherwise the exact inertia decides.
     """
     if not a.is_square():
         raise InputError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
@@ -151,7 +96,7 @@ def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
     if kernel is not None and len(kernel) == a.cols and any(kernel) and all(type(x) is int for x in kernel):
         if not any(sum(map(mul, row, kernel)) for row in a.entries):
             return True
-    return not _det_mod(a) and inertia(a).n_zero > 0
+    return inertia(a).n_zero > 0
 
 
 def inertia(a: IntMatrix) -> Inertia:

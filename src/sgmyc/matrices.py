@@ -5,10 +5,9 @@ over the edge list of its input.  The adjacency, degree and Laplacian of
 the Mycielskian M are those of the graph mycielskian.mycielskian builds.
 The block formulas the paper proves take G itself, over the fixed
 labeling (originals 1..p, twins p+1..2p, root 2p+1): the blocked
-incidence H_M with H_M H_M^T, and the scaled twin-block Schur complement
-of L_M.  None is derived from another builder or from the constructed
-Mycielskian, so the audit compares each with the matrix of the graph it
-builds.
+incidence H_M with H_M H_M^T.  Neither is derived from another builder
+or from the constructed Mycielskian, so the audit compares each with the
+matrix of the graph it builds.
 
 The adjacency of the Mycielskian has the block shape
 
@@ -31,22 +30,6 @@ Neither P nor B is built: P is its own inverse, so the audit applies P
 to A_M by row and column operations and compares the result with the
 two blocks (sgmyc.claims).
 
-The twins of the Mycielskian are pairwise non-adjacent, so in
-
-    L_M = [ 2D - A   -A      0 ]
-          [  -A     D + I   -j ]
-          [   0     -j'      p ]
-
-the twin block C = D + I is diagonal with entries d_i + 1 >= 1, always
-invertible.  Eliminating it first leaves the Schur complement
-S = E - B C^-1 B' on the originals and the root, where B holds the twin
-columns of those rows and E is their own block.  So S = E - sum over
-twins t of b_t b_t' / (d_t + 1), and the column b_t of twin t is nonzero
-only at its neighbours in G and at the root: c * S with c = lcm(d_i + 1)
-is an integer matrix built in O(p + sum of d_i^2) updates straight from
-the incidence lists.  By rank additivity over the invertible block C
-(Guttman 1946), rank(L_M) = p + rank(S), and c * S has the rank of S.
-
 Incidence columns fix one orientation per edge: +1 at the smaller
 endpoint u of edge (u, v, s) and -s at v, so that H H^T equals the
 Laplacian D - A exactly.  The Mycielskian incidence keeps the blocked
@@ -56,19 +39,27 @@ into its u part and v part makes the cross columns literal rearrangements
 of those two pieces, and every column still has exactly two nonzeros.
 So H_M is written once, as the list of those pairs, and its first q
 columns are H on the original rows.  H_M H_M^T is summed from the same
-list, four updates a column, without forming the 3q + p columns of H_M.
+list, four updates a column, without forming the 3q + p columns of H_M;
+the first q columns give H H^T = L the same way.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
-from .core import SignedGraph, incident_edges
+from .core import SignedGraph
 from .exactla import IntMatrix
+
+
+_Columns = list[tuple[tuple[int, int], tuple[int, int]]]
 
 
 def _square(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
+
+
+def _frozen(rows: list[list[int]]) -> IntMatrix:
+    # every builder fills its rows with ints taken from the canonical
+    # edges, so no entry needs a check
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def adjacency(g: SignedGraph) -> IntMatrix:
@@ -76,7 +67,7 @@ def adjacency(g: SignedGraph) -> IntMatrix:
     a = _square(g.p)
     for u, v, s in g.edges:
         a[u - 1][v - 1] = a[v - 1][u - 1] = s
-    return IntMatrix.from_rows(a)
+    return _frozen(a)
 
 
 def degree_matrix(g: SignedGraph) -> IntMatrix:
@@ -85,7 +76,7 @@ def degree_matrix(g: SignedGraph) -> IntMatrix:
     for u, v, _ in g.edges:
         d[u - 1][u - 1] += 1
         d[v - 1][v - 1] += 1
-    return IntMatrix.from_rows(d)
+    return _frozen(d)
 
 
 def negative_join(g: SignedGraph) -> IntMatrix:
@@ -99,7 +90,7 @@ def negative_join(g: SignedGraph) -> IntMatrix:
     for u, v, s in g.edges:
         rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
     rows.append([-1] * p + [0])
-    return IntMatrix.from_rows(rows)
+    return _frozen(rows)
 
 
 def incidence(g: SignedGraph) -> IntMatrix:
@@ -116,17 +107,22 @@ def incidence_mycielskian(g: SignedGraph) -> IntMatrix:
 
 
 def incidence_mycielskian_gram(g: SignedGraph) -> IntMatrix:
-    """H_M H_M^T: x in row a and y in row b add x^2, y^2 and x y twice."""
-    out = _square(2 * g.p + 1)
-    for (a, x), (b, y) in _mycielskian_columns(g):
+    """H_M H_M^T, summed from the columns of H_M."""
+    return _gram(2 * g.p + 1, _mycielskian_columns(g))
+
+
+def _gram(n: int, columns: _Columns) -> IntMatrix:
+    """H H^T for the n-row H of columns: x in row a and y in row b add x^2, y^2 and x y twice."""
+    out = _square(n)
+    for (a, x), (b, y) in columns:
         out[a][a] += x * x
         out[b][b] += y * y
         out[a][b] += x * y
         out[b][a] += x * y
-    return IntMatrix.from_rows(out)
+    return _frozen(out)
 
 
-def _mycielskian_columns(g: SignedGraph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+def _mycielskian_columns(g: SignedGraph) -> _Columns:
     """H_M's columns in blocked order, each as its nonzeros ((a, x), (b, y)), rows from 0.
 
     e_k' = v_u u_v puts the u part of e_k (+1 at u) on the originals and its
@@ -141,14 +137,13 @@ def _mycielskian_columns(g: SignedGraph) -> list[tuple[tuple[int, int], tuple[in
     return edges + cross + [((p + i, 1), (2 * p, -1)) for i in range(p)]
 
 
-def _fill(rows: int, columns: list[tuple[tuple[int, int], tuple[int, int]]]) -> IntMatrix:
+def _fill(rows: int, columns: _Columns) -> IntMatrix:
     """The rows x len(columns) matrix with the two nonzeros of each column."""
     h = [[0] * len(columns) for _ in range(rows)]
     for k, ((a, x), (b, y)) in enumerate(columns):
         h[a][k] = x
         h[b][k] = y
-    # a column list holds ints only, taken from the canonical edges, so no entry needs a check
-    return IntMatrix(tuple(map(tuple, h)))
+    return _frozen(h)
 
 
 def laplacian(g: SignedGraph) -> IntMatrix:
@@ -158,33 +153,5 @@ def laplacian(g: SignedGraph) -> IntMatrix:
         lap[u - 1][u - 1] += 1
         lap[v - 1][v - 1] += 1
         lap[u - 1][v - 1] = lap[v - 1][u - 1] = -s
-    return IntMatrix.from_rows(lap)
+    return _frozen(lap)
 
-
-def laplacian_mycielskian_schur(g: SignedGraph) -> IntMatrix:
-    """c * S for the twin block C = D + I of the Mycielskian Laplacian.
-
-    c = lcm(d_i + 1) clears every denominator of S; the rows and columns
-    are the originals 1..p and then the root.  E is [[2D - A, 0], [0, p]]
-    and b_t is -s at each neighbour of t joined by sign s and -1 at the
-    root (see the module docstring).  L_M itself is never formed.
-    """
-    p = g.p
-    inc = incident_edges(g)
-    c = lcm(*(len(nbrs) + 1 for nbrs in inc.values()))
-    s = [[0] * (p + 1) for _ in range(p + 1)]
-    for u, v, sign in g.edges:
-        s[u - 1][v - 1] = s[v - 1][u - 1] = -sign * c
-    root = s[p]
-    root[p] = p * c
-    for t, nbrs in inc.items():
-        s[t - 1][t - 1] += 2 * len(nbrs) * c
-        w = c // (len(nbrs) + 1)
-        root[p] -= w
-        for x, sx in nbrs:
-            row = s[x - 1]
-            row[p] -= sx * w
-            root[x - 1] -= sx * w
-            for y, sy in nbrs:
-                row[y - 1] -= sx * sy * w
-    return IntMatrix.from_rows(s)

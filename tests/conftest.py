@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from oracles import from_rows
 from sgmyc.core import SignedGraph, canonicalize, generate, switch
-from sgmyc.exactla import IntMatrix
 
 # 4-cycle with exactly one negative edge: the smallest unbalanced running example
 SQUARE_ONE_NEG = canonicalize(4, [(1, 2, -1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
@@ -122,4 +122,4 @@ def bump_corner(m):
     """A copy of the integer matrix m with 1 added to its top-left entry."""
     rows = [list(row) for row in m.entries]
     rows[0][0] += 1
-    return IntMatrix.from_rows(rows)
+    return from_rows(rows)

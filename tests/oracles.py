@@ -4,12 +4,10 @@ Nothing here reuses toolkit algorithms: colorings are checked by full
 enumeration, balance by enumerating every simple cycle, and path signs
 by enumerating every simple path.  Matrix oracles work on plain lists of
 rows: ranks by Fraction elimination or by integer row echelon form with
-gcd-reduced rows, determinants by cofactor expansion or by plain
-Gaussian elimination mod a prime, inertia by Fraction congruence
-diagonalization, the twin-block Schur complement by Fraction
-Gauss-Jordan, none of them the package's fraction-free kernel.  The
-oracles only read the public data fields (p, edges), so agreement with
-the package is meaningful evidence.
+gcd-reduced rows, determinants by cofactor expansion, inertia by
+Fraction congruence diagonalization, none of them the package's
+fraction-free kernel.  The oracles only read the public data fields
+(p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
 The exceptions are the package's earlier code, kept as it was.
@@ -21,11 +19,12 @@ the result through canonicalize; they are the reference for the exact
 graphs and switchings the one-pass constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
-public functions, kept unchanged for the tests that use them.  So is
-subtract, the entrywise difference behind the test that L = D - A, and
-paper_factors, the explicit pair (P, B) of A_M = P B P^T, which
-inertia-additivity no longer builds; congruence_product multiplies it
-out by the triple loop.
+public functions, kept unchanged for the tests that use them.  So are
+from_rows, the IntMatrix constructor that checks every entry, which the
+tests build their matrices with; subtract, the entrywise difference
+behind the test that L = D - A; and paper_factors, the explicit pair
+(P, B) of A_M = P B P^T, which inertia-additivity no longer builds;
+congruence_product multiplies it out by the triple loop.
 """
 
 from itertools import combinations, product
@@ -238,38 +237,6 @@ def gaussian_rank(rows):
         if r == nr:
             break
     return r
-
-
-def twin_schur_complement(lm_rows, p):
-    """S for the twin block C of a dense Mycielskian Laplacian.
-
-    C is rows and columns p..2p-1, inverted by Fraction Gauss-Jordan with
-    row pivoting; S = E - B C^-1 B' over the originals and then the root.
-    """
-    from fractions import Fraction
-
-    twins = range(p, 2 * p)
-    rest = list(range(p)) + [2 * p]
-    c = [[Fraction(lm_rows[i][j]) for j in twins] for i in twins]
-    inv = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
-    for k in range(p):
-        piv = next(i for i in range(k, p) if c[i][k])
-        if piv != k:
-            c[k], c[piv] = c[piv], c[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-        f = c[k][k]
-        c[k] = [x / f for x in c[k]]
-        inv[k] = [x / f for x in inv[k]]
-        for i in range(p):
-            if i != k and c[i][k]:
-                h = c[i][k]
-                c[i] = [x - h * y for x, y in zip(c[i], c[k])]
-                inv[i] = [x - h * y for x, y in zip(inv[i], inv[k])]
-    b_inv = [[sum(lm_rows[i][p + a] * inv[a][t] for a in range(p)) for t in range(p)] for i in rest]
-    return [
-        [lm_rows[i][j] - sum(x * lm_rows[p + t][j] for t, x in enumerate(b_row)) for j in rest]
-        for i, b_row in zip(rest, b_inv)
-    ]
 
 
 def is_triangle_free(g: SignedGraph) -> bool:
@@ -528,24 +495,15 @@ def rank(a: exactla.IntMatrix) -> int:
     return r
 
 
-def det_mod(rows, prime):
-    """Determinant mod prime by plain Gaussian elimination over the residues."""
-    m = [[x % prime for x in row] for row in rows]
-    n, det = len(m), 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % prime
-        inv = pow(m[c][c], -1, prime)
-        for i in range(c + 1, n):
-            f = m[i][c] * inv % prime
-            if f:
-                m[i] = [(x - f * y) % prime for x, y in zip(m[i], m[c])]
-    return det % prime
+def from_rows(rows) -> exactla.IntMatrix:
+    """An IntMatrix of rows, checked to be ints in rows of one length."""
+    data = tuple(map(tuple, rows))
+    if data and any(len(row) != len(data[0]) for row in data):
+        raise InputError("rows have unequal lengths")
+    bad = sorted(t.__name__ for t in set().union(*(map(type, row) for row in data)) - {int})
+    if bad:
+        raise InputError(f"matrix entries must be ints, got {', '.join(bad)}")
+    return exactla.IntMatrix(data)
 
 
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:

@@ -4,19 +4,22 @@ inertia-additivity derives inertia(A_M) from the congruence it checks
 by row operations on A_M, building no factor of order 2p + 1,
 incidence-laplacian builds no matrix wider than 2p + 1,
 and laplacian-balance proves a Laplacian singular by a kernel vector or
-nonsingular by a determinant mod a prime, falling back to the exact
-inertia otherwise.  These tests hold the certified answers to the
-exact ones, force the fallback, feed wrong certificates, and count the
-eliminations one audit runs.
+nonsingular by the determinant of its incidence on a frame basis,
+falling back to the exact inertia otherwise.  These tests hold the
+certified answers to the exact ones, force the fallback, feed wrong
+certificates and column lists, and count the eliminations one audit
+runs.
 """
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG
@@ -42,34 +45,125 @@ def test_certified_verdicts_equal_the_exact_kernel(g):
     zeta = balance.certify_balance(g).to_all_positive
     exact = oracles.gaussian_rank(lap.entries) < g.p
     assert exactla.is_singular(lap, zeta) == exactla.is_singular(lap) == exact
-    scaled = matrices.laplacian_mycielskian_schur(g)
-    exact_m = oracles.gaussian_rank(scaled.entries) < g.p + 1
-    assert exactla.is_singular(scaled, (1,) * (g.p + 1)) == exactla.is_singular(scaled) == exact_m
+
+
+def halves(g):
+    """(rows, columns, Laplacian) of G and of M: H on the first q columns of H_M, and H_M."""
+    columns = matrices._mycielskian_columns(g)
+    lm = matrices.laplacian(mycielskian.mycielskian(g)[0])
+    return (g.p, columns[: g.q], matrices.laplacian(g)), (2 * g.p + 1, columns, lm)
+
+
+@settings(max_examples=150)
+@given(signed_graphs(min_p=0, max_p=9, connected=True))
+@example(core.canonicalize(0, []))
+@example(core.canonicalize(1, []))
+@example(CYCLE5_POS)
+def test_frame_determinant_is_nonzero_exactly_on_a_full_rank_laplacian(g):
+    for n, columns, lap in halves(g):
+        assert matrices._gram(n, columns) == lap
+        assert bool(claims._frame_det(n, columns)) == (oracles.gaussian_rank(lap.entries) == n)
+
+
+@st.composite
+def unicyclic_columns(draw, max_n=7):
+    """n columns on n rows, a random tree and one more column, with nonzero entries, in random order."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    rows = draw(st.permutations(range(n)))
+    pairs = [(rows[draw(st.integers(min_value=0, max_value=t - 1))], rows[t]) for t in range(1, n)]
+    pairs.append(tuple(draw(st.permutations(range(n)))[:2]))
+    entry = st.integers(min_value=-3, max_value=3).filter(bool)
+    return n, draw(st.permutations([((a, draw(entry)), (b, draw(entry))) for a, b in pairs]))
+
+
+def dense(n, columns):
+    h = [[0] * len(columns) for _ in range(n)]
+    for k, ((a, x), (b, y)) in enumerate(columns):
+        h[a][k], h[b][k] = x, y
+    return h
+
+
+@settings(max_examples=300)
+@given(unicyclic_columns())
+def test_frame_determinant_is_the_determinant_of_its_columns(case):
+    # the columns are the whole basis, so the elimination must return
+    # their determinant, up to sign, whenever the cycle is negative by the
+    # signs of the entries, which the same columns with entries +-1 show
+    n, columns = case
+    signs = [((a, x // abs(x)), (b, y // abs(y))) for (a, x), (b, y) in columns]
+    negative = oracles.laplace_determinant(dense(n, signs)) != 0
+    det = oracles.laplace_determinant(dense(n, columns))
+    assert abs(claims._frame_det(n, columns)) == (abs(det) if negative else 0)
+
+
+def test_a_tree_that_misses_a_row_gives_no_frame_determinant():
+    # a negative triangle on rows 0-2 is nonsingular there, but row 3 has no nonzero
+    triangle = [((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1))]
+    assert abs(claims._frame_det(3, triangle)) == 2
+    assert claims._frame_det(4, triangle) == 0
 
 
 GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "square+": SQUARE_POS, "C5+": CYCLE5_POS}
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_a_zero_modular_determinant_falls_back_to_the_exact_kernel(monkeypatch, name):
-    g = GRAPHS[name]
-    lap, scaled = matrices.laplacian(g), matrices.laplacian_mycielskian_schur(g)
-    # Fraction elimination, not the Bareiss step the fallback itself runs
-    exact = (oracles.gaussian_rank(lap.entries) < g.p, oracles.gaussian_rank(scaled.entries) < g.p + 1)
-    runs = []
-    inertia = exactla.inertia
+def recording_inertia(monkeypatch):
+    """The orders of the matrices exactla.inertia eliminates from now on."""
+    orders, inertia = [], exactla.inertia
 
     def recording(a):
-        runs.append(a.rows)
+        orders.append(a.rows)
         return inertia(a)
 
-    monkeypatch.setattr(exactla, "_det_mod", lambda a: 0)
     monkeypatch.setattr(exactla, "inertia", recording)
-    # no kernel vector offered, so only the fallback can decide
-    got = (exactla.is_singular(lap), exactla.is_singular(scaled))
-    assert got == exact
-    assert runs == [g.p, g.p + 1]
+    return orders
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_a_zero_frame_determinant_falls_back_to_the_exact_kernel(monkeypatch, name):
+    g = GRAPHS[name]
+    monkeypatch.setattr(claims, "_frame_det", lambda n, columns: 0)
+    orders = recording_inertia(monkeypatch)
     assert status(claims.Context(g), "laplacian-balance") == "pass"
+    # only a nonsingular Laplacian, L of unbalanced G or L_M of G with a
+    # negative edge, has no kernel vector to offer
+    exact = [n for n, _, lap in halves(g) if oracles.gaussian_rank(lap.entries) == n]
+    assert orders == exact == {"K2-": [5], "square1": [4, 9], "square2": [9]}.get(name, [])
+
+
+def test_a_positive_closing_column_gives_no_certificate(monkeypatch):
+    # the 4-cycle's one non-tree column closes a positive cycle, so only a
+    # kernel vector or the inertia can settle L, and a wrong switching
+    # leaves it to the inertia
+    columns = matrices._mycielskian_columns(SQUARE_POS)[:4]
+    assert claims._frame_det(4, columns) == 0
+    ctx = claims.Context(SQUARE_POS)
+    ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=(-1, 1, 1, 1))
+    orders = recording_inertia(monkeypatch)
+    assert status(ctx, "laplacian-balance") == "pass"
+    assert orders == [4]
+
+
+def test_a_sign_flip_in_the_columns_fails_the_gram_check(monkeypatch):
+    # K4 with one negative edge, its last column's entry at row 4 negated:
+    # still unbalanced, so the frame determinant stays nonzero, but H H^T
+    # is no longer L, and L_M likewise, so the inertia decides both
+    g = core.canonicalize(4, [(1, 2, -1), (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)])
+    exact = matrices._mycielskian_columns
+
+    def flipped(h):
+        columns = exact(h)
+        a, (b, y) = columns[h.q - 1]
+        columns[h.q - 1] = (a, (b, -y))
+        return columns
+
+    monkeypatch.setattr(matrices, "_mycielskian_columns", flipped)
+    columns = matrices._mycielskian_columns(g)
+    assert claims._frame_det(4, columns[: g.q]) and claims._frame_det(9, columns)
+    orders = recording_inertia(monkeypatch)
+    ctx = claims.Context(g)
+    assert status(ctx, "laplacian-balance") == "pass"
+    assert sorted(orders) == [4, 9]
+    assert status(ctx, "incidence-laplacian") == "fail"
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -124,19 +218,20 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert core.is_connected(g)
     assert balance.certify_balance(g).balanced == (kind != "unbalanced")
     assert core.is_all_positive(g) == (kind == "all-positive")
-    orders, dets = [], []
-    inertia, det_mod = exactla.inertia, exactla._det_mod
+    orders = recording_inertia(monkeypatch)
+    frames, kernels = {}, []
+    frame_det, is_singular = claims._frame_det, exactla.is_singular
 
-    def counted_inertia(a):
-        orders.append(a.rows)
-        return inertia(a)
+    def counted_frame_det(n, columns):
+        frames[n] = frame_det(n, columns)
+        return frames[n]
 
-    def counted_det_mod(a):
-        dets.append(det_mod(a))
-        return dets[-1]
+    def counted_is_singular(a, kernel=None):
+        kernels.append(a.rows)
+        return is_singular(a, kernel)
 
-    monkeypatch.setattr(exactla, "inertia", counted_inertia)
-    monkeypatch.setattr(exactla, "_det_mod", counted_det_mod)
+    monkeypatch.setattr(claims, "_frame_det", counted_frame_det)
+    monkeypatch.setattr(exactla, "is_singular", counted_is_singular)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
     out = io.StringIO()
@@ -146,9 +241,15 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     # inertia(A) and inertia of the lower block, nothing of order 2p + 1,
     # and no exact fallback of is_singular, which would be a third call
     assert sorted(orders) == [g.p, g.p + 1]
-    # unbalanced: L and S by determinant; balanced: S only; all-positive: neither
-    assert len(dets) == {"unbalanced": 2, "balanced": 1, "all-positive": 0}[kind]
-    assert all(dets)
+    # the proof each half took: a nonzero frame determinant, or a kernel
+    # vector that is_singular checks
+    route = {n: "kernel" if n in kernels else "frame" for n in (g.p, 2 * g.p + 1)}
+    assert all(frames[n] for n in route if route[n] == "frame")
+    assert (route[g.p], route[2 * g.p + 1]) == {
+        "unbalanced": ("frame", "frame"),
+        "balanced": ("kernel", "frame"),
+        "all-positive": ("kernel", "kernel"),
+    }[kind]
 
 
 def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):

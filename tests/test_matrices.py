@@ -2,7 +2,6 @@
 
 import ast
 import inspect
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,12 +22,11 @@ from sgmyc.matrices import (
     incidence_mycielskian,
     incidence_mycielskian_gram,
     laplacian,
-    laplacian_mycielskian_schur,
     negative_join,
 )
-from sgmyc.mycielskian import mycielskian, tower
+from sgmyc.mycielskian import mycielskian
 
-M = IntMatrix.from_rows
+M = oracles.from_rows
 
 # the paper's P and B for K2 with its one edge negative
 K2_NEG_P = [
@@ -59,12 +57,10 @@ def laplacian_m(g):
 
 def gram_rows(h):
     """h h^T of an IntMatrix by the triple loop, as an IntMatrix."""
-    return IntMatrix.from_rows(oracles.triple_loop_product(h.entries, tuple(zip(*h.entries)), h.rows))
+    return M(oracles.triple_loop_product(h.entries, tuple(zip(*h.entries)), h.rows))
 
 
-@pytest.mark.parametrize(
-    "name", ["incidence_mycielskian", "incidence_mycielskian_gram", "_mycielskian_columns", "laplacian_mycielskian_schur"]
-)
+@pytest.mark.parametrize("name", ["incidence_mycielskian", "incidence_mycielskian_gram", "_mycielskian_columns"])
 def test_mycielskian_builder_uses_no_other_construction(name):
     # the block identities below and in the audit compare independent
     # constructions only while no block formula is derived from another
@@ -83,7 +79,7 @@ def test_every_builder_returns_int_matrices():
         fn for name, fn in vars(matrices).items()
         if inspect.isfunction(fn) and fn.__module__ == matrices.__name__ and not name.startswith("_")
     ]
-    assert len(builders) == 8
+    assert len(builders) == 7
     for build in builders:
         result = build(SQUARE_ONE_NEG)
         assert all(type(m) is IntMatrix for m in (result if isinstance(result, tuple) else (result,)))
@@ -339,45 +335,3 @@ class TestLaplacian:
         res = inertia(laplacian(g))
         assert res.n_minus == 0
 
-
-CYCLE5_POS = canonicalize(5, [(i, i % 5 + 1, 1) for i in range(1, 6)])
-
-
-def scaled_oracle_schur(g):
-    """lcm(d_i + 1) * S, S from the Fraction oracle on the constructed L_M."""
-    lm = laplacian_m(g).entries
-    c = lcm(*(lm[t][t] for t in range(g.p, 2 * g.p)))
-    return [[c * x for x in row] for row in oracles.twin_schur_complement(lm, g.p)]
-
-
-class TestTwinSchur:
-    """c * S for the twin block C of L_M, with c = lcm(d_i + 1), and its rank."""
-
-    @settings(max_examples=80)
-    @given(signed_graphs(max_p=9))
-    @example(canonicalize(1, []))
-    @example(canonicalize(5, []))
-    @example(CYCLE5_POS)
-    def test_scaled_matrix_is_lcm_times_oracle(self, g):
-        scaled = laplacian_mycielskian_schur(g)
-        assert [list(row) for row in scaled.entries] == scaled_oracle_schur(g)
-        assert (scaled.rows, scaled.cols) == (g.p + 1, g.p + 1)
-
-    @settings(max_examples=80)
-    @given(signed_graphs(max_p=9))
-    @example(canonicalize(1, []))
-    @example(canonicalize(5, []))
-    @example(CYCLE5_POS)
-    def test_resumed_rank_completes_the_rank_of_l_m(self, g):
-        # rank(L_M) = p + rank(S): the rank resumes past the invertible twin block
-        assert g.p + rank(laplacian_mycielskian_schur(g)) == rank(laplacian_m(g))
-
-    def test_all_positive_leaves_s_singular(self):
-        # S has a zero pivot column here, so the column-skipping branch runs
-        assert rank(laplacian_mycielskian_schur(CYCLE5_POS)) == 5
-
-    def test_every_tower_level(self):
-        for g in tower(6):
-            scaled = laplacian_mycielskian_schur(g)
-            assert [list(row) for row in scaled.entries] == scaled_oracle_schur(g)
-            assert g.p + rank(scaled) == rank(laplacian_m(g))
