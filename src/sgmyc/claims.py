@@ -21,9 +21,10 @@ P B P^T holds exactly when P A_M P^T = B.  P on the left replaces each
 twin row by its original's row minus its own, and P^T on the right does
 the same with the columns; the claim applies both to A_M and compares
 the result with the block sum B of A and the lower block, the negative
-join of the negated input, the very two matrices Context.inertias
-eliminates.  Sylvester's law of inertia then gives inertia(A_M) =
-inertia(A) + inertia(lower block), with no elimination of A_M.
+join of the negated input, the very two matrices whose inertias
+Context.inertias takes from one elimination of A bordered by -j.
+Sylvester's law of inertia then gives inertia(A_M) = inertia(A) +
+inertia(lower block), with no elimination of A_M.
 incidence-laplacian compares H_M H_M^T, summed from the columns of the
 blocked incidence without forming it, with the Laplacian of the
 constructed graph; H H^T = L on G alone would compare two generic
@@ -85,9 +86,14 @@ class Context:
         return matrices.laplacian(self.myc[0])
 
     @cached_property
+    def columns(self) -> matrices._Columns:
+        """The columns of the blocked incidence H_M, whose first q are H."""
+        return matrices._mycielskian_columns(self.g)
+
+    @cached_property
     def gram_myc(self) -> exactla.IntMatrix:
         """H_M H_M^T, summed from the columns of the blocked incidence."""
-        return matrices.incidence_mycielskian_gram(self.g)
+        return matrices._gram(2 * self.g.p + 1, self.columns)
 
     @cached_property
     def lower_block(self) -> exactla.IntMatrix:
@@ -100,9 +106,14 @@ class Context:
 
         The first is the sum of the other two, by Sylvester's law of inertia,
         as inertia-additivity checks that P A_M P^T, for the self-inverse P,
-        is the block sum of A and lower_block.  A_M is not eliminated.
+        is the block sum of A and lower_block.  A_M is not eliminated, and
+        neither is the lower block: it is -(D N D) for the negative join
+        N = [[A, -j], [-j', 0]] and D = diag(I, -1), so its inertia is N's
+        with n_plus and n_minus swapped, and one elimination of A bordered
+        by -j gives inertia(A) and inertia(N).
         """
-        in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(self.lower_block)
+        in_a, in_join = exactla.inertia(self.adjacency, border=(-1,) * self.g.p)
+        in_lower = exactla.Inertia(in_join.n_minus, in_join.n_plus, in_join.n_zero)
         return in_a + in_lower, in_a, in_lower
 
 
@@ -253,7 +264,7 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
         return ("skipped", "input has no vertices")
     if not core.is_connected(g):
         return ("skipped", "input is disconnected")
-    columns, n = matrices._mycielskian_columns(g), 2 * g.p + 1
+    columns, n = ctx.columns, 2 * g.p + 1
     h = columns[: g.q]
     # H of full rank on a frame basis proves H H^T nonsingular, once H H^T
     # is checked to be the Laplacian: H is the first q columns of H_M, and

@@ -236,10 +236,12 @@ def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     if args.of == "input":
         ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
-        # A_M = P diag(A, lower block) P^T with P invertible: the inertias add
+        # A_M = P diag(A, lower block) P^T with P invertible: the inertias
+        # add, and one bordered elimination of A gives both
         ine = claims.Context(g).inertias[0]
     else:
-        ine = exactla.inertia(matrices.negative_join(g))
+        # the negative join is A bordered by -j, eliminated without building it
+        ine = exactla.inertia(matrices.adjacency(g), border=(-1,) * g.p)[1]
     payload = {
         "of": args.of,
         "rank": ine.rank,

@@ -20,6 +20,17 @@ in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
+Given a border b, the same loop eliminates N = [[a, b], [b', 0]] and
+returns inertia(a) and inertia(N), by Haynsworth's inertia additivity
+(Linear Algebra Appl. 1, 1968).  For the first n steps row n is carried
+along but never chosen, neither to swap nor to add, so those steps
+eliminate a alone, and the counts after them are inertia(a).  A skipped
+step whose row still holds a border entry is a kernel vector v of a
+with b'v != 0, so b lies outside the column space of a; then N has rank
+two more than a, and by interlacing inertia(N) = inertia(a) + (1, 1, -1).
+Otherwise every zero of a is a zero of N, and step n on the trailing
+entry adds +, - or a zero, as any other step does.
+
 is_singular takes symmetric matrices.  A nonzero integer kernel vector v
 with a v = 0, offered by the caller, proves a singular at the cost of
 one product; otherwise the exact inertia decides, singular iff it has a
@@ -99,18 +110,34 @@ def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
     return inertia(a).n_zero > 0
 
 
-def inertia(a: IntMatrix) -> Inertia:
-    """Signature of a symmetric matrix by symmetric fraction-free elimination."""
+def inertia(a: IntMatrix, border: Sequence[int] | None = None) -> Inertia | tuple[Inertia, Inertia]:
+    """Signature of a symmetric matrix by symmetric fraction-free elimination.
+
+    With a border b of length n, (inertia(a), inertia([[a, b], [b', 0]]))
+    from the one elimination of the bordered matrix.
+    """
     if not a.is_square():
         raise PreconditionError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
         raise PreconditionError("matrix is not symmetric")
     n = a.rows
     m = [list(row) for row in a.entries]
+    if border is not None:
+        if len(border) != n:
+            raise PreconditionError(f"border of length {len(border)} for a matrix of order {n}")
+        m = [[*row, x] for row, x in zip(m, border)] + [[*border, 0]]
+    size = len(m)
     plus = minus = 0
     prev = 1
-    for k in range(n):
+    outside = False
+    for k in range(size):
+        if k == n:
+            # a is eliminated; the border row is the one step left
+            in_a = Inertia(plus, minus, n - plus - minus)
+            if outside:
+                return in_a, in_a + Inertia(1, 1, -1)
         if m[k][k] == 0:
+            # the border row is never chosen, so the first n steps eliminate a
             j = next((j for j in range(k + 1, n) if m[j][j]), None)
             if j is not None:
                 m[k], m[j] = m[j], m[k]
@@ -119,9 +146,12 @@ def inertia(a: IntMatrix) -> Inertia:
             else:
                 j = next((j for j in range(k + 1, n) if m[k][j]), None)
                 if j is None:
+                    # a zero of a; a border entry left in its row puts b
+                    # outside the column space of a
+                    outside = outside or any(m[k][n:])
                     continue
                 row_k, row_j = m[k], m[j]
-                for t in range(k, n):
+                for t in range(k, size):
                     row_k[t] += row_j[t]
                 for row in m[k:]:
                     row[k] += row[j]
@@ -140,4 +170,5 @@ def inertia(a: IntMatrix) -> Inertia:
             elif piv != prev:
                 row_i[k + 1 :] = [piv * x // prev for x in row_i[k + 1 :]]
         prev = piv
-    return Inertia(plus, minus, n - plus - minus)
+    ine = Inertia(plus, minus, size - plus - minus)
+    return ine if border is None else (in_a, ine)

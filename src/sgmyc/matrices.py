@@ -24,8 +24,9 @@ law of inertia makes rank and signature additive across the two diagonal
 blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
-inertia is therefore computed from the two blocks, A and
-negative_join(balance.negate(G)), each about half the size of A_M.
+inertia is therefore the sum of those of the two blocks, and one
+elimination gives both: A bordered by -j is the negative join itself,
+of order p + 1, and exactla.inertia reads inertia(A) on the way.
 Neither P nor B is built: P is its own inverse, so the audit applies P
 to A_M by row and column operations and compares the result with the
 two blocks (sgmyc.claims).
@@ -104,11 +105,6 @@ def incidence(g: SignedGraph) -> IntMatrix:
 def incidence_mycielskian(g: SignedGraph) -> IntMatrix:
     """(2p+1) x (3q+p) incidence of the Mycielskian in blocked column order."""
     return _fill(2 * g.p + 1, _mycielskian_columns(g))
-
-
-def incidence_mycielskian_gram(g: SignedGraph) -> IntMatrix:
-    """H_M H_M^T, summed from the columns of H_M."""
-    return _gram(2 * g.p + 1, _mycielskian_columns(g))
 
 
 def _gram(n: int, columns: _Columns) -> IntMatrix:

@@ -107,12 +107,15 @@ GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "
 
 
 def recording_inertia(monkeypatch):
-    """The orders of the matrices exactla.inertia eliminates from now on."""
+    """The orders of the matrices exactla.inertia eliminates from now on.
+
+    A bordered call is recorded as ("bordered", order of a).
+    """
     orders, inertia = [], exactla.inertia
 
-    def recording(a):
-        orders.append(a.rows)
-        return inertia(a)
+    def recording(a, border=None):
+        orders.append(a.rows if border is None else ("bordered", a.rows))
+        return inertia(a, border)
 
     monkeypatch.setattr(exactla, "inertia", recording)
     return orders
@@ -238,9 +241,10 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     with contextlib.redirect_stdout(out):
         code = cli.main(["audit", str(path), "--budget", "10"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
-    # inertia(A) and inertia of the lower block, nothing of order 2p + 1,
-    # and no exact fallback of is_singular, which would be a third call
-    assert sorted(orders) == [g.p, g.p + 1]
+    # inertia(A) and inertia of the lower block from one elimination of A
+    # bordered, nothing of order 2p + 1, and no exact fallback of
+    # is_singular, which would be a second call
+    assert orders == [("bordered", g.p)]
     # the proof each half took: a nonzero frame determinant, or a kernel
     # vector that is_singular checks
     route = {n: "kernel" if n in kernels else "frame" for n in (g.p, 2 * g.p + 1)}
@@ -252,10 +256,8 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     }[kind]
 
 
-def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
-    # of order 2p + 1, only the matrices of the constructed Mycielskian and
-    # H_M H_M^T, summed from the columns of H_M, are built; H_M itself,
-    # 3q + p columns wide, is not
+def recording_builders(monkeypatch):
+    """(name, rows, cols) of each matrix the public matrices builders return from now on."""
     built = []
 
     def recording(name, build):
@@ -269,6 +271,14 @@ def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
     for name, fn in list(vars(matrices).items()):
         if inspect.isfunction(fn) and fn.__module__ == matrices.__name__ and not name.startswith("_"):
             monkeypatch.setattr(matrices, name, recording(name, fn))
+    return built
+
+
+def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
+    # of order 2p + 1, only the matrices of the constructed Mycielskian are
+    # built; H_M H_M^T is summed from the columns of H_M, and H_M itself,
+    # 3q + p columns wide, is not built
+    built = recording_builders(monkeypatch)
     for kind, g in elimination_budget_inputs().items():
         built.clear()
         path = tmp_path / f"{kind}.txt"
@@ -279,4 +289,26 @@ def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
         assert max(cols for _, _, cols in built) == 2 * g.p + 1, kind
         assert "incidence_mycielskian" not in {name for name, _, _ in built}, kind
         large = {name for name, rows, _ in built if rows >= 2 * g.p + 1}
-        assert "adjacency" in large and large <= {"adjacency", "laplacian", "incidence_mycielskian_gram"}, (kind, large)
+        assert "adjacency" in large and large <= {"adjacency", "laplacian"}, (kind, large)
+
+
+@pytest.mark.parametrize("of", ["mycielskian", "negjoin"])
+@pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
+def test_inertia_of_a_bordered_matrix_is_one_elimination_of_a(monkeypatch, tmp_path, of, kind):
+    # A_M and the negative join are neither built nor eliminated: A is,
+    # once, bordered by -j
+    g = elimination_budget_inputs(p=12)[kind]
+    whole = {
+        "mycielskian": matrices.adjacency(mycielskian.mycielskian(g)[0]),
+        "negjoin": matrices.negative_join(g),
+    }[of]
+    expected = oracles.congruence_inertia([list(row) for row in whole.entries])
+    orders, built = recording_inertia(monkeypatch), recording_builders(monkeypatch)
+    path = tmp_path / "g.txt"
+    path.write_text(core.dumps(g))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["inertia", "--of", of, str(path)])
+    assert code == 0
+    assert out.getvalue() == "rank {} n_plus {} n_minus {} n_zero {}\n".format(expected[0] + expected[1], *expected)
+    assert orders == [("bordered", g.p)]
+    assert built == [("adjacency", g.p, g.p)]

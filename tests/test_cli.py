@@ -378,8 +378,10 @@ class TestAudit:
 
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_failing_claim_exits_one(self, tmp_path, capsys, monkeypatch, flag):
-        exact = matrices.incidence_mycielskian_gram
-        monkeypatch.setattr(matrices, "incidence_mycielskian_gram", lambda g: bump_corner(exact(g)))
+        # a wrong H_M H_M^T fails incidence-laplacian, and leaves
+        # laplacian-balance to the exact inertia, which still passes it
+        exact = matrices._gram
+        monkeypatch.setattr(matrices, "_gram", lambda n, columns: bump_corner(exact(n, columns)))
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
         code, out, _ = run(capsys, "audit", *flag, path)
         assert code == 1

@@ -4,12 +4,15 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import rank, subtract
+from strategies import signed_graphs
 from sgmyc import exactla
+from sgmyc.core import canonicalize
+from sgmyc.matrices import adjacency
 from sgmyc.exactla import Inertia, inertia, is_singular
 from sgmyc.errors import InputError, PreconditionError
 
@@ -282,3 +285,55 @@ class TestInertia:
     def test_matches_congruence_oracle(self, a):
         rows = [list(row) for row in a.entries]
         assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
+
+
+def bordered(a, border):
+    """The rows of [[a, b], [b', 0]] for the border b."""
+    return [list(row) + [x] for row, x in zip(a.entries, border)] + [list(border) + [0]]
+
+
+def assert_bordered_inertia(a, border):
+    in_a, in_n = inertia(a, border=border)
+    assert in_a == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
+    assert in_n == Inertia(*oracles.congruence_inertia(bordered(a, border)))
+
+
+STAR = canonicalize(5, [(1, 2, 1), (1, 3, -1), (1, 4, 1), (1, 5, -1)])
+K5_POS = canonicalize(5, [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)])
+
+
+class TestBorderedInertia:
+    @settings(max_examples=300)
+    @given(signed_graphs(min_p=0, max_p=10), st.sampled_from((1, -1)))
+    @example(canonicalize(0, []), -1)
+    @example(canonicalize(1, []), -1)
+    # every step of A skipped, and j outside its column space: (1, 1, -1)
+    @example(canonicalize(4, []), -1)
+    @example(STAR, -1)
+    # A = J - I is nonsingular, so j is in its column space
+    @example(K5_POS, 1)
+    @example(K5_POS, -1)
+    def test_graph_bordered_by_the_all_ones_vector(self, g, sign):
+        # sign -1 borders A into the negative join, as the audit does
+        assert_bordered_inertia(adjacency(g), (sign,) * g.p)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_integer_borders_with_zeros(self, data):
+        a = data.draw(zero_heavy_symmetric(max_n=8))
+        border = data.draw(st.lists(st.one_of(st.just(0), entries()), min_size=a.rows, max_size=a.rows))
+        assert_bordered_inertia(a, border)
+
+    def test_outside_the_column_space(self):
+        # the zero row of a meets the border: one +, one -, one zero less
+        a = M([[2, 0], [0, 0]])
+        assert inertia(a, border=(0, 3)) == (Inertia(1, 0, 1), Inertia(2, 1, 0))
+        assert inertia(a, border=(3, 0)) == (Inertia(1, 0, 1), Inertia(1, 1, 1))
+
+    def test_plain_call_returns_one_inertia(self):
+        assert inertia(M([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
+        assert inertia(M([[0, 1], [1, 0]]), border=(1, 1)) == (Inertia(1, 1, 0), Inertia(1, 2, 0))
+
+    def test_border_must_match_the_order(self):
+        with pytest.raises(PreconditionError, match="border of length 1 for a matrix of order 2"):
+            inertia(M([[0, 1], [1, 0]]), border=(1,))
