@@ -15,9 +15,10 @@ command name, the input digest (sha256 of the input bytes as read, or of
 the edge list generate makes), then the payload.  The report's bytes are
 json.dumps(report, indent=2) plus a newline: ASCII-escaped, with keys in
 the order they were emitted.  _json writes that layout; the stdlib's own
-indent encoder is pure Python.  Each cmd_* returns (exit code, payload,
-text); only _run reads the input and writes stdout.  Identical input and
-flags produce byte-identical output.
+indent encoder is pure Python.  Each cmd_* returns (exit code, payload),
+and its text_* renderer makes the text from the payload alone.  Only _run
+reads the input and writes stdout and -o; it renders the text only to print,
+write or digest it.  Identical input and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed audit claim, 2 malformed input or out
 of memory, 3 violated precondition, 4 exhausted search budget.
@@ -101,9 +102,9 @@ def _write(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict]:
     deg = core.degrees(g)
-    payload = {
+    return 0, {
         "vertices": g.p,
         "edges": g.q,
         "positive_edges": g.positive_count,
@@ -112,92 +113,76 @@ def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict, str]:
         "triangle_free": core.is_triangle_free(g),
         "degrees": [list(deg.row(v)) for v in range(1, g.p + 1)],
     }
-    human = [
-        f"vertices: {g.p}",
-        f"edges: {g.q} ({payload['positive_edges']} positive, {payload['negative_edges']} negative)",
+
+
+def text_info(payload: dict) -> str:
+    head = [
+        f"vertices: {payload['vertices']}",
+        f"edges: {payload['edges']} ({payload['positive_edges']} positive, {payload['negative_edges']} negative)",
         f"connected: {'yes' if payload['connected'] else 'no'}",
         f"triangle-free: {'yes' if payload['triangle_free'] else 'no'}",
         "vertex degree d+ d- net",
     ]
-    for v in range(1, g.p + 1):
-        d, dp, dn, net = deg.row(v)
-        human.append(f"{v} {d} {dp} {dn} {net}")
-    return 0, payload, "\n".join(human) + "\n"
+    rows = (f"{v} {d} {dp} {dn} {net}" for v, (d, dp, dn, net) in enumerate(payload["degrees"], 1))
+    return "\n".join(chain(head, rows)) + "\n"
 
 
-def cmd_generate(args, g: None) -> tuple[int, dict, str]:
+def cmd_generate(args, g: None) -> tuple[int, dict]:
     names = ("length", "order", "pattern", "edge_prob", "neg_prob")
     params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     out_graph = core.generate(args.kind, params, args.seed)
-    text = core.dumps(out_graph)
-    if args.output:
-        _write(args.output, text)
-    payload = {
-        "kind": args.kind,
-        "seed": args.seed,
-        "vertices": out_graph.p,
-        "edges": out_graph.edges,
-    }
-    return 0, payload, text
+    return 0, {"kind": args.kind, "seed": args.seed, "vertices": out_graph.p, "edges": out_graph.edges}
 
 
-def cmd_mycielskian(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def text_edge_list(payload: dict) -> str:
+    # the text of generate and of mycielskian: the edge list of the graph made
+    return core.dumps(core.SignedGraph(payload["vertices"], payload["edges"]))
+
+
+def cmd_mycielskian(args, g: core.SignedGraph) -> tuple[int, dict]:
     if args.balanced:
         out_graph, switching = balanced_mycielskian(g)
         lab = MycielskianLabeling(g.p)
     else:
         out_graph, lab = mycielskian(g)
         switching = None
-    text = core.dumps(out_graph)
-    sidecar = lab.to_json_dict()
-    if args.output:
-        _write(args.output, text)
-        _write(args.output + ".labeling.json", _json(sidecar) + "\n")
-    payload = {
+    return 0, {
         "balanced_variant": bool(args.balanced),
         "vertices": out_graph.p,
         "edges": out_graph.edges,
-        "labeling": sidecar,
+        "labeling": lab.to_json_dict(),
         "switching": switching,
     }
-    return 0, payload, text
 
 
-def cmd_balance(args, g: core.SignedGraph) -> tuple[int, dict, str]:
-    cert = balance_mod.certify_balance(g)
-    if cert.balanced:
-        part1 = [v for v in range(1, g.p + 1) if cert.bipartition[v - 1] == 1]
-        part2 = [v for v in range(1, g.p + 1) if cert.bipartition[v - 1] == 2]
-        human = [
-            "balanced: yes",
-            f"bipartition: {part1} | {part2}",
-            f"switching to all-positive: {list(cert.to_all_positive)}",
-        ]
-    else:
-        human = [
-            "balanced: no",
-            f"negative cycle: {list(cert.witness)}",
-        ]
-    return 0, cert.to_json_dict(), "\n".join(human) + "\n"
+def cmd_balance(args, g: core.SignedGraph) -> tuple[int, dict]:
+    return 0, balance_mod.certify_balance(g).to_json_dict()
 
 
-def cmd_chromatic(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def text_balance(payload: dict) -> str:
+    if not payload["balanced"]:
+        return f"balanced: no\nnegative cycle: {payload['witness_cycle']}\n"
+    part1, part2 = ([v for v, side in enumerate(payload["bipartition"], 1) if side == k] for k in (1, 2))
+    return f"balanced: yes\nbipartition: {part1} | {part2}\nswitching to all-positive: {payload['switching']}\n"
+
+
+def cmd_chromatic(args, g: core.SignedGraph) -> tuple[int, dict]:
     try:
         n, _ = coloring.chromatic_number(g, node_budget=args.budget)
         # the witness printed is the least coloring in the static order: the
         # same search loop with the static pick rule, under a budget of its own
         cert = coloring.least_coloring(g, n, node_budget=args.budget) if args.certificate else None
     except BudgetExhaustedError as exc:
-        payload = {"status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
-        return 4, payload, f"unknown, chromatic number >= {exc.lower_bound}\n"
-    payload = {"chromatic_number": n}
-    human = [f"chromatic number: {n}"]
-    if args.certificate:
-        payload["colors"] = list(cert.colors)
-        payload["deficiency"] = coloring.deficiency(g, cert)
-        human.append(f"colors: {list(cert.colors)}")
-        human.append(f"deficiency: {payload['deficiency']}")
-    return 0, payload, "\n".join(human) + "\n"
+        return 4, {"status": "unknown", "lower_bound": exc.lower_bound, "nodes": exc.nodes}
+    witness = {"colors": list(cert.colors), "deficiency": coloring.deficiency(g, cert)} if args.certificate else {}
+    return 0, {"chromatic_number": n, **witness}
+
+
+def text_chromatic(payload: dict) -> str:
+    if "status" in payload:
+        return f"unknown, chromatic number >= {payload['lower_bound']}\n"
+    witness = f"colors: {payload['colors']}\ndeficiency: {payload['deficiency']}\n" if "colors" in payload else ""
+    return f"chromatic number: {payload['chromatic_number']}\n" + witness
 
 
 _MATRIX_KINDS = ("adjacency", "incidence", "laplacian", "degree", "negjoin")
@@ -220,19 +205,16 @@ def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.IntMatrix:
     return builders[kind](g)
 
 
-def cmd_matrix(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def cmd_matrix(args, g: core.SignedGraph) -> tuple[int, dict]:
     m = _build_matrix(g, args.kind, args.of)
-    payload = {
-        "kind": args.kind,
-        "of": args.of,
-        "rows": m.rows,
-        "cols": m.cols,
-        "matrix": m.entries,
-    }
-    return 0, payload, "".join(" ".join(map(str, row)) + "\n" for row in m.entries)
+    return 0, {"kind": args.kind, "of": args.of, "rows": m.rows, "cols": m.cols, "matrix": m.entries}
 
 
-def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def text_matrix(payload: dict) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in payload["matrix"])
+
+
+def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict]:
     if args.of == "input":
         ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
@@ -242,25 +224,24 @@ def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict, str]:
     else:
         # the negative join is A bordered by -j, eliminated without building it
         ine = exactla.inertia(matrices.adjacency(g), border=(-1,) * g.p)[1]
-    payload = {
-        "of": args.of,
-        "rank": ine.rank,
-        "n_plus": ine.n_plus,
-        "n_minus": ine.n_minus,
-        "n_zero": ine.n_zero,
-    }
-    text = f"rank {ine.rank} n_plus {ine.n_plus} n_minus {ine.n_minus} n_zero {ine.n_zero}\n"
-    return 0, payload, text
+    return 0, {"of": args.of, "rank": ine.rank, "n_plus": ine.n_plus, "n_minus": ine.n_minus, "n_zero": ine.n_zero}
 
 
-def cmd_audit(args, g: core.SignedGraph) -> tuple[int, dict, str]:
+def text_inertia(payload: dict) -> str:
+    return "rank {rank} n_plus {n_plus} n_minus {n_minus} n_zero {n_zero}\n".format_map(payload)
+
+
+def cmd_audit(args, g: core.SignedGraph) -> tuple[int, dict]:
     ctx = claims.Context(g, args.budget)
     results = [claims.check(name, ctx) for name in claims.CLAIMS]
     ok = all(c["status"] != "fail" for c in results)
-    payload = {"ok": ok, "claims": results}
-    human = [f"{c['claim']}: {c['status']} ({c['detail']})" for c in results]
-    human.append("audit: ok" if ok else "audit: FAILED")
-    return (0 if ok else 1), payload, "\n".join(human) + "\n"
+    return (0 if ok else 1), {"ok": ok, "claims": results}
+
+
+def text_audit(payload: dict) -> str:
+    lines = [f"{c['claim']}: {c['status']} ({c['detail']})" for c in payload["claims"]]
+    lines.append("audit: ok" if payload["ok"] else "audit: FAILED")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +250,13 @@ def cmd_audit(args, g: core.SignedGraph) -> tuple[int, dict, str]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: parse_args leaves the parser as it was."""
-    parser = argparse.ArgumentParser(prog="sgmyc", description=__doc__.splitlines()[0])
+
+    class Parser(argparse.ArgumentParser):
+        # a usage error is one line, like every other failure; subparsers inherit this
+        def error(self, message):
+            self.exit(2, f"error: {message}\n")
+
+    parser = Parser(prog="sgmyc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_common(p):
@@ -338,15 +325,26 @@ def _fold_pattern_value(argv: list[str]) -> list[str]:
 def _run(args) -> int:
     g, digest = (None, None) if args.command == "generate" else _read_input(args.file)
     # looked up per call, not bound into the cached parser, so a wrapper
-    # installed on a cmd_* function is the one that runs
-    commands = {"info": cmd_info, "generate": cmd_generate, "mycielskian": cmd_mycielskian, "balance": cmd_balance,
-                "chromatic": cmd_chromatic, "matrix": cmd_matrix, "inertia": cmd_inertia, "audit": cmd_audit}
-    code, payload, text = commands[args.command](args, g)
+    # installed on a cmd_* or text_* function is the one that runs
+    commands = {"info": (cmd_info, text_info), "generate": (cmd_generate, text_edge_list),
+                "mycielskian": (cmd_mycielskian, text_edge_list), "balance": (cmd_balance, text_balance),
+                "chromatic": (cmd_chromatic, text_chromatic), "matrix": (cmd_matrix, text_matrix),
+                "inertia": (cmd_inertia, text_inertia), "audit": (cmd_audit, text_audit)}
+    command, render = commands[args.command]
+    code, payload = command(args, g)
+    output = getattr(args, "output", None)
+    # the text is rendered only to be printed, written to -o, or digested:
+    # generate reads no input, and its digest is that of the edge list it made
+    text = render(payload) if not args.json or output or digest is None else None
+    if output:
+        # the edge list before its sidecar, so an unwritable -o path is named in the error
+        _write(output, text)
+        if args.command == "mycielskian":
+            _write(output + ".labeling.json", _json(payload["labeling"]) + "\n")
     if args.json:
-        # generate reads no input; its digest is that of the edge list it made
         report = dict(command=args.command, input_digest=digest or _digest(text.encode("utf-8")), **payload)
         sys.stdout.write(_json(report) + "\n")
-    elif not getattr(args, "output", None):
+    elif not output:
         sys.stdout.write(text)
     return code
 

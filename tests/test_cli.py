@@ -188,6 +188,16 @@ class TestMycielskian:
         assert json.loads((tmp_path / "m.txt.labeling.json").read_text()) == report["labeling"]
         assert loads(target.read_text()).edges == tuple(map(tuple, report["edges"]))
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_output_into_missing_directory_names_the_edge_list(self, tmp_path, capsys, flags):
+        # the edge list is written before its sidecar, so its path is the one refused
+        path = write_graph(tmp_path, SQUARE_ONE_NEG)
+        target = tmp_path / "missing" / "m.txt"
+        code, out, err = run(capsys, "mycielskian", *flags, "-o", str(target), path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{str(target)!r}\n")
+
 
 class TestBalance:
     def test_balanced_json(self, tmp_path, capsys):
@@ -441,6 +451,32 @@ class TestAudit:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "random", "--order", "x"],
+            ["chromatic", "--budget", "1.5", "f"],
+            ["info"],
+            [],
+            ["matrix", "--kind", "foo", "f"],
+            ["info", "--bogus", "f"],
+        ],
+        ids=["bad-type", "bad-int", "missing-positional", "no-subcommand", "bad-choice", "unknown-flag"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "-h"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: sgmyc info [-h] [--json] file\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "/nonexistent/graph.txt")
         assert code == 2 and "error:" in err
@@ -585,6 +621,69 @@ def test_generate_json_report_is_the_stdlib_layout(capsys):
     assert out == stdlib_layout(out)
 
 
+# the renderer of each command's text, by its name in cli
+RENDERERS = {
+    "info": "text_info",
+    "generate": "text_edge_list",
+    "mycielskian": "text_edge_list",
+    "balance": "text_balance",
+    "chromatic": "text_chromatic",
+    "matrix": "text_matrix",
+    "inertia": "text_inertia",
+    "audit": "text_audit",
+}
+GENERATE_CASES = [
+    pytest.param(["generate", "random", "--order", "7", "--seed", "3"], None, id="generate random"),
+    pytest.param(["generate", "cycle", "--length", "4", "--pattern", "-+-+"], None, id="generate cycle"),
+]
+
+
+@pytest.mark.parametrize("argv, name", JSON_CASES + GENERATE_CASES)
+def test_text_is_rendered_from_the_report_alone(tmp_path, capsys, argv, name):
+    # the JSON round trip turns tuples into lists, so the renderer reads
+    # nothing but the payload
+    files = [] if name is None else [write_graph(tmp_path, JSON_GRAPHS[name])]
+    code, text, _ = run(capsys, *argv, *files)
+    json_code, out, _ = run(capsys, *argv, "--json", *files)
+    payload = json.loads(out)
+    del payload["command"], payload["input_digest"]
+    assert code == json_code
+    assert getattr(cli, RENDERERS[argv[0]])(payload) == text
+
+
+class Rendered(Exception):
+    pass
+
+
+def refuse_to_render(monkeypatch):
+    def refuse(payload):
+        raise Rendered
+
+    names = {name for name in vars(cli) if name.startswith("text_")}
+    assert names == set(RENDERERS.values())
+    for name in names:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv, name", JSON_CASES)
+def test_json_report_renders_no_text(tmp_path, capsys, monkeypatch, argv, name):
+    path = write_graph(tmp_path, JSON_GRAPHS[name])
+    want = run(capsys, *argv, "--json", path)
+    refuse_to_render(monkeypatch)
+    assert run(capsys, *argv, "--json", path) == want
+
+
+@pytest.mark.parametrize("command", ["generate", "mycielskian -o"])
+def test_json_report_renders_the_text_it_digests_or_writes(tmp_path, monkeypatch, command):
+    if command == "generate":
+        argv = ["generate", "cycle", "--length", "4", "--json"]
+    else:
+        argv = ["mycielskian", "--json", "-o", str(tmp_path / "m.txt"), write_graph(tmp_path, SQUARE_ONE_NEG)]
+    refuse_to_render(monkeypatch)
+    with pytest.raises(Rendered):
+        main(argv)
+
+
 @pytest.mark.parametrize("name", ["square_two_neg", "null"])
 @pytest.mark.parametrize("flags", [[], ["--balanced"]], ids=["plain", "balanced"])
 def test_labeling_sidecar_is_the_stdlib_layout(tmp_path, capsys, name, flags):
@@ -646,8 +745,8 @@ def test_no_json_call_in_the_package_passes_indent():
 
 
 def test_commands_leave_reading_and_printing_to_run():
-    # each cmd_* maps arguments and a graph to its report; the input is read
-    # and stdout written in one place only
+    # each cmd_* maps arguments and a graph to its report; the input is read,
+    # the text rendered and stdout and -o written in one place only
     tree = ast.parse(inspect.getsource(cli))
     commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
     assert len(commands) == 8
@@ -658,8 +757,10 @@ def test_commands_leave_reading_and_printing_to_run():
             for n in ast.walk(fn)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "sys"
         }
-        assert not names & {"_read_input", "print"}, fn.name
+        attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+        assert not names & {"_read_input", "print", "_write", "_json"}, fn.name
         assert not sys_attrs & {"stdout", "stdin"}, fn.name
+        assert not attrs & {"dumps", "output"}, fn.name
     reads = [
         n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_read_input"
     ]
