@@ -37,21 +37,25 @@ cycle, which form a basis of the frame matroid of a signed graph
 the first q columns of H_M for L, whose gram the claim checks, and from
 all of them for L_M, whose gram incidence-laplacian compares.  A kernel
 vector proves a Laplacian singular: the balance certificate's switching
-for L, the all-ones vector for L_M.  Where neither proof settles it,
-exactla.is_singular leaves it to the exact inertia.  On a connected
-input with the constructions right that never happens: the inertia of
-order 2p + 1 that L_M would take runs only where incidence-laplacian
-already fails.
+for L, the all-ones vector for L_M; _singular checks it, and where
+neither proof settles a Laplacian, its exact inertia decides.  On a
+connected input with the constructions right that never happens: the
+inertia of order 2p + 1 that L_M would take runs only where
+incidence-laplacian already fails.
+
+The balance claims decide from the certificates they check: a negative
+5-cycle proves M unbalanced, so M is searched only on all-positive input,
+and a switching to all-positive proves the balanced Mycielskian balanced.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import sub
+from operator import mul, sub
 from typing import Callable
 
 from . import balance, coloring, core, exactla, matrices, mycielskian
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, InputError
 
 
 class Context:
@@ -149,15 +153,18 @@ def _degrees(ctx: Context) -> tuple[str, str]:
 def _balance(ctx: Context) -> tuple[str, str]:
     g = ctx.g
     gm, lab = ctx.myc
-    balanced = balance.certify_balance(gm).balanced
-    ok = balanced == core.is_all_positive(g)
-    # any negative edge v_i v_j closes the negative 5-cycle (v_i, v_j, u_i, w, u_j)
+    # any negative edge v_i v_j closes the negative 5-cycle (v_i, v_j, u_i, w, u_j),
+    # which proves M unbalanced; with none, M must be balanced
     negative = next(((u, v) for u, v, s in g.edges if s == -1), None)
     if negative is None:
-        return _verdict(ok, "balanced Mycielskian")
+        return _verdict(balance.certify_balance(gm).balanced, "balanced Mycielskian")
     u, v = negative
     witness = [lab.original(u), lab.original(v), lab.twin(u), lab.root, lab.twin(v)]
-    ok = ok and balance.cycle_sign(gm, witness) == -1
+    try:
+        ok = balance.cycle_sign(gm, witness) == -1
+    except InputError:
+        # the witness is not a cycle of the constructed M
+        ok = False
     return _verdict(ok, f"negative 5-cycle {witness}")
 
 
@@ -165,7 +172,8 @@ def _balanced_mycielskian(ctx: Context) -> tuple[str, str]:
     if not ctx.cert.balanced:
         return ("skipped", "input is unbalanced")
     gb, zeta_b = mycielskian.balanced_mycielskian(ctx.g, ctx.cert)
-    ok = balance.certify_balance(gb).balanced and core.is_all_positive(core.switch(gb, zeta_b))
+    # a switching to all-positive proves G_b balanced
+    ok = core.is_all_positive(core.switch(gb, zeta_b))
     return _verdict(ok, "balanced and switchable to all-positive")
 
 
@@ -258,6 +266,15 @@ def _frame_det(n: int, columns: matrices._Columns) -> int:
     return det * v.get(0, 0)
 
 
+def _singular(lap: exactla.IntMatrix, kernel: tuple[int, ...] | None) -> bool:
+    """Whether the Laplacian lap is singular: kernel proves it, or the exact inertia decides."""
+    # a vector of the wrong length, or of zeros, proves nothing
+    if kernel and len(kernel) == lap.rows and any(kernel):
+        if not any(sum(map(mul, row, kernel)) for row in lap.entries):
+            return True
+    return exactla.inertia(lap).n_zero > 0
+
+
 def _laplacian_balance(ctx: Context) -> tuple[str, str]:
     g = ctx.g
     if g.p == 0:
@@ -273,8 +290,8 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
     frame_m = _frame_det(n, columns) and ctx.gram_myc == ctx.laplacian_myc
     # a switching to all-positive is a kernel vector of L, and so is 1 of
     # L_M when no edge is negative
-    singular = not frame and exactla.is_singular(ctx.laplacian, ctx.cert.to_all_positive)
-    singular_m = not frame_m and exactla.is_singular(ctx.laplacian_myc, (1,) * n)
+    singular = not frame and _singular(ctx.laplacian, ctx.cert.to_all_positive)
+    singular_m = not frame_m and _singular(ctx.laplacian_myc, (1,) * n)
     ok = singular == ctx.cert.balanced and singular_m == core.is_all_positive(g)
     return _verdict(ok, f"Laplacian singular: {singular}")
 

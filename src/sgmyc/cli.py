@@ -359,7 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # a count of 2**63 or more overflows a list's length before allocating
         print("error: out of memory; the input is too large for this command", file=sys.stderr)
         return 2
 

@@ -31,25 +31,18 @@ two more than a, and by interlacing inertia(N) = inertia(a) + (1, 1, -1).
 Otherwise every zero of a is a zero of N, and step n on the trailing
 entry adds +, - or a zero, as any other step does.
 
-is_singular takes symmetric matrices.  A nonzero integer kernel vector v
-with a v = 0, offered by the caller, proves a singular at the cost of
-one product; otherwise the exact inertia decides, singular iff it has a
-zero eigenvalue, so the verdict is exact and deterministic for every
-input and every offered vector.  A proof that a is nonsingular is the
-caller's to give: the audit gives one for each Laplacian by a determinant
-of its incidence on a frame basis (sgmyc.claims).
-
-No general product is offered: the audit checks its congruence by row
-operations and sums H_M H_M^T from the columns of H_M (sgmyc.claims).
+No general product is offered, and no certificate is checked here: the
+audit checks its congruence by row operations, sums H_M H_M^T from the
+columns of H_M, and proves each Laplacian singular by a kernel vector or
+nonsingular by a frame determinant (sgmyc.claims).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -91,23 +84,6 @@ class Inertia:
 
     def __add__(self, other: "Inertia") -> "Inertia":
         return Inertia(self.n_plus + other.n_plus, self.n_minus + other.n_minus, self.n_zero + other.n_zero)
-
-
-def is_singular(a: IntMatrix, kernel: Sequence[int] | None = None) -> bool:
-    """Whether the symmetric matrix a is singular, decided exactly.
-
-    A nonzero int kernel with a * kernel = 0 proves it singular, with
-    nothing eliminated; otherwise the exact inertia decides.
-    """
-    if not a.is_square():
-        raise InputError(f"singularity needs a square matrix, got {a.rows}x{a.cols}")
-    if not a.is_symmetric():
-        raise PreconditionError("matrix is not symmetric")
-    # a float kernel proves nothing: its products round
-    if kernel is not None and len(kernel) == a.cols and any(kernel) and all(type(x) is int for x in kernel):
-        if not any(sum(map(mul, row, kernel)) for row in a.entries):
-            return True
-    return inertia(a).n_zero > 0
 
 
 def inertia(a: IntMatrix, border: Sequence[int] | None = None) -> Inertia | tuple[Inertia, Inertia]:

@@ -3,12 +3,14 @@
 inertia-additivity derives inertia(A_M) from the congruence it checks
 by row operations on A_M, building no factor of order 2p + 1,
 incidence-laplacian builds no matrix wider than 2p + 1,
-and laplacian-balance proves a Laplacian singular by a kernel vector or
-nonsingular by the determinant of its incidence on a frame basis,
-falling back to the exact inertia otherwise.  These tests hold the
-certified answers to the exact ones, force the fallback, feed wrong
-certificates and column lists, and count the eliminations one audit
-runs.
+and laplacian-balance proves a Laplacian singular by a kernel vector,
+which claims._singular checks, or nonsingular by the determinant of its
+incidence on a frame basis, falling back to the exact inertia otherwise.
+These tests hold the certified answers to the exact ones, force the
+fallback, feed wrong certificates (switchings of zeros or of the wrong
+length among them) and column lists, count the eliminations one audit
+runs, and check that it searches no graph for balance whose balance a
+checked negative cycle or switching already settles.
 """
 
 import contextlib
@@ -44,7 +46,7 @@ def test_certified_verdicts_equal_the_exact_kernel(g):
     lap = matrices.laplacian(g)
     zeta = balance.certify_balance(g).to_all_positive
     exact = oracles.gaussian_rank(lap.entries) < g.p
-    assert exactla.is_singular(lap, zeta) == exactla.is_singular(lap) == exact
+    assert claims._singular(lap, zeta) == claims._singular(lap, None) == exact
 
 
 def halves(g):
@@ -185,6 +187,33 @@ def test_any_switching_in_the_certificate_gives_the_exact_verdict(name, zeta):
     assert status(ctx, "laplacian-balance") == "pass"
 
 
+BALANCED_SQUARE = core.switch(SQUARE_POS, (1, -1, 1, 1))
+
+
+@pytest.mark.parametrize("kernel", ["zero", "long", "short"])
+def test_a_switching_of_zeros_or_the_wrong_length_leaves_l_to_the_inertia(monkeypatch, kernel):
+    # a balanced L has no frame determinant, so its switching or the exact
+    # inertia settles it; zeros, or the switching with one entry more, give
+    # 0 on every row of L, yet prove nothing
+    ctx = claims.Context(BALANCED_SQUARE)
+    zeta = ctx.cert.to_all_positive
+    wrong = {"zero": (0,) * 4, "long": zeta + (1,), "short": zeta[:-1]}[kernel]
+    ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=wrong)
+    orders = recording_inertia(monkeypatch)
+    report = claims.check("laplacian-balance", ctx)
+    assert (report["status"], report["detail"]) == ("pass", "Laplacian singular: True")
+    assert orders == [4]
+
+
+def test_a_kernel_of_zeros_leaves_a_nonsingular_laplacian_nonsingular(monkeypatch):
+    # with no frame determinant, a vector of zeros would prove any L singular
+    monkeypatch.setattr(claims, "_frame_det", lambda n, columns: 0)
+    ctx = claims.Context(SQUARE_ONE_NEG)
+    ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=(0,) * 4)
+    report = claims.check("laplacian-balance", ctx)
+    assert (report["status"], report["detail"]) == ("pass", "Laplacian singular: False")
+
+
 @settings(max_examples=100)
 @given(signed_graphs(min_p=0, max_p=7))
 @example(core.canonicalize(0, []))
@@ -223,18 +252,18 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert core.is_all_positive(g) == (kind == "all-positive")
     orders = recording_inertia(monkeypatch)
     frames, kernels = {}, []
-    frame_det, is_singular = claims._frame_det, exactla.is_singular
+    frame_det, singular = claims._frame_det, claims._singular
 
     def counted_frame_det(n, columns):
         frames[n] = frame_det(n, columns)
         return frames[n]
 
-    def counted_is_singular(a, kernel=None):
-        kernels.append(a.rows)
-        return is_singular(a, kernel)
+    def counted_singular(lap, kernel):
+        kernels.append(lap.rows)
+        return singular(lap, kernel)
 
     monkeypatch.setattr(claims, "_frame_det", counted_frame_det)
-    monkeypatch.setattr(exactla, "is_singular", counted_is_singular)
+    monkeypatch.setattr(claims, "_singular", counted_singular)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
     out = io.StringIO()
@@ -243,10 +272,10 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
     # inertia(A) and inertia of the lower block from one elimination of A
     # bordered, nothing of order 2p + 1, and no exact fallback of
-    # is_singular, which would be a second call
+    # _singular, which would be a second call
     assert orders == [("bordered", g.p)]
     # the proof each half took: a nonzero frame determinant, or a kernel
-    # vector that is_singular checks
+    # vector that _singular checks
     route = {n: "kernel" if n in kernels else "frame" for n in (g.p, 2 * g.p + 1)}
     assert all(frames[n] for n in route if route[n] == "frame")
     assert (route[g.p], route[2 * g.p + 1]) == {
@@ -254,6 +283,42 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
         "balanced": ("kernel", "frame"),
         "all-positive": ("kernel", "kernel"),
     }[kind]
+
+
+@pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
+def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(monkeypatch, tmp_path, kind):
+    # a checked negative 5-cycle proves M unbalanced, and a checked
+    # switching to all-positive proves the balanced Mycielskian balanced;
+    # the budget lets both chromatic searches start, each of which searches
+    # the negation of its graph
+    g = elimination_budget_inputs()[kind]
+    searched, built = [], {}
+    certify, myc, balanced_myc = balance.certify_balance, mycielskian.mycielskian, mycielskian.balanced_mycielskian
+
+    def recording_certify(h):
+        searched.append(h)
+        return certify(h)
+
+    def recording(name, build):
+        def wrapped(*args):
+            built[name] = build(*args)
+            return built[name]
+
+        return wrapped
+
+    monkeypatch.setattr(balance, "certify_balance", recording_certify)
+    monkeypatch.setattr(mycielskian, "mycielskian", recording("M", myc))
+    monkeypatch.setattr(mycielskian, "balanced_mycielskian", recording("G_b", balanced_myc))
+    path = tmp_path / "g.txt"
+    path.write_text(core.dumps(g))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["audit", str(path), "--budget", "1000"])
+    assert code == 0 and out.getvalue().endswith("audit: ok\n")
+    m = built["M"][0]
+    assert balance.negate(m) in searched
+    assert any(h is m for h in searched) == (kind == "all-positive")
+    assert ("G_b" in built) == (kind != "unbalanced")
+    assert not any(h is built.get("G_b", (None,))[0] for h in searched)
 
 
 def recording_builders(monkeypatch):

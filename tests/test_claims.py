@@ -214,6 +214,20 @@ def flipped_cross_edge(ctx):
     ctx.__dict__["myc"] = (core.canonicalize(gm.p, edges), lab)
 
 
+@pytest.mark.parametrize("graph", sorted(name for name, g in FAULT_GRAPHS.items() if not core.is_all_positive(g)))
+def test_a_witness_that_is_no_cycle_of_m_fails_balance_characterization(graph):
+    # the cross edge v u_u of the first negative edge uv is on the witness
+    # v_u v_v u_u w u_v, so without it the witness is no cycle of M
+    g = FAULT_GRAPHS[graph]
+    assert status(claims.Context(g), "balance-characterization") == "pass"
+    ctx = claims.Context(g)
+    gm, lab = ctx.myc
+    u, v = next((u, v) for u, v, s in g.edges if s == -1)
+    cross = tuple(sorted((lab.original(v), lab.twin(u))))
+    ctx.__dict__["myc"] = (core.canonicalize(gm.p, [e for e in gm.edges if e[:2] != cross]), lab)
+    assert status(ctx, "balance-characterization") == "fail"
+
+
 @pytest.mark.parametrize("graph", sorted(name for name, g in FAULT_GRAPHS.items() if g.q > 0))
 @pytest.mark.parametrize("name", ["inertia-additivity", "incidence-laplacian"])
 def test_matrix_claims_read_the_constructed_mycielskian(name, graph):

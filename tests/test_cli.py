@@ -525,6 +525,23 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: out of memory; the input is too large for this command\n"
 
+    # a count of 2**63 or more overflows a list's length before anything is
+    # allocated; a smaller huge count would really allocate, so none is tried
+    @pytest.mark.parametrize("count", [2**63, 10**19])
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "-"] for command in ["info", "balance", "mycielskian", "chromatic", "matrix", "inertia", "audit"]]
+        + [["generate", family, "--length"] for family in ["path", "cycle"]],
+        ids=" ".join,
+    )
+    def test_a_count_past_an_index_exits_two(self, argv, count):
+        if argv[0] == "generate":
+            code, out, err = run_on_stdin([*argv, str(count)], b"")
+        else:
+            code, out, err = run_on_stdin(argv, f"{count} 0\n".encode())
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; the input is too large for this command\n"
+
     @pytest.mark.parametrize("command", ["chromatic", "audit"])
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     @pytest.mark.parametrize("g", [SQUARE_ONE_NEG, canonicalize(0, [])], ids=["square", "null"])

@@ -1,4 +1,4 @@
-"""Exact integer matrices: construction, arithmetic, singularity, inertia."""
+"""Exact integer matrices: construction, arithmetic, inertia."""
 
 from fractions import Fraction
 from math import lcm
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from oracles import rank, subtract
 from strategies import signed_graphs
-from sgmyc import exactla
 from sgmyc.core import canonicalize
 from sgmyc.matrices import adjacency
-from sgmyc.exactla import Inertia, inertia, is_singular
+from sgmyc.exactla import Inertia, inertia
 from sgmyc.errors import InputError, PreconditionError
 
 M = oracles.from_rows
@@ -108,69 +107,6 @@ class TestArithmetic:
         a = M([[1, 2]])
         b = M([[3, -5]])
         assert subtract(a, b) == M([[-2, 7]])
-
-
-@st.composite
-def symmetric_with_hint(draw, max_n=5):
-    """A symmetric matrix and a kernel hint, a true kernel vector about half the time."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    hint = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
-    if not (n and draw(st.booleans())):
-        return draw(symmetric_of_order(n)), tuple(hint)
-    # border a symmetric S with S h and h^T S h, so that (h, -1) is a kernel vector
-    s = draw(symmetric_of_order(n - 1)).entries
-    h = hint[:-1]
-    sh = [sum(x * y for x, y in zip(row, h)) for row in s]
-    rows = [list(row) + [x] for row, x in zip(s, sh)] + [sh + [sum(x * y for x, y in zip(sh, h))]]
-    return M(rows), tuple(h) + (-1,)
-
-
-class TestIsSingular:
-    def test_frozen(self):
-        assert is_singular(M([[1, 1], [1, 1]]))
-        assert is_singular(M([[1, 1], [1, 1]]), (1, -1))
-        assert not is_singular(M([[1, 1], [1, 2]]), (1, -1))
-        assert not is_singular(M([]))
-        assert is_singular(M([[0]]))
-
-    def test_rejects_a_bad_shape_or_pivot(self):
-        with pytest.raises(InputError, match="singularity needs a square matrix, got 1x2"):
-            is_singular(M([[1, 2]]))
-
-    def test_rejects_a_non_symmetric_matrix_before_any_work(self, monkeypatch):
-        def fail(a):
-            raise AssertionError("inertia taken")
-
-        monkeypatch.setattr(exactla, "inertia", fail)
-        with pytest.raises(PreconditionError, match="matrix is not symmetric"):
-            is_singular(M([[0, 1], [0, 0]]), (1, 0))
-        with pytest.raises(PreconditionError, match="matrix is not symmetric"):
-            is_singular(M([[1, 2], [3, 4]]))
-
-    def test_a_float_kernel_proves_nothing(self):
-        # 1e17 + 1 rounds to 1e17, so the float product is 0; det = 10^17
-        a = M([[10**17 + 1, 10**17], [10**17, 10**17]])
-        assert not is_singular(a, (1.0, -1.0))
-        assert is_singular(M([[1, 1], [1, 1]]), (1.0, -1.0))
-
-    @settings(max_examples=200)
-    @given(symmetric_with_hint())
-    def test_equals_the_exact_rank_with_any_hint(self, case):
-        a, hint = case
-        exact = oracles.gaussian_rank([list(row) for row in a.entries]) < a.rows
-        assert is_singular(a, hint) == is_singular(a) == exact
-
-    def test_a_true_kernel_needs_no_determinant(self, monkeypatch):
-        def fail(a):
-            raise AssertionError("inertia taken")
-
-        monkeypatch.setattr(exactla, "inertia", fail)
-        assert is_singular(M([[2, -2], [-2, 2]]), (1, 1))
-
-    def test_a_zero_vector_or_wrong_length_proves_nothing(self):
-        a = M([[2, 1], [1, 2]])
-        assert not is_singular(a, (0, 0))
-        assert not is_singular(a, (1,))
 
 
 class TestRank:
