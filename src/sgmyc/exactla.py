@@ -31,6 +31,21 @@ two more than a, and by interlacing inertia(N) = inertia(a) + (1, 1, -1).
 Otherwise every zero of a is a zero of N, and step n on the trailing
 entry adds +, - or a zero, as any other step does.
 
+Before the elimination, an O(n^2) pass peels leaves, cascading as new
+ones appear (the pendant-vertex lemma of Cvetkovic and Gutman, Mat.
+Vesnik 9, 1972).  A zero-diagonal row v whose one off-diagonal entry s
+sits at u makes the pivot block [[0, s], [s, d]] on (v, u), d = a_uu,
+of inertia (1, 1, 0).  Its Schur correction to the rest of a is zero,
+since row v meets nothing else, so v and u go and a is otherwise left
+as it was.  The border and a corner c, at first 0, take the rest of
+that Schur complement: b_x -= b_v a_ux / s at each other neighbour x of
+u, and c += d b_v^2 / s^2 - 2 b_v b_u / s.  Those stay integers when
+|s| = 1 or b_v = 0, so only such pairs are peeled, by s b_v in place of
+b_v / s; the loop takes the others.  A zero-diagonal row with no
+off-diagonal entry is a zero; with a border entry it puts b outside the
+column space of a.  The loop then eliminates [[a_rest, b], [b', c]]
+under the rule above, with the corner at step n.
+
 No general product is offered, and no certificate is checked here: the
 audit checks its congruence by row operations, sums H_M H_M^T from the
 columns of H_M, and proves each Laplacian singular by a kernel vector or
@@ -96,16 +111,57 @@ def inertia(a: IntMatrix, border: Sequence[int] | None = None) -> Inertia | tupl
         raise PreconditionError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
         raise PreconditionError("matrix is not symmetric")
-    n = a.rows
-    m = [list(row) for row in a.entries]
+    n, m = a.rows, a.entries
+    if border is not None and len(border) != n:
+        raise PreconditionError(f"border of length {len(border)} for a matrix of order {n}")
+    b = [0] * n if border is None else list(border)
+    # peel zero-diagonal rows with at most one off-diagonal entry, cascading
+    deg = [n - row.count(0) - (row[i] != 0) for i, row in enumerate(m)]
+    alive = [True] * n
+    todo = [v for v in range(n) if deg[v] < 2 and not m[v][v]]
+    pairs = zeros = corner = 0
+    outside = False
+    while todo:
+        v = todo.pop()
+        if not alive[v] or deg[v] > 1:
+            continue
+        if deg[v] == 0:
+            alive[v] = False
+            zeros += 1
+            outside = outside or b[v] != 0
+            continue
+        u = next(x for x in range(n) if alive[x] and x != v and m[v][x])
+        s, bv = m[v][u], b[v]
+        if bv and abs(s) != 1:
+            # the border update would divide by s
+            continue
+        alive[v] = alive[u] = False
+        pairs += 1
+        corner += m[u][u] * bv * bv - 2 * s * bv * b[u]
+        for x in range(n):
+            if alive[x] and m[u][x]:
+                b[x] -= s * bv * m[u][x]
+                deg[x] -= 1
+                if deg[x] < 2 and not m[x][x]:
+                    todo.append(x)
+    keep = [i for i in range(n) if alive[i]]
+    rows = [[m[i][j] for j in keep] for i in keep]
     if border is not None:
-        if len(border) != n:
-            raise PreconditionError(f"border of length {len(border)} for a matrix of order {n}")
-        m = [[*row, x] for row, x in zip(m, border)] + [[*border, 0]]
+        rows = [[*row, b[i]] for row, i in zip(rows, keep)] + [[*(b[i] for i in keep), corner]]
+    in_a, in_n = _eliminate(rows, len(keep), outside)
+    peeled = Inertia(pairs, pairs, zeros)
+    return peeled + in_a if border is None else (peeled + in_a, peeled + in_n)
+
+
+def _eliminate(m: list[list[int]], n: int, outside: bool) -> tuple[Inertia, Inertia]:
+    """Inertias of the leading n x n block of m and of m, in place.
+
+    m has order n, or n + 1 with the border row last; outside says that
+    the border already lies outside the column space of the block.
+    """
     size = len(m)
     plus = minus = 0
     prev = 1
-    outside = False
     for k in range(size):
         if k == n:
             # a is eliminated; the border row is the one step left
@@ -147,4 +203,4 @@ def inertia(a: IntMatrix, border: Sequence[int] | None = None) -> Inertia | tupl
                 row_i[k + 1 :] = [piv * x // prev for x in row_i[k + 1 :]]
         prev = piv
     ine = Inertia(plus, minus, size - plus - minus)
-    return ine if border is None else (in_a, ine)
+    return (ine if size == n else in_a), ine

@@ -43,3 +43,35 @@ def balanced_graphs(draw, min_p=1, max_p=8, connected=True):
     g = draw(signed_graphs(min_p=min_p, max_p=max_p, connected=connected))
     positive = canonicalize(g.p, [(u, v, 1) for u, v, _ in g.edges])
     return switch(positive, draw(switchings(g.p)))
+
+
+@st.composite
+def leaf_heavy_symmetric(draw, max_n=12):
+    """Rows of a symmetric integer matrix whose graph is mostly leaves.
+
+    The graph is a forest, or a cycle with trees hung on it, and each new
+    vertex is often hung on the one before it, so pendant paths form and
+    peeling one leaf pair exposes the next.  Off-diagonal entries are
+    nonzero integers, |s| = 2 and 3 among them, and about half the
+    matrices carry some nonzero diagonal entries.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rows = [[0] * n for _ in range(n)]
+    weight = st.sampled_from((1, -1, 1, -1, 2, -2, 3))
+    order = draw(st.permutations(range(n)))
+    # the first `start` vertices close a cycle, or the first alone roots a tree
+    start = draw(st.integers(min_value=3, max_value=n)) if n >= 3 and draw(st.booleans()) else 1
+    if start >= 3:
+        for i in range(start):
+            u, v = order[i], order[(i + 1) % start]
+            rows[u][v] = rows[v][u] = draw(weight)
+    for i in range(start, n):
+        # one vertex in six hangs on nothing: a new root, or an isolated vertex
+        if draw(st.integers(min_value=0, max_value=5)):
+            u = order[draw(st.one_of(st.just(i - 1), st.integers(min_value=0, max_value=i - 1)))]
+            v = order[i]
+            rows[u][v] = rows[v][u] = draw(weight)
+    if draw(st.booleans()):
+        for v in range(n):
+            rows[v][v] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+    return rows

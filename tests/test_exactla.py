@@ -1,5 +1,8 @@
 """Exact integer matrices: construction, arithmetic, inertia."""
 
+import contextlib
+import io
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -9,9 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import rank, subtract
-from strategies import signed_graphs
-from sgmyc.core import canonicalize
+from strategies import leaf_heavy_symmetric, signed_graphs
+from sgmyc import cli, exactla
+from sgmyc.core import canonicalize, dumps
 from sgmyc.matrices import adjacency
+from sgmyc.mycielskian import mycielskian
 from sgmyc.exactla import Inertia, inertia
 from sgmyc.errors import InputError, PreconditionError
 
@@ -273,3 +278,82 @@ class TestBorderedInertia:
     def test_border_must_match_the_order(self):
         with pytest.raises(PreconditionError, match="border of length 1 for a matrix of order 2"):
             inertia(M([[0, 1], [1, 0]]), border=(1,))
+
+
+def path_rows(n, d=0):
+    """Rows of the path P_n with unit weights and d on every diagonal entry."""
+    return [[1 if abs(i - j) == 1 else d if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def leaf_heavy_cases(draw):
+    rows = draw(leaf_heavy_symmetric())
+    border = draw(st.lists(st.one_of(st.just(0), entries()), min_size=len(rows), max_size=len(rows)))
+    return rows, draw(st.sampled_from((1, -1))), border
+
+
+def recording_eliminations(monkeypatch):
+    """The orders of the matrices the elimination loop receives from now on."""
+    orders, eliminate = [], exactla._eliminate
+
+    def recording(m, n, outside):
+        orders.append(len(m))
+        return eliminate(m, n, outside)
+
+    monkeypatch.setattr(exactla, "_eliminate", recording)
+    return orders
+
+
+class TestLeafPeeling:
+    """Leaf pairs and isolated vertices, peeled before the elimination, against the Fraction oracle."""
+
+    @settings(max_examples=300)
+    @given(leaf_heavy_cases())
+    @example((path_rows(6), -1, [1, 0, -2, 0, 0, 3]))
+    @example((path_rows(7), 1, [0, 2, 0, 0, 1, 0, -1]))
+    # one pair, then leaves that keep a border entry: b outside the column space
+    @example(([list(row) for row in adjacency(STAR).entries], -1, [0] * 5))
+    # |s| = 2 at each end next to a border entry: neither leaf may be peeled
+    @example(([[0, 2, 0], [2, 0, 2], [0, 2, 0]], 1, [1, 0, 1]))
+    @example(([[0, 2, 0], [2, 0, 2], [0, 2, 0]], 1, [1, 1, 0]))
+    # the neighbour's diagonal d enters the corner, and a leaf with its own diagonal stays
+    @example(([[0, 1, 0], [1, 3, 1], [0, 1, 0]], -1, [1, -2, 1]))
+    @example((path_rows(5, d=1), 1, [1, 0, 0, 0, 1]))
+    def test_matches_the_congruence_oracle(self, case):
+        rows, sign, border = case
+        a = M(rows)
+        assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
+        assert_bordered_inertia(a, (sign,) * a.rows)
+        assert_bordered_inertia(a, border)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_a_path_peels_to_nothing(self, monkeypatch, n):
+        orders = recording_eliminations(monkeypatch)
+        assert inertia(M(path_rows(n))) == Inertia(n // 2, n // 2, n % 2)
+        inertia(M(path_rows(n)), border=(-1,) * n)
+        assert orders == [0, 1]
+
+    def test_k5_keeps_every_vertex(self, monkeypatch):
+        orders = recording_eliminations(monkeypatch)
+        a = adjacency(K5_POS)
+        assert inertia(a) == Inertia(1, 4, 0)
+        assert inertia(a, border=(-1,) * 5) == (Inertia(1, 4, 0), Inertia(1, 5, 0))
+        assert orders == [5, 6]
+
+    def test_the_mycielskian_inertia_eliminates_the_unpeeled_core(self, monkeypatch, tmp_path):
+        rng = random.Random(7)
+        p = 30
+        g = canonicalize(p, [(u, v, rng.choice((1, -1))) for u in range(1, p + 1)
+                             for v in range(u + 1, p + 1) if rng.random() < 0.12])
+        core = oracles.leaf_core(g)
+        assert len(core) == 11
+        path = tmp_path / "g.txt"
+        path.write_text(dumps(g))
+        orders = recording_eliminations(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["inertia", "--of", "mycielskian", str(path)]) == 0
+        # A bordered by -j, peeled down to its core and the border row
+        assert orders == [len(core) + 1]
+        a_m = adjacency(mycielskian(g)[0])
+        plus, minus, zero = oracles.congruence_inertia([list(row) for row in a_m.entries])
+        assert out.getvalue() == f"rank {plus + minus} n_plus {plus} n_minus {minus} n_zero {zero}\n"
