@@ -15,7 +15,8 @@ switching back turns that into the coloring zeta(v).  So
 balance.is_antibalanced settles n = 2 without a search, and any other
 input starts at n = 3.  From there a DSATUR search (Brelaz 1979) refutes
 each n until one admits a coloring, and returns that n with the coloring
-it found.
+it found.  A balanced input is searched as its all-positive switching,
+as set out below.
 
 The DSATUR search branches next on the uncolored vertex whose colored
 neighbours forbid the most distinct colors (its saturation), ties going
@@ -50,6 +51,28 @@ candidates does, and the search refutes n only when M_n admits no proper
 coloring.  The argument looks at the partial coloring at one node, not at
 the rule that chose its vertices, so it holds under either pick rule.
 
+A balanced graph has more symmetry.  If switching by zeta makes it
+all-positive, each edge (u, v, s) has s = zeta(u) zeta(v), so c(u) !=
+s * c(v) says exactly zeta(u) c(u) != zeta(v) c(v); as M_n is closed
+under negation, c -> zeta c maps the proper colorings of the graph onto
+those of its all-positive switching G+ (Zaslavsky 1982).  On G+ the
+constraint is c(u) != c(v), which every permutation of M_n preserves,
+not only the 2^k k! signed ones.  So chromatic_number, after the
+antibalance test, looks for zeta by one breadth-first pass over sign
+potentials, stopping at the first edge that contradicts them.  When it
+finds one, the search ignores the signs and opens colors one at a time:
+if the vertices colored so far use the trial positions 0..m-1, the next
+vertex tries only those and, when m < n, position m.  The argument is
+the one above with any permutation of M_n in place of a signed one:
+swapping the colors at positions j > m and m fixes the partial coloring
+and maps a proper coloring of G+ that gives v position j to one that
+gives it position m.  So color opening too loses no coloring under
+either pick rule.  Pair opening left up to n!/(2^k k!) copies of each
+refutation, 3 at n = 4 and 15 at n = 5, and color opening leaves one.
+The coloring found for G+, times zeta, is the witness returned.
+least_coloring keeps pair opening on every input, so its witness is the
+least coloring of the signed graph itself.
+
 least_coloring runs the same loop at one n with the static pick rule:
 the vertex at depth i is the i-th in descending degree order (ties by
 vertex id), so its colored neighbours are exactly its earlier ones.  Its
@@ -72,8 +95,9 @@ call of chromatic_number or least_coloring, and raises
 BudgetExhaustedError when it runs out.  From chromatic_number the error
 carries the n being searched as a lower bound, since every smaller color
 set was refuted, and the nodes spent; from least_coloring it carries its
-own n.  Pair opening tries fewer colors, so a given budget decides more
-inputs than plain backtracking would.  A negative budget is rejected.
+own n.  Pair opening tries fewer colors, and on balanced input opening
+colors one at a time fewer still, so a given budget decides more inputs
+than plain backtracking would.  A negative budget is rejected.
 The library itself never imposes a budget.
 
 The Mycielskian interacts with the chromatic number through a sandwich:
@@ -162,11 +186,31 @@ def _branch_graph(g: SignedGraph) -> tuple[list[int], list[list[tuple[int, int]]
     return order, neighbours
 
 
-def _coloring(order: list[int], n: int, positions: list[int]) -> SignedColoring:
+def _switching(neighbours: list[list[tuple[int, int]]]) -> list[int] | None:
+    """The switching zeta, by position, that makes the graph all-positive, or None when it is unbalanced."""
+    zeta = [0] * len(neighbours)
+    for root in range(len(neighbours)):
+        if zeta[root]:
+            continue
+        zeta[root] = 1
+        # breadth first: the loop walks the list as it grows
+        queue = [root]
+        for v in queue:
+            for u, s in neighbours[v]:
+                if not zeta[u]:
+                    zeta[u] = s * zeta[v]
+                    queue.append(u)
+                elif zeta[u] != s * zeta[v]:
+                    return None
+    return zeta
+
+
+def _coloring(order: list[int], n: int, positions: list[int], zeta: list[int] | None = None) -> SignedColoring:
+    """The colors in vertex-id order, each times zeta at its position when a switching is given."""
     trial = color_trial_order(n)
     colors = [0] * len(order)
     for i, v in enumerate(order):
-        colors[v - 1] = trial[positions[i]]
+        colors[v - 1] = trial[positions[i]] if zeta is None else zeta[i] * trial[positions[i]]
     return SignedColoring(n, tuple(colors))
 
 
@@ -180,12 +224,14 @@ def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[in
         # the constant 1 colors an all-negative graph; switching back gives zeta itself
         return 2, SignedColoring(2, to_all_negative)
     order, neighbours = _branch_graph(g)
+    # a balanced graph is searched as its all-positive switching
+    zeta = _switching(neighbours)
     nodes = 0
     # p distinct positive values color any graph, so the loop ends by n = 2p
     for n in range(3, 2 * g.p + 1):
-        positions, nodes = _search(neighbours, n, nodes, node_budget)
+        positions, nodes = _search(neighbours, n, nodes, node_budget, unsigned=zeta is not None)
         if positions is not None:
-            return n, _coloring(order, n, positions)
+            return n, _coloring(order, n, positions, zeta)
     raise ConsistencyError("no coloring found below the terminating bound")
 
 
@@ -200,22 +246,33 @@ def least_coloring(g: SignedGraph, n: int, node_budget: int | None = None) -> Si
 
 
 def _search(
-    neighbours: list[list[tuple[int, int]]], n: int, nodes: int, node_budget: int | None, static: bool = False
+    neighbours: list[list[tuple[int, int]]],
+    n: int,
+    nodes: int,
+    node_budget: int | None,
+    static: bool = False,
+    unsigned: bool = False,
 ) -> tuple[list[int] | None, int]:
     """One search over M_n: the trial position of each vertex, or None, and the nodes so far.
 
     Vertices are named by their position in the degree order.  The next
     vertex is the most saturated uncolored one, the smaller name winning a
-    tie, or with static the one named by the depth.
+    tie, or with static the one named by the depth.  With unsigned the
+    signs are ignored, so the search colors the all-positive graph, and
+    colors open one at a time instead of one pair at a time.
     """
     p = len(neighbours)
     trial = color_trial_order(n)
-    odd, k = n % 2, n // 2
     # bit t of a mask stands for the color at trial position t: the
-    # position of each negated color, and how many positions a vertex may
-    # try with m = 0..k pairs open
-    negated = [trial.index(-c) for c in trial]
-    limit = [odd + 2 * m + (m < k) for m in range(k + 1)]
+    # position a negative edge forbids, and how many positions a vertex may
+    # try with m = 0..k pairs open, or unsigned with m = 0..n-1 colors in use
+    if unsigned:
+        negated = list(range(n))
+        limit = list(range(1, n + 1))
+    else:
+        negated = [trial.index(-c) for c in trial]
+        odd, k = n % 2, n // 2
+        limit = [odd + 2 * m + (m < k) for m in range(k + 1)]
     count = [0] * (p * n)  # count[v * n + t]: colored neighbours of v that forbid position t
     forbidden = [0] * p  # bit t set when count[v * n + t] > 0
     sat = [0] * p  # saturation: the bits set in forbidden[v]
@@ -226,7 +283,7 @@ def _search(
     heap = list(range(n * p + 1, n * p + p))
     picked = [0] * p  # the vertex colored at each depth
     nxt = [0] * p  # next trial position to try at each depth
-    opened = [0] * p  # pairs open before each depth
+    opened = [0] * p  # pairs open before each depth, or unsigned colors
     allowed = [0] * p  # candidates at each depth that no colored neighbour forbids
     push, pop = heapq.heappush, heapq.heappop
     i, v = 0, 0
@@ -271,8 +328,9 @@ def _search(
                     sat[u] += 1
                     push(heap, (n - sat[u]) * p + u)
                 count[at] += 1
-        # the color taken at position odd + 2m is +(m+1), a new pair
-        m = opened[i] + (end == odd + 2 * opened[i] + 1)
+        # the last candidate, while some color stays unopened, opens a new
+        # one: +(m+1) at position odd + 2m, or unsigned position m
+        m = opened[i] + (end == limit[opened[i]] < n)
         i += 1
         if i == p:
             return color, nodes

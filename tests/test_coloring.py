@@ -17,9 +17,9 @@ from conftest import (
     all_sign_patterns,
     cycles_and_paths,
 )
-from strategies import signed_graphs, switchings
-from sgmyc import claims
-from sgmyc.balance import is_antibalanced
+from strategies import balanced_graphs, signed_graphs, switchings
+from sgmyc import claims, coloring
+from sgmyc.balance import certify_balance, is_antibalanced
 from sgmyc.coloring import (
     SignedColoring,
     chromatic_number,
@@ -127,7 +127,9 @@ class TestChromaticNumber:
         assert chromatic_number(K2_NEG) == (2, SignedColoring(2, (1, 1)))
         assert chromatic_number(K2_POS) == (2, SignedColoring(2, (1, -1)))
         assert chromatic_number(SQUARE_ONE_NEG) == (3, SignedColoring(3, (0, 1, 0, 1)))
-        assert chromatic_number(TRIANGLE_TWO_NEG) == (3, SignedColoring(3, (0, 1, -1)))
+        # balanced, so searched as its all-positive switching, and the
+        # witness is that coloring times the switching
+        assert chromatic_number(TRIANGLE_TWO_NEG) == (3, SignedColoring(3, (0, -1, 1)))
 
     def test_empty_graph(self):
         assert chromatic_number(canonicalize(0, [])) == (1, SignedColoring(1, ()))
@@ -227,11 +229,13 @@ class TestChromaticNumber:
 
         def peak(budget):
             tracemalloc.start()
-            with pytest.raises(BudgetExhaustedError):
-                least_coloring(g, 4, node_budget=budget)
-            top = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            return top
+            try:
+                with pytest.raises(BudgetExhaustedError):
+                    least_coloring(g, 4, node_budget=budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                # left on, tracing would slow every later test
+                tracemalloc.stop()
 
         assert peak(40_000) < peak(5_000) + 16_384
 
@@ -276,18 +280,46 @@ class TestChromaticNumber:
         assert exc.value.lower_bound == n
         assert exc.value.nodes == smallest - 1
 
-    @pytest.mark.parametrize("level, smallest", [(4, 252), (5, 11_063)])
-    def test_pair_opening_node_counts(self, level, smallest):
-        # the static-order search of least_coloring, run from n = 1, takes
-        # 729 and 390,395; plain backtracking (oracles.reference_chromatic)
-        # takes 956 and 1,555,715
-        g = tower(level)[level - 1]
-        assert chromatic_number(g, node_budget=smallest)[0] == level
+    @pytest.mark.parametrize(
+        "g, chi, smallest",
+        [(tower(4)[3], 4, 102), (tower(5)[4], 5, 3_732), (mycielskian(tower(4)[3])[0], 4, 373)],
+        ids=["tower-4", "tower-5", "unbalanced-mycielskian-of-tower-4"],
+    )
+    def test_pair_opening_node_counts(self, g, chi, smallest):
+        # the balanced tower levels open colors one at a time: pair opening
+        # takes 252 and 11,063 on them, the static-order search of
+        # least_coloring, run from n = 1, 729 and 390,395, and plain
+        # backtracking (oracles.reference_chromatic) 956 and 1,555,715.  The
+        # Mycielskian of level 4 is unbalanced, so it still opens pairs
+        assert chromatic_number(g, node_budget=smallest)[0] == chi
         with pytest.raises(BudgetExhaustedError) as exc:
             chromatic_number(g, node_budget=smallest - 1)
-        assert exc.value.lower_bound == level
+        assert exc.value.lower_bound == chi
 
-    @pytest.mark.slow
+    @settings(max_examples=100, deadline=None)
+    @given(balanced_graphs(max_p=9, connected=False))
+    def test_matches_reference_on_balanced_switchings(self, g):
+        n, witness = chromatic_number(g)
+        assert n == oracles.reference_chromatic(g)[0]
+        assert witness.n == n and is_proper(g, witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_graphs(max_p=7))
+    def test_only_balanced_input_searches_unsigned(self, g):
+        modes = set()
+        search = coloring._search
+
+        def recording(*args, **kwargs):
+            modes.add(kwargs["unsigned"])
+            return search(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_search", recording)
+            chromatic_number(g)
+        # chi <= 2 is decided before any search
+        expected = set() if is_antibalanced(g)[0] else {certify_balance(g).balanced}
+        assert modes == expected
+
     def test_tower_level_six(self):
         g = tower(6)[5]
         n, coloring = chromatic_number(g)
