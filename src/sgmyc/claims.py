@@ -30,22 +30,20 @@ blocked incidence without forming it, with the Laplacian of the
 constructed graph; H H^T = L on G alone would compare two generic
 builders of one graph.
 
-laplacian-balance proves L = H H^T nonsingular by a nonzero determinant
-of H on p columns, a spanning tree and one column closing a negative
-cycle, which form a basis of the frame matroid of a signed graph
-(Zaslavsky 1982).  _frame_det finds and computes it in O(p + q), from
-the first q columns of H_M for L, whose gram the claim checks, and from
-all of them for L_M, whose gram incidence-laplacian compares.  A kernel
-vector proves a Laplacian singular: the balance certificate's switching
-for L, the all-ones vector for L_M; _singular checks it, and where
-neither proof settles a Laplacian, its exact inertia decides.  On a
-connected input with the constructions right that never happens: the
-inertia of order 2p + 1 that L_M would take runs only where
-incidence-laplacian already fails.
+laplacian-balance checks the one certificate its verdict names: L is
+singular exactly when G is balanced, L_M exactly when G is all-positive.
+A kernel vector, checked by _singular, proves a Laplacian singular: the
+balance certificate's switching for L, the all-ones vector for L_M.  A
+nonzero determinant of the incidence on p columns, a spanning tree and
+one column closing a negative cycle, which form a frame matroid basis
+(Zaslavsky 1982), proves it nonsingular once its gram is checked to be
+the Laplacian; _frame_det computes it in O(p + q), on the first q
+columns of H_M for L and on all of them for L_M.  A certificate that
+does not check fails the claim, and the detail names its Laplacian.
 
 The balance claims decide from the certificates they check: a negative
-5-cycle proves M unbalanced, so M is searched only on all-positive input,
-and a switching to all-positive proves the balanced Mycielskian balanced.
+5-cycle proves M unbalanced, no negative edge makes M all-positive, and
+a switching to all-positive proves the balanced Mycielskian balanced.
 """
 
 from __future__ import annotations
@@ -154,10 +152,10 @@ def _balance(ctx: Context) -> tuple[str, str]:
     g = ctx.g
     gm, lab = ctx.myc
     # any negative edge v_i v_j closes the negative 5-cycle (v_i, v_j, u_i, w, u_j),
-    # which proves M unbalanced; with none, M must be balanced
+    # which proves M unbalanced; with none, M is all-positive
     negative = next(((u, v) for u, v, s in g.edges if s == -1), None)
     if negative is None:
-        return _verdict(balance.certify_balance(gm).balanced, "balanced Mycielskian")
+        return _verdict(core.is_all_positive(gm), "balanced Mycielskian")
     u, v = negative
     witness = [lab.original(u), lab.original(v), lab.twin(u), lab.root, lab.twin(v)]
     try:
@@ -267,12 +265,9 @@ def _frame_det(n: int, columns: matrices._Columns) -> int:
 
 
 def _singular(lap: exactla.IntMatrix, kernel: tuple[int, ...] | None) -> bool:
-    """Whether the Laplacian lap is singular: kernel proves it, or the exact inertia decides."""
-    # a vector of the wrong length, or of zeros, proves nothing
-    if kernel and len(kernel) == lap.rows and any(kernel):
-        if not any(sum(map(mul, row, kernel)) for row in lap.entries):
-            return True
-    return exactla.inertia(lap).n_zero > 0
+    """Whether kernel proves lap singular: a nonzero vector of its order that lap sends to 0."""
+    ok = bool(kernel) and len(kernel) == lap.rows and any(kernel)
+    return ok and not any(sum(map(mul, row, kernel)) for row in lap.entries)
 
 
 def _laplacian_balance(ctx: Context) -> tuple[str, str]:
@@ -283,17 +278,19 @@ def _laplacian_balance(ctx: Context) -> tuple[str, str]:
         return ("skipped", "input is disconnected")
     columns, n = ctx.columns, 2 * g.p + 1
     h = columns[: g.q]
-    # H of full rank on a frame basis proves H H^T nonsingular, once H H^T
-    # is checked to be the Laplacian: H is the first q columns of H_M, and
-    # H_M H_M^T the gram incidence-laplacian compares
-    frame = _frame_det(g.p, h) and matrices._gram(g.p, h) == ctx.laplacian
-    frame_m = _frame_det(n, columns) and ctx.gram_myc == ctx.laplacian_myc
-    # a switching to all-positive is a kernel vector of L, and so is 1 of
-    # L_M when no edge is negative
-    singular = not frame and _singular(ctx.laplacian, ctx.cert.to_all_positive)
-    singular_m = not frame_m and _singular(ctx.laplacian_myc, (1,) * n)
-    ok = singular == ctx.cert.balanced and singular_m == core.is_all_positive(g)
-    return _verdict(ok, f"Laplacian singular: {singular}")
+    # H is the first q columns of H_M, and H_M H_M^T the gram
+    # incidence-laplacian compares
+    if ctx.cert.balanced:
+        ok = _singular(ctx.laplacian, ctx.cert.to_all_positive)
+    else:
+        ok = _frame_det(g.p, h) != 0 and matrices._gram(g.p, h) == ctx.laplacian
+    if core.is_all_positive(g):
+        ok_m = _singular(ctx.laplacian_myc, (1,) * n)
+    else:
+        ok_m = _frame_det(n, columns) != 0 and ctx.gram_myc == ctx.laplacian_myc
+    if ok and ok_m:
+        return ("pass", f"Laplacian singular: {ctx.cert.balanced}")
+    return ("fail", f"the certificate for {'L_M' if ok else 'L'} does not check")
 
 
 CLAIMS: dict[str, Callable[[Context], tuple[str, str]]] = {

@@ -279,15 +279,17 @@ def generate(kind: str, params: Mapping[str, object] | None = None, seed: int | 
 
 
 def _random_connected(p: int, edge_prob: float, neg_prob: float, seed: int | None) -> SignedGraph:
-    rng = random.Random(0 if seed is None else seed)
-    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-    # a hopeless draw gives up early; one that succeeds is the same graph whatever the cap
-    for _ in range(1000):
-        chosen = [pair for pair in pairs if rng.random() < edge_prob]
-        signs = [-1 if rng.random() < neg_prob else 1 for _ in chosen]
-        g = canonicalize(p, [(u, v, s) for (u, v), s in zip(chosen, signs)])
-        if is_connected(g):
-            return g
+    # a hopeless draw gives up early; one that succeeds is the same graph whatever the cap.
+    # With edge_prob 0 no graph on two or more vertices is connected, so none is drawn
+    if edge_prob or p < 2:
+        rng = random.Random(0 if seed is None else seed)
+        pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+        for _ in range(1000):
+            chosen = [pair for pair in pairs if rng.random() < edge_prob]
+            signs = [-1 if rng.random() < neg_prob else 1 for _ in chosen]
+            g = canonicalize(p, [(u, v, s) for (u, v), s in zip(chosen, signs)])
+            if is_connected(g):
+                return g
     raise InputError(
         f"could not draw a connected graph on {p} vertices with edge_prob={edge_prob}"
     )

@@ -1,13 +1,14 @@
-"""Every public function and method of the package has a caller in it or is documented API.
+"""Every function and method of the package has a caller in it or is documented API.
 
 A public module-level function under src/sgmyc/ must be used by some
 other function or module-level statement of the package, or be named in
-the "Library API" section of README.md.  A public method or property of
-a package class must be read as an attribute somewhere in the package
-outside its own definition, or be named there too.  So no function or
-method is kept only for the tests to call.  Likewise every class in
-errors.py but the root and ConsistencyError is named in some except
-clause of the package, so no error class is kept only for the tests.
+the "Library API" section of README.md; a private one must be used.  A
+public method or property of a package class must be read as an
+attribute somewhere in the package outside its own definition, or be
+named there too.  So no function or method is kept only for the tests
+to call.  Likewise every class in errors.py but the root and
+ConsistencyError is named in some except clause of the package, so no
+error class is kept only for the tests.
 """
 
 import ast
@@ -18,14 +19,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sgmyc"
 
 
-def public_functions():
-    """(module, name) of every public module-level function."""
+def module_functions():
+    """(module, name) of every module-level function."""
     out = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 out.add((path.stem, node.name))
     return out
+
+
+def public_functions():
+    """(module, name) of every public module-level function."""
+    return {f for f in module_functions() if not f[1].startswith("_")}
 
 
 def public_methods():
@@ -112,6 +118,13 @@ def documented_api():
 
 def test_every_public_function_has_a_caller_or_is_documented():
     orphans = public_functions() - used_functions() - documented_api()
+    assert not sorted(orphans)
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # no README entry can excuse a private function, so one kept only for
+    # the tests to call or patch is an orphan
+    orphans = module_functions() - public_functions() - used_functions()
     assert not sorted(orphans)
 
 

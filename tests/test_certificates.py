@@ -1,22 +1,24 @@
-"""The audit's matrix verdicts rest on certificates, with the exact kernel behind them.
+"""The audit's matrix verdicts rest on certificates, and on nothing else.
 
 inertia-additivity derives inertia(A_M) from the congruence it checks
 by row operations on A_M, building no factor of order 2p + 1,
 incidence-laplacian builds no matrix wider than 2p + 1,
-and laplacian-balance proves a Laplacian singular by a kernel vector,
-which claims._singular checks, or nonsingular by the determinant of its
-incidence on a frame basis, falling back to the exact inertia otherwise.
-These tests hold the certified answers to the exact ones, force the
-fallback, feed wrong certificates (switchings of zeros or of the wrong
-length among them) and column lists, count the eliminations one audit
-runs, and check that it searches no graph for balance whose balance a
-checked negative cycle or switching already settles.
+and laplacian-balance checks the one certificate the balance verdict
+names: a kernel vector, which claims._singular checks, for a singular
+Laplacian, the determinant of its incidence on a frame basis for a
+nonsingular one.  These tests hold the certified verdicts to ranks by
+Fraction elimination, feed wrong certificates (switchings of zeros or
+of the wrong length among them) and column lists, which must fail the
+claim with no elimination to rescue it, count the eliminations one
+audit runs, and check that it searches no graph for balance whose
+balance a checked negative cycle, sign pattern or switching settles.
 """
 
 import contextlib
 import dataclasses
 import inspect
 import io
+import json
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG
+from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
 from strategies import signed_graphs
 from sgmyc import balance, claims, cli, core, exactla, matrices, mycielskian
 
@@ -36,24 +38,31 @@ def status(ctx, name):
     return claims.check(name, ctx)["status"]
 
 
-@settings(max_examples=150)
-@given(signed_graphs(min_p=0, max_p=9))
-@example(core.canonicalize(0, []))
-@example(core.canonicalize(1, []))
-@example(core.canonicalize(5, []))
-@example(CYCLE5_POS)
-def test_certified_verdicts_equal_the_exact_kernel(g):
-    lap = matrices.laplacian(g)
-    zeta = balance.certify_balance(g).to_all_positive
-    exact = oracles.gaussian_rank(lap.entries) < g.p
-    assert claims._singular(lap, zeta) == claims._singular(lap, None) == exact
-
-
 def halves(g):
     """(rows, columns, Laplacian) of G and of M: H on the first q columns of H_M, and H_M."""
     columns = matrices._mycielskian_columns(g)
     lm = matrices.laplacian(mycielskian.mycielskian(g)[0])
     return (g.p, columns[: g.q], matrices.laplacian(g)), (2 * g.p + 1, columns, lm)
+
+
+@settings(max_examples=150)
+@given(signed_graphs(min_p=1, max_p=9, connected=True))
+@example(core.canonicalize(1, []))
+@example(CYCLE5_POS)
+def test_the_certificate_each_verdict_names_checks_and_agrees_with_the_rank(g):
+    # L is singular exactly when G is balanced, and L_M exactly when G is
+    # all-positive: a kernel vector proves the one, a nonzero frame
+    # determinant of an incidence whose gram is the Laplacian the other
+    cert = balance.certify_balance(g)
+    verdicts = (cert.balanced, core.is_all_positive(g))
+    kernels = (cert.to_all_positive, (1,) * (2 * g.p + 1))
+    for (n, columns, lap), singular, kernel in zip(halves(g), verdicts, kernels):
+        assert singular == (oracles.gaussian_rank(lap.entries) < n)
+        if singular:
+            assert claims._singular(lap, kernel)
+        else:
+            assert claims._frame_det(n, columns) and matrices._gram(n, columns) == lap
+    assert status(claims.Context(g), "laplacian-balance") == "pass"
 
 
 @settings(max_examples=150)
@@ -124,34 +133,35 @@ def recording_inertia(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_a_zero_frame_determinant_falls_back_to_the_exact_kernel(monkeypatch, name):
+def test_a_zero_frame_determinant_fails_each_nonsingular_verdict(monkeypatch, name):
     g = GRAPHS[name]
-    monkeypatch.setattr(claims, "_frame_det", lambda n, columns: 0)
+    asked = []
+    monkeypatch.setattr(claims, "_frame_det", lambda n, columns: asked.append(n) or 0)
     orders = recording_inertia(monkeypatch)
-    assert status(claims.Context(g), "laplacian-balance") == "pass"
     # only a nonsingular Laplacian, L of unbalanced G or L_M of G with a
-    # negative edge, has no kernel vector to offer
-    exact = [n for n, _, lap in halves(g) if oracles.gaussian_rank(lap.entries) == n]
-    assert orders == exact == {"K2-": [5], "square1": [4, 9], "square2": [9]}.get(name, [])
+    # negative edge, asks for a frame determinant, and nothing rescues it
+    nonsingular = [n for n, _, lap in halves(g) if oracles.gaussian_rank(lap.entries) == n]
+    assert status(claims.Context(g), "laplacian-balance") == ("fail" if nonsingular else "pass")
+    assert asked == nonsingular == {"K2-": [5], "square1": [4, 9], "square2": [9]}.get(name, [])
+    assert orders == []
 
 
 def test_a_positive_closing_column_gives_no_certificate(monkeypatch):
-    # the 4-cycle's one non-tree column closes a positive cycle, so only a
-    # kernel vector or the inertia can settle L, and a wrong switching
-    # leaves it to the inertia
+    # the 4-cycle's one non-tree column closes a positive cycle, so only
+    # the switching can prove L singular, and a wrong one fails the claim
     columns = matrices._mycielskian_columns(SQUARE_POS)[:4]
     assert claims._frame_det(4, columns) == 0
     ctx = claims.Context(SQUARE_POS)
     ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=(-1, 1, 1, 1))
     orders = recording_inertia(monkeypatch)
-    assert status(ctx, "laplacian-balance") == "pass"
-    assert orders == [4]
+    assert status(ctx, "laplacian-balance") == "fail"
+    assert orders == []
 
 
 def test_a_sign_flip_in_the_columns_fails_the_gram_check(monkeypatch):
     # K4 with one negative edge, its last column's entry at row 4 negated:
     # still unbalanced, so the frame determinant stays nonzero, but H H^T
-    # is no longer L, and L_M likewise, so the inertia decides both
+    # is no longer L, and L_M likewise, so both nonsingular verdicts fail
     g = core.canonicalize(4, [(1, 2, -1), (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)])
     exact = matrices._mycielskian_columns
 
@@ -166,14 +176,14 @@ def test_a_sign_flip_in_the_columns_fails_the_gram_check(monkeypatch):
     assert claims._frame_det(4, columns[: g.q]) and claims._frame_det(9, columns)
     orders = recording_inertia(monkeypatch)
     ctx = claims.Context(g)
-    assert status(ctx, "laplacian-balance") == "pass"
-    assert sorted(orders) == [4, 9]
+    assert status(ctx, "laplacian-balance") == "fail"
+    assert orders == []
     assert status(ctx, "incidence-laplacian") == "fail"
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 @pytest.mark.parametrize("zeta", ["ones", "flipped", "zero", "short"])
-def test_any_switching_in_the_certificate_gives_the_exact_verdict(name, zeta):
+def test_a_switching_in_the_certificate_but_the_true_one_fails_the_claim(monkeypatch, name, zeta):
     g = GRAPHS[name]
     ctx = claims.Context(g)
     true = ctx.cert.to_all_positive or (1,) * g.p
@@ -184,34 +194,41 @@ def test_any_switching_in_the_certificate_gives_the_exact_verdict(name, zeta):
         "short": (1,) * (g.p - 1),
     }[zeta]
     ctx.__dict__["cert"] = balance.BalanceCertificate(ctx.cert.balanced, None, wrong, None)
-    assert status(ctx, "laplacian-balance") == "pass"
+    orders = recording_inertia(monkeypatch)
+    # only a balanced verdict names the switching, and on connected G only
+    # the true one or its negation is a kernel vector of L
+    proves = not ctx.cert.balanced or wrong in (true, tuple(-z for z in true))
+    assert status(ctx, "laplacian-balance") == ("pass" if proves else "fail")
+    assert orders == []
 
 
 BALANCED_SQUARE = core.switch(SQUARE_POS, (1, -1, 1, 1))
 
 
 @pytest.mark.parametrize("kernel", ["zero", "long", "short"])
-def test_a_switching_of_zeros_or_the_wrong_length_leaves_l_to_the_inertia(monkeypatch, kernel):
-    # a balanced L has no frame determinant, so its switching or the exact
-    # inertia settles it; zeros, or the switching with one entry more, give
-    # 0 on every row of L, yet prove nothing
+def test_a_switching_of_zeros_or_the_wrong_length_fails_the_claim(monkeypatch, kernel):
+    # a balanced L has no frame determinant, so only its switching proves it
+    # singular; zeros, or the switching with one entry more, give 0 on every
+    # row of L, yet prove nothing
     ctx = claims.Context(BALANCED_SQUARE)
     zeta = ctx.cert.to_all_positive
     wrong = {"zero": (0,) * 4, "long": zeta + (1,), "short": zeta[:-1]}[kernel]
     ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=wrong)
     orders = recording_inertia(monkeypatch)
     report = claims.check("laplacian-balance", ctx)
-    assert (report["status"], report["detail"]) == ("pass", "Laplacian singular: True")
-    assert orders == [4]
+    assert (report["status"], report["detail"]) == ("fail", "the certificate for L does not check")
+    assert orders == []
 
 
-def test_a_kernel_of_zeros_leaves_a_nonsingular_laplacian_nonsingular(monkeypatch):
-    # with no frame determinant, a vector of zeros would prove any L singular
-    monkeypatch.setattr(claims, "_frame_det", lambda n, columns: 0)
+def test_a_kernel_of_zeros_proves_no_nonsingular_laplacian_singular(monkeypatch):
+    # a certificate that calls unbalanced G balanced names a switching, and
+    # zeros, which every L sends to 0, must not prove the nonsingular L singular
     ctx = claims.Context(SQUARE_ONE_NEG)
-    ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=(0,) * 4)
+    ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, balanced=True, to_all_positive=(0,) * 4)
+    orders = recording_inertia(monkeypatch)
     report = claims.check("laplacian-balance", ctx)
-    assert (report["status"], report["detail"]) == ("pass", "Laplacian singular: False")
+    assert (report["status"], report["detail"]) == ("fail", "the certificate for L does not check")
+    assert orders == []
 
 
 @settings(max_examples=100)
@@ -271,27 +288,20 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
         code = cli.main(["audit", str(path), "--budget", "10"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
     # inertia(A) and inertia of the lower block from one elimination of A
-    # bordered, nothing of order 2p + 1, and no exact fallback of
-    # _singular, which would be a second call
+    # bordered, and nothing of order 2p + 1
     assert orders == [("bordered", g.p)]
-    # the proof each half took: a nonzero frame determinant, or a kernel
-    # vector that _singular checks
-    route = {n: "kernel" if n in kernels else "frame" for n in (g.p, 2 * g.p + 1)}
-    assert all(frames[n] for n in route if route[n] == "frame")
-    assert (route[g.p], route[2 * g.p + 1]) == {
-        "unbalanced": ("frame", "frame"),
-        "balanced": ("kernel", "frame"),
-        "all-positive": ("kernel", "kernel"),
+    # the one proof each half's verdict names, and no other: a kernel
+    # vector that _singular checks, or a nonzero frame determinant
+    assert all(frames.values())
+    assert (kernels, sorted(frames)) == {
+        "unbalanced": ([], [g.p, 2 * g.p + 1]),
+        "balanced": ([g.p], [2 * g.p + 1]),
+        "all-positive": ([g.p, 2 * g.p + 1], []),
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
-def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(monkeypatch, tmp_path, kind):
-    # a checked negative 5-cycle proves M unbalanced, and a checked
-    # switching to all-positive proves the balanced Mycielskian balanced;
-    # the budget lets both chromatic searches start, each of which searches
-    # the negation of its graph
-    g = elimination_budget_inputs()[kind]
+def recording_searches(monkeypatch):
+    """The graphs balance.certify_balance searches, and the last M and G_b built, from now on."""
     searched, built = [], {}
     certify, myc, balanced_myc = balance.certify_balance, mycielskian.mycielskian, mycielskian.balanced_mycielskian
 
@@ -309,6 +319,17 @@ def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(mon
     monkeypatch.setattr(balance, "certify_balance", recording_certify)
     monkeypatch.setattr(mycielskian, "mycielskian", recording("M", myc))
     monkeypatch.setattr(mycielskian, "balanced_mycielskian", recording("G_b", balanced_myc))
+    return searched, built
+
+
+@pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
+def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(monkeypatch, tmp_path, kind):
+    # a checked negative 5-cycle proves M unbalanced, no negative edge makes
+    # it all-positive, and a checked switching to all-positive proves the
+    # balanced Mycielskian balanced; the budget lets both chromatic searches
+    # start, each of which searches the negation of its graph
+    g = elimination_budget_inputs()[kind]
+    searched, built = recording_searches(monkeypatch)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -316,9 +337,65 @@ def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(mon
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
     m = built["M"][0]
     assert balance.negate(m) in searched
-    assert any(h is m for h in searched) == (kind == "all-positive")
+    assert m not in searched
     assert ("G_b" in built) == (kind != "unbalanced")
     assert not any(h is built.get("G_b", (None,))[0] for h in searched)
+
+
+def broken_switching(change):
+    """Hand laplacian-balance, the last claim, the certificate of G with its switching changed."""
+
+    def apply(monkeypatch):
+        check = claims.CLAIMS["laplacian-balance"]
+
+        def broken(ctx):
+            ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=change(ctx.cert.to_all_positive))
+            return check(ctx)
+
+        monkeypatch.setitem(claims.CLAIMS, "laplacian-balance", broken)
+
+    return apply
+
+
+def bumped_gram(monkeypatch):
+    gram = matrices._gram
+    monkeypatch.setattr(matrices, "_gram", lambda n, columns: bump_corner(gram(n, columns)))
+
+
+BREAKS = {
+    "wrong-switching": broken_switching(lambda zeta: (-zeta[0],) + zeta[1:]),
+    "zero-switching": broken_switching(lambda zeta: (0,) * len(zeta)),
+    "short-switching": broken_switching(lambda zeta: zeta[:-1]),
+    "long-switching": broken_switching(lambda zeta: zeta + (1,)),
+    "zero-frame-determinant": lambda monkeypatch: monkeypatch.setattr(claims, "_frame_det", lambda n, columns: 0),
+    "bumped-gram": bumped_gram,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, broken, laplacian",
+    [("balanced", name, "L") for name in ("wrong-switching", "zero-switching", "short-switching", "long-switching")]
+    + [("balanced", "zero-frame-determinant", "L_M"), ("balanced", "bumped-gram", "L_M")]
+    + [("unbalanced", "zero-frame-determinant", "L"), ("unbalanced", "bumped-gram", "L")],
+)
+def test_audit_fails_a_broken_certificate_with_one_elimination_and_no_search_of_m(
+    monkeypatch, tmp_path, kind, broken, laplacian
+):
+    # no elimination of L or L_M rescues a certificate that does not check,
+    # and no search of M stands in for the proof of its balance
+    g = elimination_budget_inputs(p=12)[kind]
+    searched, built = recording_searches(monkeypatch)
+    orders = recording_inertia(monkeypatch)
+    BREAKS[broken](monkeypatch)
+    path = tmp_path / "g.txt"
+    path.write_text(core.dumps(g))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["audit", "--json", str(path), "--budget", "1000"])
+    assert code == 1
+    report = {c["claim"]: (c["status"], c["detail"]) for c in json.loads(out.getvalue())["claims"]}
+    assert report["laplacian-balance"] == ("fail", f"the certificate for {laplacian} does not check")
+    assert orders == [("bordered", g.p)]
+    assert built["M"][0] not in searched
 
 
 def recording_builders(monkeypatch):

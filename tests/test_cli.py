@@ -388,8 +388,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("flag", [[], ["--json"]])
     def test_failing_claim_exits_one(self, tmp_path, capsys, monkeypatch, flag):
-        # a wrong H_M H_M^T fails incidence-laplacian, and leaves
-        # laplacian-balance to the exact inertia, which still passes it
+        # a wrong H_M H_M^T fails incidence-laplacian, and laplacian-balance,
+        # whose proof that L_M is nonsingular is the same gram
         exact = matrices._gram
         monkeypatch.setattr(matrices, "_gram", lambda n, columns: bump_corner(exact(n, columns)))
         path = write_graph(tmp_path, SQUARE_TWO_NEG)
@@ -399,10 +399,11 @@ class TestAudit:
             report = json.loads(out)
             assert report["ok"] is False
             status = {c["claim"]: c["status"] for c in report["claims"]}
-            assert status.pop("incidence-laplacian") == "fail"
+            assert status.pop("incidence-laplacian") == status.pop("laplacian-balance") == "fail"
             assert set(status.values()) == {"pass"}
         else:
             assert "incidence-laplacian: fail (" in out
+            assert "laplacian-balance: fail (" in out
             assert out.endswith("audit: FAILED\n")
 
     def test_null_graph(self, tmp_path, capsys):

@@ -317,6 +317,19 @@ class TestGenerate:
         assert g.q == 10 and is_all_positive(g)
         assert g == generate("random", {"order": 5, "edge_prob": 1.0, "neg_prob": 0.0})
 
+    def test_random_with_no_edges_refuses_before_a_draw(self, monkeypatch):
+        # no graph on two or more vertices is connected without an edge, so
+        # order 2,000 is refused at once, not after 1,000 draws of 2e6 pairs
+        def draw(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(random, "Random", draw)
+        message = "could not draw a connected graph on 2000 vertices with edge_prob=0.0"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            generate("random", {"order": 2000, "edge_prob": 0})
+        monkeypatch.undo()
+        assert generate("random", {"order": 1, "edge_prob": 0}) == canonicalize(1, [])
+
     @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=50))
     def test_random_always_connected(self, p, seed):
