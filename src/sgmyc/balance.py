@@ -1,4 +1,4 @@
-"""Balance and antibalance certificates.
+"""Balance certificates, and the one search for a switching.
 
 A signed graph is balanced when every cycle has positive sign, which by
 Harary's theorem is the same as admitting a bipartition of the vertices
@@ -8,27 +8,26 @@ inside a part.  Equivalently the graph can be switched to all-positive.
 certify_balance produces one artifact that witnesses whichever side
 holds: for a balanced graph a switching function to all-positive plus the
 matching bipartition, for an unbalanced graph a concrete negative cycle.
-The certificate is built by breadth-first search over sign potentials.
-Vertex potentials start at +1 on each search root and propagate along
-tree edges by multiplication with the edge sign; the first non-tree edge
-whose endpoints contradict their potentials closes a negative cycle with
-the tree paths, and that cycle is returned as the witness.
 
-The search is deterministic: roots are the smallest unvisited vertex,
-and neighbors are scanned in canonical edge order.  Disconnected input is
-handled per component, each component root pinned to potential +1.
-
-Antibalance is balance of the negation, so is_antibalanced reuses the
-same certificate on the negated graph.
+_potentials is the package's one search for a switching, breadth first
+over sign potentials on 0-based neighbour lists.  Potentials start at +1
+on each root, the smallest unreached index, and pass along tree edges
+times sign times the edge sign; the first non-tree edge whose endpoints
+contradict them closes a cycle with the tree paths, and no switching
+exists.  With sign 1 the switching sought is to all-positive and the
+cycle is negative: certify_balance searches lists in canonical edge
+order and returns that cycle as its witness.  With sign -1 it is to
+all-negative, which coloring.chromatic_number seeks on its branch graph,
+since chi <= 2 exactly when it exists; it then seeks with sign 1 the
+switching under which a balanced input is searched.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SignedGraph, SwitchingFunction, incident_edges
+from .core import SignedGraph, SwitchingFunction
 from .errors import InputError
 
 
@@ -83,39 +82,52 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 def certify_balance(g: SignedGraph) -> BalanceCertificate:
     """Decide balance and return a checkable certificate either way."""
-    zeta = [0] * g.p
-    parent = [0] * g.p
-    inc = incident_edges(g)
-    for root in range(1, g.p + 1):
-        if zeta[root - 1] != 0:
-            continue
-        zeta[root - 1] = 1
-        parent[root - 1] = root
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in inc[u]:
-                if zeta[v - 1] == 0:
-                    zeta[v - 1] = zeta[u - 1] * s
-                    parent[v - 1] = u
-                    queue.append(v)
-                elif zeta[u - 1] * s * zeta[v - 1] != 1:
-                    witness = _tree_cycle(parent, u, v)
-                    return BalanceCertificate(False, None, None, witness)
+    # sized by multiplication, so a count too large to hold fails at once
+    neighbours = list(map(list, [()] * g.p))
+    for u, v, s in g.edges:
+        neighbours[u - 1].append((v - 1, s))
+        neighbours[v - 1].append((u - 1, s))
+    zeta, parent, conflict = _potentials(neighbours, 1)
+    if conflict:
+        witness = tuple(x + 1 for x in _tree_cycle(parent, *conflict))
+        return BalanceCertificate(False, None, None, witness)
     z = tuple(zeta)
     parts = tuple(1 if x == 1 else 2 for x in z)
     return BalanceCertificate(True, parts, z, None)
 
 
+def _potentials(neighbours: list[list[tuple[int, int]]], sign: int) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """Potentials zeta, the search-tree parents (each root its own), and the
+    first edge (v, u) that contradicts zeta, or None when switching by zeta
+    makes every edge sign: all-positive for sign 1, all-negative for -1."""
+    zeta = [0] * len(neighbours)
+    parent = list(range(len(neighbours)))
+    for root in range(len(neighbours)):
+        if zeta[root]:
+            continue
+        zeta[root] = 1
+        # breadth first: the loop walks the list as it grows
+        queue = [root]
+        for v in queue:
+            for u, s in neighbours[v]:
+                if not zeta[u]:
+                    zeta[u] = sign * s * zeta[v]
+                    parent[u] = v
+                    queue.append(u)
+                elif zeta[u] != sign * s * zeta[v]:
+                    return zeta, parent, (v, u)
+    return zeta, parent, None
+
+
 def _tree_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    """Simple cycle formed by edge uv and the search-tree paths to u and v."""
+    """Simple cycle formed by edge uv and the search-tree paths to u and v, all 0-based."""
     up_u = [u]
-    while parent[up_u[-1] - 1] != up_u[-1]:
-        up_u.append(parent[up_u[-1] - 1])
+    while parent[up_u[-1]] != up_u[-1]:
+        up_u.append(parent[up_u[-1]])
     on_u = {x: i for i, x in enumerate(up_u)}
     path_v = [v]
     while path_v[-1] not in on_u:
-        path_v.append(parent[path_v[-1] - 1])
+        path_v.append(parent[path_v[-1]])
     meet = path_v[-1]
     # u .. meet, then back down to v, closed by the edge vu
     return tuple(up_u[: on_u[meet] + 1] + path_v[-2::-1])
@@ -124,13 +136,3 @@ def _tree_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip every edge sign."""
     return SignedGraph(g.p, tuple((u, v, -s) for u, v, s in g.edges))
-
-
-def is_antibalanced(g: SignedGraph) -> tuple[bool, SwitchingFunction | None]:
-    """Whether the negation is balanced, with a switching to all-negative.
-
-    The returned switching function, when present, switches g itself to
-    all-negative; it is the all-positive switching of the negation.
-    """
-    cert = certify_balance(negate(g))
-    return (cert.balanced, cert.to_all_positive)

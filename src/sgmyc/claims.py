@@ -44,6 +44,8 @@ does not check fails the claim, and the detail names its Laplacian.
 The balance claims decide from the certificates they check: a negative
 5-cycle proves M unbalanced, no negative edge makes M all-positive, and
 a switching to all-positive proves the balanced Mycielskian balanced.
+chromatic-sandwich checks that each coloring chromatic_number returns
+is proper over the M_n it names, so each upper bound is certified.
 """
 
 from __future__ import annotations
@@ -179,11 +181,17 @@ def _sandwich(ctx: Context) -> tuple[str, str]:
     g = ctx.g
     gm, _ = ctx.myc
     try:
-        n, _ = coloring.chromatic_number(g, node_budget=ctx.budget)
-        nm, _ = coloring.chromatic_number(gm, node_budget=ctx.budget)
+        n, c = coloring.chromatic_number(g, node_budget=ctx.budget)
+        nm, cm = coloring.chromatic_number(gm, node_budget=ctx.budget)
     except BudgetExhaustedError as exc:
         return ("skipped", f"budget exhausted, chromatic number >= {exc.lower_bound}")
-    ok = n <= nm <= n + 1
+    try:
+        # each upper bound rests on its witness, a proper coloring over M_n
+        ok = c.n == n and cm.n == nm and coloring.is_proper(g, c) and coloring.is_proper(gm, cm)
+    except InputError:
+        # a witness of the wrong length, or with a color outside M_n
+        ok = False
+    ok = ok and n <= nm <= n + 1
     if core.is_all_negative(g) and g.q > 0:
         ok = ok and nm == n
     if core.is_all_positive(g) and g.q > 0:

@@ -11,12 +11,12 @@ chromatic_number decides chi.  An edgeless graph has chi = 1: the color
 0 alone.  An edge needs n >= 2, and chi <= 2 exactly when the graph is
 antibalanced (Zaslavsky 1982; Macajova, Raspaud and Skoviera 2016): once
 it is switched to all-negative every vertex may take the color 1, and
-switching back turns that into the coloring zeta(v).  So
-balance.is_antibalanced settles n = 2 without a search, and any other
-input starts at n = 3.  From there a DSATUR search (Brelaz 1979) refutes
-each n until one admits a coloring, and returns that n with the coloring
-it found.  A balanced input is searched as its all-positive switching,
-as set out below.
+switching back turns that into the coloring zeta(v).  So the search for
+that switching, balance._potentials with sign -1, settles n = 2 without
+a coloring search, and any other input starts at n = 3.  From there a
+DSATUR search (Brelaz 1979) refutes each n until one admits a coloring,
+and returns that n with the coloring it found.  A balanced input is
+searched as its all-positive switching, as set out below.
 
 The DSATUR search branches next on the uncolored vertex whose colored
 neighbours forbid the most distinct colors (its saturation), ties going
@@ -58,11 +58,10 @@ under negation, c -> zeta c maps the proper colorings of the graph onto
 those of its all-positive switching G+ (Zaslavsky 1982).  On G+ the
 constraint is c(u) != c(v), which every permutation of M_n preserves,
 not only the 2^k k! signed ones.  So chromatic_number, after the
-antibalance test, looks for zeta by one breadth-first pass over sign
-potentials, stopping at the first edge that contradicts them.  When it
-finds one, the search ignores the signs and opens colors one at a time:
-if the vertices colored so far use the trial positions 0..m-1, the next
-vertex tries only those and, when m < n, position m.  The argument is
+antibalance test, looks for zeta by the same search with sign 1.  When
+it finds zeta, the search ignores the signs and opens colors one at a
+time: if the vertices colored so far use the trial positions 0..m-1, the
+next vertex tries only those and, when m < n, position m.  The argument is
 the one above with any permutation of M_n in place of a signed one:
 swapping the colors at positions j > m and m fixes the partial coloring
 and maps a proper coloring of G+ that gives v position j to one that
@@ -186,25 +185,6 @@ def _branch_graph(g: SignedGraph) -> tuple[list[int], list[list[tuple[int, int]]
     return order, neighbours
 
 
-def _switching(neighbours: list[list[tuple[int, int]]]) -> list[int] | None:
-    """The switching zeta, by position, that makes the graph all-positive, or None when it is unbalanced."""
-    zeta = [0] * len(neighbours)
-    for root in range(len(neighbours)):
-        if zeta[root]:
-            continue
-        zeta[root] = 1
-        # breadth first: the loop walks the list as it grows
-        queue = [root]
-        for v in queue:
-            for u, s in neighbours[v]:
-                if not zeta[u]:
-                    zeta[u] = s * zeta[v]
-                    queue.append(u)
-                elif zeta[u] != s * zeta[v]:
-                    return None
-    return zeta
-
-
 def _coloring(order: list[int], n: int, positions: list[int], zeta: list[int] | None = None) -> SignedColoring:
     """The colors in vertex-id order, each times zeta at its position when a switching is given."""
     trial = color_trial_order(n)
@@ -219,13 +199,15 @@ def chromatic_number(g: SignedGraph, node_budget: int | None = None) -> tuple[in
     _check_budget(node_budget)
     if g.q == 0:
         return 1, SignedColoring(1, (0,) * g.p)
-    antibalanced, to_all_negative = balance.is_antibalanced(g)
-    if antibalanced:
-        # the constant 1 colors an all-negative graph; switching back gives zeta itself
-        return 2, SignedColoring(2, to_all_negative)
     order, neighbours = _branch_graph(g)
+    zeta, _, conflict = balance._potentials(neighbours, -1)
+    if conflict is None:
+        # the constant 1 colors an all-negative graph; switching back gives zeta itself
+        return 2, _coloring(order, 2, [0] * g.p, zeta)
     # a balanced graph is searched as its all-positive switching
-    zeta = _switching(neighbours)
+    zeta, _, conflict = balance._potentials(neighbours, 1)
+    if conflict:
+        zeta = None
     nodes = 0
     # p distinct positive values color any graph, so the loop ends by n = 2p
     for n in range(3, 2 * g.p + 1):

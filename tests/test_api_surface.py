@@ -8,12 +8,16 @@ attribute somewhere in the package outside its own definition, or be
 named there too.  So no function or method is kept only for the tests
 to call.  Likewise every class in errors.py but the root and
 ConsistencyError is named in some except clause of the package, so no
-error class is kept only for the tests.
+error class is kept only for the tests.  And every dotted module.name
+that a docstring, a comment or README.md names resolves in the package.
 """
 
 import ast
+import importlib
+import io
 import pathlib
 import re
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sgmyc"
@@ -182,3 +186,45 @@ def test_every_error_class_is_caught_in_the_package():
     defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     uncaught = defined - caught_names() - {"SignedGraphError", "ConsistencyError"}
     assert not sorted(uncaught)
+
+
+def doc_texts():
+    """README.md, then each docstring and comment under src/sgmyc/.
+
+    Code is left out: a local variable such as coloring.colors would read
+    as a dotted name.
+    """
+    texts = [(ROOT / "README.md").read_text()]
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                texts.append(ast.get_docstring(node, clean=False) or "")
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                texts.append(token.string)
+    return texts
+
+
+def unresolved_names(texts):
+    """Each module.name, with or without the sgmyc. prefix, that is no attribute
+    of that sgmyc module; a file name such as claims.py is skipped."""
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    pattern = re.compile(rf"\b(?:sgmyc\.)?({'|'.join(modules)})\.(?!py\b)(\w+)")
+    return sorted(
+        {
+            f"{module}.{name}"
+            for text in texts
+            for module, name in pattern.findall(text)
+            if not hasattr(importlib.import_module(f"sgmyc.{module}"), name)
+        }
+    )
+
+
+def test_every_dotted_name_in_the_docs_resolves():
+    assert unresolved_names(doc_texts()) == []
+
+
+def test_the_doc_scan_flags_a_missing_name_and_skips_file_names():
+    text = "sgmyc.coloring.chromatic_number and balance._potentials, in balance.py; balance.is_antibalanced"
+    assert unresolved_names([text]) == ["balance.is_antibalanced"]

@@ -1,4 +1,4 @@
-"""Balance certification, switching certificates, antibalance."""
+"""Balance certification, switching certificates, negation."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG, TRIANGLE_TWO_NEG
 from strategies import balanced_graphs, graphs_with_switchings, signed_graphs
 from oracles import verify_certificate
-from sgmyc.balance import certify_balance, cycle_sign, is_antibalanced, negate
+from sgmyc.balance import certify_balance, cycle_sign, negate
 from sgmyc.core import canonicalize, generate, is_all_negative, is_all_positive, switch
 from sgmyc.errors import InputError
 
@@ -163,30 +163,3 @@ class TestAntibalance:
     def test_negate_involution(self):
         assert negate(negate(SQUARE_ONE_NEG)) == SQUARE_ONE_NEG
         assert is_all_negative(negate(generate("cycle", {"length": 4})))
-
-    def test_all_negative_odd_cycle_is_antibalanced(self):
-        g = generate("cycle", {"length": 5, "pattern": "-----"})
-        ok, zeta = is_antibalanced(g)
-        assert ok
-        assert is_all_negative(switch(g, zeta))
-
-    def test_all_positive_triangle_is_not(self):
-        ok, zeta = is_antibalanced(generate("cycle", {"length": 3}))
-        assert not ok and zeta is None
-
-    def test_unbalanced_square_is_not(self):
-        ok, _ = is_antibalanced(SQUARE_ONE_NEG)
-        assert not ok
-
-    def test_balanced_even_cycle_is_both(self):
-        assert certify_balance(SQUARE_TWO_NEG).balanced
-        ok, zeta = is_antibalanced(SQUARE_TWO_NEG)
-        assert ok
-        assert is_all_negative(switch(SQUARE_TWO_NEG, zeta))
-
-    @given(signed_graphs(max_p=7))
-    def test_matches_negation_balance(self, g):
-        ok, zeta = is_antibalanced(g)
-        assert ok == certify_balance(negate(g)).balanced
-        if ok:
-            assert is_all_negative(switch(g, zeta))

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
 from strategies import signed_graphs
-from sgmyc import balance, claims, cli, core, exactla, matrices, mycielskian
+from sgmyc import balance, claims, cli, coloring, core, exactla, matrices, mycielskian
 
 CYCLE5_POS = core.canonicalize(5, [(i, i % 5 + 1, 1) for i in range(1, 6)])
 SQUARE_POS = core.canonicalize(4, [(u, v, 1) for u, v, _ in SQUARE_ONE_NEG.edges])
@@ -327,7 +327,8 @@ def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(mon
     # a checked negative 5-cycle proves M unbalanced, no negative edge makes
     # it all-positive, and a checked switching to all-positive proves the
     # balanced Mycielskian balanced; the budget lets both chromatic searches
-    # start, each of which searches the negation of its graph
+    # start, and they find their switchings without a balance certificate,
+    # so the audit certifies the balance of G alone, once
     g = elimination_budget_inputs()[kind]
     searched, built = recording_searches(monkeypatch)
     path = tmp_path / "g.txt"
@@ -335,11 +336,8 @@ def test_audit_searches_no_graph_whose_balance_a_checked_certificate_settles(mon
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["audit", str(path), "--budget", "1000"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
-    m = built["M"][0]
-    assert balance.negate(m) in searched
-    assert m not in searched
+    assert searched == [g]
     assert ("G_b" in built) == (kind != "unbalanced")
-    assert not any(h is built.get("G_b", (None,))[0] for h in searched)
 
 
 def broken_switching(change):
@@ -396,6 +394,36 @@ def test_audit_fails_a_broken_certificate_with_one_elimination_and_no_search_of_
     assert report["laplacian-balance"] == ("fail", f"the certificate for {laplacian} does not check")
     assert orders == [("bordered", g.p)]
     assert built["M"][0] not in searched
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda colors: (colors[0],) * len(colors),
+        lambda colors: colors[:-1],
+        lambda colors: (len(colors),) * len(colors),
+    ],
+    ids=["improper", "short", "outside-the-color-set"],
+)
+def test_audit_fails_a_sandwich_whose_coloring_does_not_check(monkeypatch, tmp_path, change):
+    # chi and the Mycielskian's chi stay right, so only the witnesses fail;
+    # a constant coloring breaks a positive edge, and the root's edges are
+    g = SQUARE_ONE_NEG
+    exact = coloring.chromatic_number
+    n, nm = exact(g)[0], exact(mycielskian.mycielskian(g)[0])[0]
+
+    def broken(h, node_budget=None):
+        chi, witness = exact(h, node_budget=node_budget)
+        return chi, dataclasses.replace(witness, colors=change(witness.colors))
+
+    monkeypatch.setattr(coloring, "chromatic_number", broken)
+    path = tmp_path / "g.txt"
+    path.write_text(core.dumps(g))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["audit", "--json", str(path)])
+    assert code == 1
+    report = {c["claim"]: (c["status"], c["detail"]) for c in json.loads(out.getvalue())["claims"]}
+    assert report["chromatic-sandwich"] == ("fail", f"chi {n}, Mycielskian chi {nm}")
 
 
 def recording_builders(monkeypatch):

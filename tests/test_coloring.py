@@ -13,13 +13,14 @@ from conftest import (
     K2_NEG,
     K2_POS,
     SQUARE_ONE_NEG,
+    SQUARE_TWO_NEG,
     TRIANGLE_TWO_NEG,
     all_sign_patterns,
     cycles_and_paths,
 )
 from strategies import balanced_graphs, signed_graphs, switchings
-from sgmyc import claims, coloring
-from sgmyc.balance import certify_balance, is_antibalanced
+from sgmyc import balance, claims, coloring
+from sgmyc.balance import certify_balance, negate
 from sgmyc.coloring import (
     SignedColoring,
     chromatic_number,
@@ -317,7 +318,7 @@ class TestChromaticNumber:
             mp.setattr(coloring, "_search", recording)
             chromatic_number(g)
         # chi <= 2 is decided before any search
-        expected = set() if is_antibalanced(g)[0] else {certify_balance(g).balanced}
+        expected = set() if certify_balance(negate(g)).balanced else {certify_balance(g).balanced}
         assert modes == expected
 
     def test_tower_level_six(self):
@@ -463,17 +464,62 @@ def two_colorable(g):
     return chromatic_number(g)[0] <= 2
 
 
+def antibalanced(g):
+    """Whether chromatic_number puts g, with q > 0, at chi = 2, which must
+    be exactly when its negation is balanced; the witness is then a
+    switching of g to all-negative."""
+    n, witness = chromatic_number(g)
+    assert (n == 2) == certify_balance(negate(g)).balanced
+    if n == 2:
+        assert set(witness.colors) <= {1, -1}
+        assert is_all_negative(switch(g, witness.colors))
+    return n == 2
+
+
 class TestAntibalanceAndTwoColorability:
     def test_antibalance_check(self):
         assert two_colorable(generate("complete", {"order": 4}))
         assert not two_colorable(SQUARE_ONE_NEG)
         assert not two_colorable(TRIANGLE_TWO_NEG)
         for g in (generate("complete", {"order": 4}), SQUARE_ONE_NEG, TRIANGLE_TWO_NEG):
-            assert is_antibalanced(g)[0] == two_colorable(g)
+            assert certify_balance(negate(g)).balanced == two_colorable(g)
 
     @given(signed_graphs(max_p=5))
     def test_antibalance_check_consistent(self, g):
-        assert is_antibalanced(g)[0] == two_colorable(g)
+        assert certify_balance(negate(g)).balanced == two_colorable(g)
+
+    def test_all_negative_odd_cycle_is_antibalanced(self):
+        assert antibalanced(generate("cycle", {"length": 5, "pattern": "-----"}))
+
+    def test_all_positive_triangle_is_not(self):
+        assert not antibalanced(generate("cycle", {"length": 3}))
+
+    def test_unbalanced_square_is_not(self):
+        assert not antibalanced(SQUARE_ONE_NEG)
+
+    def test_balanced_even_cycle_is_both(self):
+        assert certify_balance(SQUARE_TWO_NEG).balanced
+        assert antibalanced(SQUARE_TWO_NEG)
+
+    @given(signed_graphs(max_p=7))
+    def test_matches_negation_balance(self, g):
+        if g.q:
+            antibalanced(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(signed_graphs(max_p=7))
+    def test_decides_without_a_balance_certificate(self, g):
+        # both switchings come from balance._potentials on the branch
+        # graph: no certificate is built and no negated copy
+        def refuse(*args):
+            raise AssertionError("chromatic_number called a balance certificate builder")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balance, "certify_balance", refuse)
+            mp.setattr(balance, "negate", refuse)
+            n, witness = chromatic_number(g)
+        assert n == oracles.reference_chromatic(g)[0]
+        assert witness.n == n and is_proper(g, witness)
 
     def test_two_colorable_mycielskian(self):
         assert two_colorable(mycielskian(K2_NEG)[0])
