@@ -10,16 +10,17 @@ holds: for a balanced graph a switching function to all-positive plus the
 matching bipartition, for an unbalanced graph a concrete negative cycle.
 
 _potentials is the package's one search for a switching, breadth first
-over sign potentials on 0-based neighbour lists.  Potentials start at +1
-on each root, the smallest unreached index, and pass along tree edges
-times sign times the edge sign; the first non-tree edge whose endpoints
-contradict them closes a cycle with the tree paths, and no switching
-exists.  With sign 1 the switching sought is to all-positive and the
-cycle is negative: certify_balance searches lists in canonical edge
-order and returns that cycle as its witness.  With sign -1 it is to
-all-negative, which coloring.chromatic_number seeks on its branch graph,
-since chi <= 2 exactly when it exists; it then seeks with sign 1 the
-switching under which a balanced input is searched.
+over sign potentials on 0-based neighbour lists, as core.neighbours
+builds them.  Potentials start at +1 on each root, the smallest
+unreached index, and pass along tree edges times sign times the edge
+sign; the first non-tree edge whose endpoints contradict them closes a
+cycle with the tree paths, and no switching exists.  With sign 1 the
+switching sought is to all-positive and the cycle is negative:
+certify_balance searches core.neighbours(g) and returns that cycle as
+its witness.  With sign -1 it is to all-negative, which
+coloring.chromatic_number seeks on its branch graph, since chi <= 2
+exactly when it exists; it then seeks with sign 1 the switching under
+which a balanced input is searched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SignedGraph, SwitchingFunction
+from .core import SignedGraph, SwitchingFunction, neighbours
 from .errors import InputError
 
 
@@ -82,12 +83,7 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 def certify_balance(g: SignedGraph) -> BalanceCertificate:
     """Decide balance and return a checkable certificate either way."""
-    # sized by multiplication, so a count too large to hold fails at once
-    neighbours = list(map(list, [()] * g.p))
-    for u, v, s in g.edges:
-        neighbours[u - 1].append((v - 1, s))
-        neighbours[v - 1].append((u - 1, s))
-    zeta, parent, conflict = _potentials(neighbours, 1)
+    zeta, parent, conflict = _potentials(neighbours(g), 1)
     if conflict:
         witness = tuple(x + 1 for x in _tree_cycle(parent, *conflict))
         return BalanceCertificate(False, None, None, witness)

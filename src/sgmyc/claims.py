@@ -141,12 +141,12 @@ def _counts(ctx: Context) -> tuple[str, str]:
 def _degrees(ctx: Context) -> tuple[str, str]:
     g = ctx.g
     gm, _ = ctx.myc
-    dg, dm = core.degrees(g), core.degrees(gm)
-    # over the labeling: originals double, each twin gains its root edge,
-    # and the root meets all p twins by positive edges
-    degree = tuple(2 * d for d in dg.degree) + tuple(d + 1 for d in dg.degree) + (g.p,)
-    net = tuple(2 * d for d in dg.net_degree) + tuple(d + 1 for d in dg.net_degree) + (g.p,)
-    ok = dm.degree == degree and dm.net_degree == net
+    rows = core.degrees(g)
+    # over the labeling: originals double, each twin gains its positive
+    # root edge, and the root meets all p twins by positive edges
+    originals = [tuple(2 * x for x in row) for row in rows]
+    twins = [(d + 1, dp + 1, dn, net + 1) for d, dp, dn, net in rows]
+    ok = core.degrees(gm) == originals + twins + [(g.p, g.p, 0, g.p)]
     return _verdict(ok, "doubling on originals, +1 on twins, p at the root")
 
 

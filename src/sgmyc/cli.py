@@ -103,7 +103,6 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict]:
-    deg = core.degrees(g)
     return 0, {
         "vertices": g.p,
         "edges": g.q,
@@ -111,7 +110,7 @@ def cmd_info(args, g: core.SignedGraph) -> tuple[int, dict]:
         "negative_edges": g.negative_count,
         "connected": core.is_connected(g),
         "triangle_free": core.is_triangle_free(g),
-        "degrees": [list(deg.row(v)) for v in range(1, g.p + 1)],
+        "degrees": core.degrees(g),
     }
 
 

@@ -91,17 +91,19 @@ def canonicalize(p: int, edges: Iterable[Sequence[int]]) -> SignedGraph:
     return SignedGraph(p, tuple(out))
 
 
-def incident_edges(g: SignedGraph) -> dict[int, list[tuple[int, int]]]:
-    """Map each vertex to its (neighbor, sign) list in canonical edge order.
+def neighbours(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """0-based (neighbour, sign) list of each vertex, index i-1 for vertex i.
 
-    The per-vertex order is the order the edges appear in g.edges, which is
-    what makes traversals over the graph deterministic.
+    The lists follow canonical edge order, which meets each vertex's
+    smaller neighbours, ascending, before its larger ones, so every list is
+    strictly ascending and traversals over it are deterministic.
     """
-    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.p + 1)}
+    # sized by multiplication, so a count too large to hold fails at once
+    nbrs = list(map(list, [()] * g.p))
     for u, v, s in g.edges:
-        inc[u].append((v, s))
-        inc[v].append((u, s))
-    return inc
+        nbrs[u - 1].append((v - 1, s))
+        nbrs[v - 1].append((u - 1, s))
+    return nbrs
 
 
 def validate_switching(g: SignedGraph, zeta: Sequence[int]) -> SwitchingFunction:
@@ -130,50 +132,27 @@ def is_all_negative(g: SignedGraph) -> bool:
     return all(s == -1 for _, _, s in g.edges)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Per-vertex degree tallies, index i-1 for vertex i.
-
-    degree ignores signs, positive/negative count signed edges at the
-    vertex, and net_degree is their difference.
-    """
-
-    degree: tuple[int, ...]
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
-    net_degree: tuple[int, ...]
-
-    def row(self, v: int) -> tuple[int, int, int, int]:
-        i = v - 1
-        return (self.degree[i], self.positive[i], self.negative[i], self.net_degree[i])
-
-
-def degrees(g: SignedGraph) -> DegreeReport:
-    """Degree, positive degree, negative degree and net degree of every vertex."""
+def degrees(g: SignedGraph) -> list[tuple[int, int, int, int]]:
+    """(degree, positive, negative, positive - negative) of each vertex, row i-1 for vertex i."""
     d = [0] * g.p
-    dp = [0] * g.p
-    dn = [0] * g.p
+    net = [0] * g.p
     for u, v, s in g.edges:
-        for x in (u, v):
-            d[x - 1] += 1
-            if s == 1:
-                dp[x - 1] += 1
-            else:
-                dn[x - 1] += 1
-    net = [a - b for a, b in zip(dp, dn)]
-    return DegreeReport(tuple(d), tuple(dp), tuple(dn), tuple(net))
+        d[u - 1] += 1
+        d[v - 1] += 1
+        net[u - 1] += s
+        net[v - 1] += s
+    return [(x, (x + y) // 2, (x - y) // 2, y) for x, y in zip(d, net)]
 
 
 def is_connected(g: SignedGraph) -> bool:
     """Connectivity of the underlying graph.  The empty graph counts as connected."""
     if g.p <= 1:
         return True
-    inc = incident_edges(g)
-    seen = {1}
-    stack = [1]
+    nbrs = neighbours(g)
+    seen = {0}
+    stack = [0]
     while stack:
-        u = stack.pop()
-        for v, _ in inc[u]:
+        for v, _ in nbrs[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

@@ -32,10 +32,10 @@ class BudgetExhaustedError(SignedGraphError):
 
     lower_bound carries what is still known: the chromatic number is at
     least this value, because every smaller color set was fully refuted.
-    nodes, when the search reports it, is the number of nodes it spent.
+    nodes is the number of nodes it spent.
     """
 
-    def __init__(self, lower_bound: int, *, nodes: int | None = None):
+    def __init__(self, lower_bound: int, *, nodes: int):
         self.lower_bound = lower_bound
         self.nodes = nodes
         super().__init__(f"budget exhausted, chromatic number >= {lower_bound}")

@@ -24,7 +24,7 @@ raises the signed chromatic number by exactly one.
 
 Every construction emits its edges already in canonical order, so none
 sorts or re-checks its output.  Canonical g.edges meet each vertex's
-smaller neighbours, ascending, before its larger ones, so incident_edges
+smaller neighbours, ascending, before its larger ones, so core.neighbours
 lists every neighbourhood in ascending order.  The Mycielskian's edges
 from an original u to larger labels are the original edges u v, v > u,
 then the cross edges to u_v = p + v > p, ascending in v; a twin's only
@@ -42,8 +42,8 @@ from .core import (
     SignedGraph,
     SwitchingFunction,
     canonicalize,
-    incident_edges,
     is_all_positive,
+    neighbours,
 )
 from .errors import InputError, PreconditionError
 
@@ -79,9 +79,9 @@ def _build(g: SignedGraph, root_signs: Sequence[int]) -> SignedGraph:
     """
     p = g.p
     edges: list[tuple[int, int, int]] = []
-    for u, nbrs in incident_edges(g).items():
-        edges.extend([(u, v, s) for v, s in nbrs if v > u])
-        edges.extend([(u, p + v, s) for v, s in nbrs])
+    for i, nbrs in enumerate(neighbours(g)):
+        edges.extend([(i + 1, v + 1, s) for v, s in nbrs if v > i])
+        edges.extend([(i + 1, p + 1 + v, s) for v, s in nbrs])
     root = 2 * p + 1
     edges.extend([(p + i, root, s) for i, s in enumerate(root_signs, start=1)])
     return SignedGraph(root, tuple(edges))

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here reuses toolkit algorithms: colorings are checked by full
+Nothing here reuses toolkit algorithms, and the oracles build their own
+adjacency from g.edges (_adjacency_map): colorings are checked by full
 enumeration, balance by enumerating every simple cycle, and path signs
 by enumerating every simple path.  Matrix oracles work on plain lists of
 rows: ranks by Fraction elimination or by integer row echelon form with
@@ -12,13 +13,14 @@ read the public data fields (p, edges), so agreement with the package is
 meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
-The exceptions are the package's earlier code, kept as it was.
-reference_chromatic, the recursive backtracking solver, is the reference
-for the exact witness the current solver must return, not only for the
-chromatic number.  reference_mycielskian, reference_resign_root and
-reference_balanced_mycielskian build every edge, re-sort and re-check
-the result through canonicalize; they are the reference for the exact
-graphs and switchings the one-pass constructions must return.
+The exceptions are the package's earlier code, kept as it was but for
+reading that adjacency.  reference_chromatic, the recursive backtracking
+solver, is the reference for the exact witness the current solver must
+return, not only for the chromatic number.  reference_mycielskian,
+reference_resign_root and reference_balanced_mycielskian build every
+edge, re-sort and re-check the result through canonicalize; they are
+the reference for the exact graphs and switchings the one-pass
+constructions must return.
 verify_certificate, the balance certificate checker, and delete_root,
 the root deletion behind the chromatic tests, are the package's former
 public functions, kept unchanged for the tests that use them.  So are
@@ -39,7 +41,6 @@ from sgmyc.core import (
     SignedGraph,
     SwitchingFunction,
     canonicalize,
-    incident_edges,
     is_all_positive,
     switch,
 )
@@ -80,13 +81,13 @@ def reference_chromatic(g, node_budget=None):
     # loop below always terminates by n = 2p (and at n = 1 for p = 0)
     if g.p == 0:
         return 1, SignedColoring(1, ())
-    inc = incident_edges(g)
-    order = sorted(range(1, g.p + 1), key=lambda v: (-len(inc[v]), v))
+    adj, sign = _adjacency_map(g)
+    order = sorted(range(1, g.p + 1), key=lambda v: (-len(adj[v]), v))
     # neighbors of each vertex that come earlier in the branch order
     pos = {v: i for i, v in enumerate(order)}
     earlier: list[list[tuple[int, int]]] = []
     for v in order:
-        earlier.append([(pos[u], s) for u, s in inc[v] if pos[u] < pos[v]])
+        earlier.append([(pos[u], sign[(v, u)]) for u in adj[v] if pos[u] < pos[v]])
     nodes = 0
     for n in range(1, 2 * g.p + 1):
         trial = color_trial_order(n)
@@ -100,7 +101,7 @@ def reference_chromatic(g, node_budget=None):
             for c in first_trial if i == 0 else trial:
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
-                    raise BudgetExhaustedError(n)
+                    raise BudgetExhaustedError(n, nodes=node_budget)
                 if all(c != s * assigned[j] for j, s in earlier[i]):
                     assigned[i] = c
                     if search(i + 1):
@@ -125,8 +126,8 @@ def least_proper_coloring(g, n):
     an edge, with all its extensions, and so misses no proper coloring.
     """
     trial = sorted(oracle_color_set(n), key=lambda c: (abs(c), -c))
-    inc = incident_edges(g)
-    order = sorted(range(1, g.p + 1), key=lambda v: (-len(inc[v]), v))
+    adj, sign = _adjacency_map(g)
+    order = sorted(range(1, g.p + 1), key=lambda v: (-len(adj[v]), v))
     colors = {}
 
     def extend(i):
@@ -134,7 +135,7 @@ def least_proper_coloring(g, n):
             return True
         v = order[i]
         for c in trial:
-            if all(u not in colors or c != s * colors[u] for u, s in inc[v]):
+            if all(u not in colors or c != sign[(v, u)] * colors[u] for u in adj[v]):
                 colors[v] = c
                 if extend(i + 1):
                     return True
@@ -155,6 +156,7 @@ def brute_force_colorable(g, n):
 
 
 def _adjacency_map(g):
+    """Each vertex's neighbours, and the sign of each ordered pair, built here from g.edges."""
     adj = {v: [] for v in range(1, g.p + 1)}
     sign = {}
     for u, v, s in g.edges:

@@ -10,6 +10,8 @@ to call.  Likewise every class in errors.py but the root and
 ConsistencyError is named in some except clause of the package, so no
 error class is kept only for the tests.  And every dotted module.name
 that a docstring, a comment or README.md names resolves in the package.
+The names tests/oracles.py takes from the package are pinned, so no
+library helper slips into the references unnoticed.
 """
 
 import ast
@@ -228,3 +230,63 @@ def test_every_dotted_name_in_the_docs_resolves():
 def test_the_doc_scan_flags_a_missing_name_and_skips_file_names():
     text = "sgmyc.coloring.chromatic_number and balance._potentials, in balance.py; balance.is_antibalanced"
     assert unresolved_names([text]) == ["balance.is_antibalanced"]
+
+
+# what the independent references take from the package: data types,
+# errors, and the earlier code its docstring names as kept on purpose
+ORACLE_IMPORTS = [
+    "sgmyc.balance.BalanceCertificate",
+    "sgmyc.balance.certify_balance",
+    "sgmyc.balance.cycle_sign",
+    "sgmyc.coloring.SignedColoring",
+    "sgmyc.coloring.color_trial_order",
+    "sgmyc.core.SignedGraph",
+    "sgmyc.core.SwitchingFunction",
+    "sgmyc.core.canonicalize",
+    "sgmyc.core.is_all_positive",
+    "sgmyc.core.switch",
+    "sgmyc.errors.BudgetExhaustedError",
+    "sgmyc.errors.ConsistencyError",
+    "sgmyc.errors.InputError",
+    "sgmyc.errors.PreconditionError",
+    "sgmyc.exactla.IntMatrix",
+    "sgmyc.mycielskian.MycielskianLabeling",
+]
+
+
+def package_names_read(tree):
+    """Dotted name of each package name the tree imports.  A module it
+    imports by from sgmyc import m stands for the names read off it."""
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sgmyc":
+            for a in node.names:
+                if node.module == "sgmyc":
+                    modules[a.asname or a.name] = f"sgmyc.{a.name}"
+                else:
+                    names.add(f"{node.module}.{a.name}")
+        elif isinstance(node, ast.Import):
+            # import sgmyc.m, aliased or not, is pinned as the module itself
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "sgmyc")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def test_the_oracles_take_only_the_pinned_names_from_the_package():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert sorted(package_names_read(tree)) == ORACLE_IMPORTS
+
+
+def test_the_oracle_pin_sees_imported_names_and_names_read_off_modules():
+    tree = ast.parse(
+        "from sgmyc.core import neighbours\n"
+        "from sgmyc import exactla\n"
+        "import sgmyc.balance as b\n"
+        "import sgmyc.claims\n"
+        "x = exactla.inertia, b.negate\n"
+    )
+    assert package_names_read(tree) == {
+        "sgmyc.core.neighbours", "sgmyc.exactla.inertia", "sgmyc.balance", "sgmyc.claims",
+    }

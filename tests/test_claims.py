@@ -269,7 +269,7 @@ def test_degrees_fail_when_a_root_edge_is_negated(g):
     edges = [(u, v, -s if i == flipped else s) for i, (u, v, s) in enumerate(gm.edges)]
     wrong = core.canonicalize(gm.p, edges)
     # unsigned degrees stay, so only the net degrees can tell
-    assert core.degrees(wrong).degree == core.degrees(gm).degree
+    assert [row[0] for row in core.degrees(wrong)] == [row[0] for row in core.degrees(gm)]
     ctx = claims.Context(g)
     assert status(ctx, "mycielskian-degrees") == "pass"
     ctx.__dict__["myc"] = (wrong, lab)

@@ -11,17 +11,18 @@ import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG
 from strategies import graphs_with_switchings, signed_graphs
 from sgmyc.core import (
+    SignedGraph,
     canonicalize,
     degrees,
     dumps,
     generate,
-    incident_edges,
     is_all_negative,
     is_all_positive,
     is_connected,
     is_triangle_free,
     load,
     loads,
+    neighbours,
     switch,
     validate_switching,
 )
@@ -41,12 +42,12 @@ class TestCanonicalize:
         assert SQUARE_ONE_NEG.negative_count == 1
 
     def test_sign_lookup_both_orders(self):
-        inc = incident_edges(SQUARE_ONE_NEG)
-        assert (2, -1) in inc[1]
-        assert (1, -1) in inc[2]
-        assert 3 not in [v for v, _ in inc[1]]
-        assert (3, 1) in inc[4]
-        assert 4 not in [v for v, _ in inc[2]]
+        nbrs = neighbours(SQUARE_ONE_NEG)
+        assert (1, -1) in nbrs[0]
+        assert (0, -1) in nbrs[1]
+        assert 2 not in [v for v, _ in nbrs[0]]
+        assert (2, 1) in nbrs[3]
+        assert 3 not in [v for v, _ in nbrs[1]]
 
     def test_empty_graph(self):
         g = canonicalize(0, [])
@@ -190,32 +191,44 @@ class TestSwitching:
 
 class TestDegrees:
     def test_rows(self):
-        rep = degrees(SQUARE_ONE_NEG)
-        assert rep.row(1) == (2, 1, 1, 0)
-        assert rep.row(2) == (2, 1, 1, 0)
-        assert rep.row(3) == (2, 2, 0, 2)
-        assert rep.net_degree == (0, 0, 2, 2)
+        assert degrees(SQUARE_ONE_NEG) == [(2, 1, 1, 0), (2, 1, 1, 0), (2, 2, 0, 2), (2, 2, 0, 2)]
 
     def test_isolated_vertex(self):
-        rep = degrees(canonicalize(3, [(1, 2, -1)]))
-        assert rep.row(3) == (0, 0, 0, 0)
+        assert degrees(canonicalize(3, [(1, 2, -1)]))[2] == (0, 0, 0, 0)
 
     @given(signed_graphs(max_p=8))
     def test_identities(self, g):
-        rep = degrees(g)
-        assert sum(rep.degree) == 2 * g.q
-        assert sum(rep.positive) == 2 * g.positive_count
-        assert sum(rep.negative) == 2 * g.negative_count
-        for i in range(g.p):
-            assert rep.degree[i] == rep.positive[i] + rep.negative[i]
-            assert rep.net_degree[i] == rep.positive[i] - rep.negative[i]
+        rows = degrees(g)
+        assert len(rows) == g.p
+        assert sum(d for d, _, _, _ in rows) == 2 * g.q
+        assert sum(dp for _, dp, _, _ in rows) == 2 * g.positive_count
+        assert sum(dn for _, _, dn, _ in rows) == 2 * g.negative_count
+        for d, dp, dn, net in rows:
+            assert d == dp + dn
+            assert net == dp - dn
 
     @given(signed_graphs(max_p=7))
-    def test_incident_edges_agree(self, g):
-        inc = incident_edges(g)
-        rep = degrees(g)
-        for v in range(1, g.p + 1):
-            assert len(inc[v]) == rep.degree[v - 1]
+    def test_neighbour_lists_agree(self, g):
+        assert [len(row) for row in neighbours(g)] == [d for d, _, _, _ in degrees(g)]
+
+
+class TestNeighbours:
+    @given(signed_graphs(max_p=8))
+    def test_each_list_ascends_and_each_edge_sits_at_both_ends(self, g):
+        # mycielskian._build emits M without sorting on this order
+        nbrs = neighbours(g)
+        assert len(nbrs) == g.p
+        for row in nbrs:
+            assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+        for u, v, s in g.edges:
+            assert (v - 1, s) in nbrs[u - 1]
+            assert (u - 1, s) in nbrs[v - 1]
+        assert sum(map(len, nbrs)) == 2 * g.q
+
+    def test_a_vertex_count_too_large_to_hold_fails_before_allocating(self):
+        # the lists are sized by multiplication, which refuses the count at once
+        with pytest.raises(OverflowError):
+            neighbours(SignedGraph(2**63, ()))
 
 
 class TestPredicates:

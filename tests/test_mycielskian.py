@@ -107,12 +107,10 @@ class TestMycielskian:
         d = degrees(g)
         dm = degrees(gm)
         for i in range(1, g.p + 1):
-            assert dm.degree[lab.original(i) - 1] == 2 * d.degree[i - 1]
-            assert dm.degree[lab.twin(i) - 1] == d.degree[i - 1] + 1
-            assert dm.net_degree[lab.original(i) - 1] == 2 * d.net_degree[i - 1]
-            assert dm.net_degree[lab.twin(i) - 1] == d.net_degree[i - 1] + 1
-        assert dm.degree[lab.root - 1] == g.p
-        assert dm.net_degree[lab.root - 1] == g.p
+            deg, pos, neg, net = d[i - 1]
+            assert dm[lab.original(i) - 1] == (2 * deg, 2 * pos, 2 * neg, 2 * net)
+            assert dm[lab.twin(i) - 1] == (deg + 1, pos + 1, neg, net + 1)
+        assert dm[lab.root - 1] == (g.p, g.p, 0, g.p)
 
     @given(signed_graphs(max_p=7))
     def test_triangle_free_iff(self, g):
