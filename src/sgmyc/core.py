@@ -13,13 +13,19 @@ equivalence of signed graph theory: it preserves the sign of every cycle.
 The module also carries the plain-text interchange format used by the
 command line tools.  Line one holds "p q", the next q lines hold
 "u v s" with s written as +1 or -1, and lines starting with '#' are
-comments.
+comments.  Text in exactly the canonical form that dumps writes is read
+in bulk; anything else is read line by line, with the same result and
+the same error messages.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, lt, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -286,8 +292,50 @@ def dumps(g: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the whole text as dumps writes it: every number without a leading zero,
+# single spaces, each sign +1 or -1, and a final newline
+_CANONICAL = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n(?:[1-9][0-9]* [1-9][0-9]* [+-]1\n)*")
+# "p q\nu v +1\nu v -1" -> "p,q,u,v,1,u,v,-1"
+_AS_JSON = str.maketrans(" \n", ",,", "+")
+
+
 def loads(text: str) -> SignedGraph:
-    """Parse the text edge-list format.  Comments and blank lines are skipped."""
+    """Parse the text edge-list format.  Comments and blank lines are skipped.
+
+    Canonical text, as dumps writes it, is read in bulk; any other text
+    goes through the line parser, which gives the same graph for every
+    text both accept and reports every error.
+    """
+    return _loads_canonical(text) or _loads_lines(text)
+
+
+def _loads_canonical(text: str) -> SignedGraph | None:
+    """The graph of text in exactly the canonical form, else None.
+
+    One regex checks the shape of every line, and one json.loads reads
+    every number.  Each edge must then have u < v <= p, the edges must
+    number q, and the pair keys u * (p + 1) + v must strictly increase,
+    which proves the edges sorted and distinct, so canonicalize has
+    nothing left to check or sort.
+    """
+    if _CANONICAL.fullmatch(text) is None:
+        return None
+    try:
+        nums = json.loads(f"[{text[:-1].translate(_AS_JSON)}]")
+    except ValueError:  # a number past int's digit limit
+        return None
+    p, q = nums[0], nums[1]
+    us, vs = nums[2::3], nums[3::3]
+    if len(us) != q or not all(map(lt, us, vs)) or max(vs, default=0) > p:
+        return None
+    keys = list(map(add, map(mul, us, repeat(p + 1)), vs))
+    if not all(map(lt, keys, keys[1:])):
+        return None
+    return SignedGraph(p, tuple(zip(us, vs, nums[4::3])))
+
+
+def _loads_lines(text: str) -> SignedGraph:
+    """Parse the text edge-list format line by line, then canonicalize."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG
 from strategies import graphs_with_switchings, signed_graphs
+from sgmyc import core
 from sgmyc.core import (
     SignedGraph,
     canonicalize,
@@ -140,12 +142,28 @@ class TestErrorPrecedence:
             ("3 3\n1 2 +1\n2 1 -1\n3 3 +1\n", "DuplicateEdgeError", "edge (1,2) given twice"),
             ("3 2\n3 3 +1\n2 1 -1\n", "LoopEdgeError", "loop at vertex 3"),
             ("3 2\n# c\n1 4 -1\n3 3 +1\n", "VertexOutOfRangeError", "edge (1,4) outside 1..3"),
+            # canonical-looking text that the bulk reader hands to the line parser
+            ("3 2\n1 2 +1\n1 2 -1\n", "DuplicateEdgeError", "edge (1,2) given twice"),
+            ("3 1\n1 4 +1\n", "VertexOutOfRangeError", "edge (1,4) outside 1..3"),
+            ("3 1\n0 2 +1\n", "VertexOutOfRangeError", "edge (0,2) outside 1..3"),
         ],
     )
     def test_loads(self, text, case, message):
         with pytest.raises(InputError) as exc:
             loads(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, p, edges",
+        [
+            ("3 2\n2 3 +1\n1 2 +1\n", 3, ((1, 2, 1), (2, 3, 1))),
+            ("3 1\n2 1 -1\n", 3, ((1, 2, -1),)),
+            ("3 0\n", 3, ()),
+            ("0 0\n", 0, ()),
+        ],
+    )
+    def test_loads_canonicalizes(self, text, p, edges):
+        assert loads(text) == SignedGraph(p, edges)
 
 
 class TestSwitching:
@@ -394,3 +412,94 @@ class TestTextFormat:
             p = rng.randint(1, 10)
             g = generate("random", {"order": p}, seed=rng.randint(0, 999))
             assert loads(dumps(g)) == g
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() has no digit limit")
+    def test_numbers_past_the_digit_limit(self):
+        # canonical in form, so the bulk reader sees them first
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(InputError, match="^line 1: header must hold two integers$"):
+            loads(f"{huge} 0\n")
+        with pytest.raises(InputError, match="^line 2: edge lines must hold integers$"):
+            loads(f"3 1\n1 {huge} +1\n")
+
+    def test_canonical_text_skips_the_line_parser(self, monkeypatch):
+        g = generate("random", {"order": 40, "edge_prob": 0.4}, seed=3)
+        assert g.q > 250
+        text = dumps(g)
+
+        class Reached(Exception):
+            pass
+
+        def refuse(p, edges):
+            raise Reached
+
+        # every edge list that the line parser accepts ends in canonicalize
+        monkeypatch.setattr(core, "canonicalize", refuse)
+        assert loads(text) == g
+        header, first, second, rest = text.split("\n", 3)
+        for irregular in ("# c\n" + text, "\n".join([header, second, first, rest])):
+            with pytest.raises(Reached):
+                loads(irregular)
+
+    @settings(max_examples=300)
+    @given(signed_graphs(max_p=12), st.data())
+    def test_bulk_and_line_parsers_agree(self, g, data):
+        text = dumps(g)
+        assert core._loads_canonical(text) == g
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+            text = data.draw(mutated(text, g.p))
+
+        def outcome(parse):
+            try:
+                return parse(text)
+            except InputError as exc:
+                return str(exc)
+
+        assert outcome(loads) == outcome(core._loads_lines)
+
+
+TOKEN_REWRITES = ["+3", "01", "1_0", "\u0663", "1", "+01", "0", "-1", "+1", "1 2"]
+
+
+@st.composite
+def mutated(draw, text, p):
+    """Text one edit away from the given edge-list text.
+
+    The edits move, repeat, drop or flip whole lines, move u to 0 or v
+    past p, drop the final newline, insert a character or a line the
+    format allows only outside canonical form, or rewrite one number: as
+    a token int() still reads, as a sign the line parser refuses, or as
+    another vertex.
+    """
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["swap", "repeat", "drop", "flip", "bump", "chop", "insert", "token"]))
+    if kind in ("swap", "repeat", "drop", "flip", "bump") and lines:
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "repeat":
+            lines.insert(j, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        else:
+            parts = lines[i].split(" ")
+            if len(parts) == 3 and kind == "flip":
+                parts[:2] = parts[1], parts[0]
+            elif len(parts) == 3:
+                k = draw(st.sampled_from([0, 1]))
+                parts[k] = ["0", str(p + 1)][k]
+            lines[i] = " ".join(parts)
+        return "".join(lines)
+    if kind == "chop":
+        return text[:-1] if text.endswith("\n") else text
+    if kind == "insert":
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        piece = draw(st.sampled_from(["\r", "\t", " ", "\n", "# c\n", "\r\n"]))
+        return text[:at] + piece + text[at:]
+    tokens = list(re.finditer(r"[+-]?[0-9]+", text))
+    if not tokens:
+        return text
+    m = draw(st.sampled_from(tokens))
+    new = draw(st.sampled_from(TOKEN_REWRITES + [str(p + 1), str(p)]))
+    return text[: m.start()] + new + text[m.end():]
