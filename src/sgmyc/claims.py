@@ -21,10 +21,9 @@ P B P^T holds exactly when P A_M P^T = B.  P on the left replaces each
 twin row by its original's row minus its own, and P^T on the right does
 the same with the columns; the claim applies both to A_M and compares
 the result with the block sum B of A and the lower block, the negative
-join of the negated input, the very two matrices whose inertias
-Context.inertias takes from one elimination of A bordered by -j.
-Sylvester's law of inertia then gives inertia(A_M) = inertia(A) +
-inertia(lower block), with no elimination of A_M.
+join of the negated input, the very two matrices Context.inertias
+eliminates.  Sylvester's law of inertia then gives inertia(A_M) =
+inertia(A) + inertia(lower block), with no elimination of A_M.
 incidence-laplacian compares H_M H_M^T, summed from the columns of the
 blocked incidence without forming it, with the Laplacian of the
 constructed graph; H H^T = L on G alone would compare two generic
@@ -110,14 +109,9 @@ class Context:
 
         The first is the sum of the other two, by Sylvester's law of inertia,
         as inertia-additivity checks that P A_M P^T, for the self-inverse P,
-        is the block sum of A and lower_block.  A_M is not eliminated, and
-        neither is the lower block: it is -(D N D) for the negative join
-        N = [[A, -j], [-j', 0]] and D = diag(I, -1), so its inertia is N's
-        with n_plus and n_minus swapped, and one elimination of A bordered
-        by -j gives inertia(A) and inertia(N).
+        is the block sum of A and lower_block, so A_M is not eliminated.
         """
-        in_a, in_join = exactla.inertia(self.adjacency, border=(-1,) * self.g.p)
-        in_lower = exactla.Inertia(in_join.n_minus, in_join.n_plus, in_join.n_zero)
+        in_a, in_lower = exactla.inertia(self.adjacency), exactla.inertia(self.lower_block)
         return in_a + in_lower, in_a, in_lower
 
 

@@ -217,12 +217,10 @@ def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict]:
     if args.of == "input":
         ine = exactla.inertia(matrices.adjacency(g))
     elif args.of == "mycielskian":
-        # A_M = P diag(A, lower block) P^T with P invertible: the inertias
-        # add, and one bordered elimination of A gives both
+        # A_M = P diag(A, lower block) P^T with P invertible: the inertias add
         ine = claims.Context(g).inertias[0]
     else:
-        # the negative join is A bordered by -j, eliminated without building it
-        ine = exactla.inertia(matrices.adjacency(g), border=(-1,) * g.p)[1]
+        ine = exactla.inertia(matrices.negative_join(g))
     return 0, {"of": args.of, "rank": ine.rank, "n_plus": ine.n_plus, "n_minus": ine.n_minus, "n_zero": ine.n_zero}
 
 

@@ -3,7 +3,29 @@
 Entries are Python ints, never floats, so results carry no rounding
 error at any size that fits in memory.
 
-inertia runs the one exact elimination, fraction-free (Bareiss 1968).
+inertia first pivots on the nonzeros of each row (Bunch and Kaufman,
+Math. Comp. 31, 1977).  A symmetric pivot block P, with B the rest of
+its rows and C the rest of the matrix, gives
+  inertia(M) = inertia(P) + inertia(C - B' P^-1 B)
+by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968), and
+that Schur complement is integral whenever P^-1 is.  So the blocks
+taken are a diagonal entry d = +-1, its own inverse, and a pair
+[[d_v, s], [s, d_u]] of det = d_v d_u - s^2 = +-1, whose inverse is
+det [[d_u, -s], [-s, d_v]].  A pair of det -1 adds (1, 1, 0), one of
+det +1 two of the sign of d_v, and an empty row a zero.  A leaf pair,
+a zero-diagonal v whose one entry s sits at u, is the block whose
+correction is zero, since row v meets nothing else.  A signed
+adjacency has entries +-1 on a zero diagonal, so at the start every
+edge is a pair of det -1.  Its correction to a diagonal entry, b' P^-1 b
+= det (d_u b_v^2 - 2 s b_v b_u + d_v b_u^2) for that row's entries b_v
+and b_u, is even while d_v and d_u are.  So the diagonal stays even,
+no 1x1 pivot arises there, and no pair of det +1 either, since s^2 =
+d_v d_u - 1 would be 3 mod 4.  The row of least degree goes first, off
+a lazy heap, with its neighbour of least degree that makes a pivot; a
+pair costs about the product of their degrees.  What no such pivot
+reaches is densified and handed to _eliminate.
+
+_eliminate is the one dense elimination, fraction-free (Bareiss 1968).
 Its update
   m[i][j] <- (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
 divides by the previous pivot, and by Sylvester's determinant identity
@@ -15,36 +37,10 @@ signs give the signature.  A zero pivot is repaired by a symmetric
 swap with a later nonzero diagonal entry or, when the trailing diagonal
 is all zero, by adding row and column j into k, which makes the pivot
 2 m[k][j].  Both repairs are unimodular congruences, and each trailing
-entry is a minor bordered by one row and one column of the input, linear
+entry is a leading minor widened by one row and one column, linear
 in both, so they act on the integer state exactly as on the input.  A
 trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
-
-Given a border b, the same loop eliminates N = [[a, b], [b', 0]] and
-returns inertia(a) and inertia(N), by Haynsworth's inertia additivity
-(Linear Algebra Appl. 1, 1968).  For the first n steps row n is carried
-along but never chosen, neither to swap nor to add, so those steps
-eliminate a alone, and the counts after them are inertia(a).  A skipped
-step whose row still holds a border entry is a kernel vector v of a
-with b'v != 0, so b lies outside the column space of a; then N has rank
-two more than a, and by interlacing inertia(N) = inertia(a) + (1, 1, -1).
-Otherwise every zero of a is a zero of N, and step n on the trailing
-entry adds +, - or a zero, as any other step does.
-
-Before the elimination, an O(n^2) pass peels leaves, cascading as new
-ones appear (the pendant-vertex lemma of Cvetkovic and Gutman, Mat.
-Vesnik 9, 1972).  A zero-diagonal row v whose one off-diagonal entry s
-sits at u makes the pivot block [[0, s], [s, d]] on (v, u), d = a_uu,
-of inertia (1, 1, 0).  Its Schur correction to the rest of a is zero,
-since row v meets nothing else, so v and u go and a is otherwise left
-as it was.  The border and a corner c, at first 0, take the rest of
-that Schur complement: b_x -= b_v a_ux / s at each other neighbour x of
-u, and c += d b_v^2 / s^2 - 2 b_v b_u / s.  Those stay integers when
-|s| = 1 or b_v = 0, so only such pairs are peeled, by s b_v in place of
-b_v / s; the loop takes the others.  A zero-diagonal row with no
-off-diagonal entry is a zero; with a border entry it puts b outside the
-column space of a.  The loop then eliminates [[a_rest, b], [b', c]]
-under the rule above, with the corner at step n.
 
 No general product is offered, and no certificate is checked here: the
 audit checks its congruence by row operations, sums H_M H_M^T from the
@@ -55,7 +51,8 @@ nonsingular by a frame determinant (sgmyc.claims).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .errors import PreconditionError
 
@@ -101,75 +98,79 @@ class Inertia:
         return Inertia(self.n_plus + other.n_plus, self.n_minus + other.n_minus, self.n_zero + other.n_zero)
 
 
-def inertia(a: IntMatrix, border: Sequence[int] | None = None) -> Inertia | tuple[Inertia, Inertia]:
-    """Signature of a symmetric matrix by symmetric fraction-free elimination.
-
-    With a border b of length n, (inertia(a), inertia([[a, b], [b', 0]]))
-    from the one elimination of the bordered matrix.
-    """
+def inertia(a: IntMatrix) -> Inertia:
+    """Signature of a symmetric matrix: unimodular pivots on its nonzeros, then Bareiss on the rest."""
     if not a.is_square():
         raise PreconditionError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
         raise PreconditionError("matrix is not symmetric")
-    n, m = a.rows, a.entries
-    if border is not None and len(border) != n:
-        raise PreconditionError(f"border of length {len(border)} for a matrix of order {n}")
-    b = [0] * n if border is None else list(border)
-    # peel zero-diagonal rows with at most one off-diagonal entry, cascading
-    deg = [n - row.count(0) - (row[i] != 0) for i, row in enumerate(m)]
+    n = a.rows
+    rows = [dict(compress(enumerate(row), row)) for row in a.entries]
+    deg = [len(row) - (v in row) for v, row in enumerate(rows)]
+    heap = list(zip(deg, range(n)))
+    heapify(heap)
     alive = [True] * n
-    todo = [v for v in range(n) if deg[v] < 2 and not m[v][v]]
-    pairs = zeros = corner = 0
-    outside = False
-    while todo:
-        v = todo.pop()
-        if not alive[v] or deg[v] > 1:
+    plus = minus = zeros = 0
+    while heap:
+        d, v = heappop(heap)
+        if not alive[v] or d != deg[v]:
             continue
-        if deg[v] == 0:
+        row = rows[v]
+        if not row:
             alive[v] = False
             zeros += 1
-            outside = outside or b[v] != 0
             continue
-        u = next(x for x in range(n) if alive[x] and x != v and m[v][x])
-        s, bv = m[v][u], b[v]
-        if bv and abs(s) != 1:
-            # the border update would divide by s
-            continue
+        dv = row.get(v, 0)
+        if dv in (1, -1):
+            # a 1x1 pivot: the pair's formulas below with u = v, s = 0 and d_u = 1
+            u, s, du, det = v, 0, 1, dv
+            plus += dv > 0
+            minus += dv < 0
+        else:
+            pairs = [(deg[x], x) for x, s in row.items() if x != v and dv * rows[x].get(x, 0) - s * s in (1, -1)]
+            if not pairs:
+                # no pivot yet: v is pushed again once a pivot changes its row
+                continue
+            u = min(pairs)[1]
+            s, du = row[u], rows[u].get(u, 0)
+            det = dv * du - s * s
+            if det < 0:
+                plus += 1
+                minus += 1
+            elif dv > 0:
+                plus += 2
+            else:
+                minus += 2
         alive[v] = alive[u] = False
-        pairs += 1
-        corner += m[u][u] * bv * bv - 2 * s * bv * b[u]
-        for x in range(n):
-            if alive[x] and m[u][x]:
-                b[x] -= s * bv * m[u][x]
-                deg[x] -= 1
-                if deg[x] < 2 and not m[x][x]:
-                    todo.append(x)
-    keep = [i for i in range(n) if alive[i]]
-    rows = [[m[i][j] for j in keep] for i in keep]
-    if border is not None:
-        rows = [[*row, b[i]] for row, i in zip(rows, keep)] + [[*(b[i] for i in keep), corner]]
-    in_a, in_n = _eliminate(rows, len(keep), outside)
-    peeled = Inertia(pairs, pairs, zeros)
-    return peeled + in_a if border is None else (peeled + in_a, peeled + in_n)
+        # the block rows' entries off the block
+        out_v = [(y, z) for y, z in row.items() if alive[y]]
+        out_u = [(y, z) for y, z in rows[u].items() if alive[y]]
+        for x in {y for y, _ in out_v + out_u}:
+            rx = rows[x]
+            bv, bu = rx.pop(v, 0), rx.pop(u, 0)
+            # row x of C - B' P^-1 B, with P^-1 (b_v, b_u) = det (d_u b_v - s b_u, d_v b_u - s b_v)
+            for w, out in ((det * (du * bv - s * bu), out_v), (det * (dv * bu - s * bv), out_u)):
+                if w:
+                    for y, z in out:
+                        t = rx.get(y, 0) - w * z
+                        if t:
+                            rx[y] = t
+                        else:
+                            del rx[y]
+            deg[x] = len(rx) - (x in rx)
+            heappush(heap, (deg[x], x))
+    keep = list(compress(range(n), alive))
+    ine = _eliminate([[rows[i].get(j, 0) for j in keep] for i in keep])
+    return Inertia(plus, minus, zeros) + ine
 
 
-def _eliminate(m: list[list[int]], n: int, outside: bool) -> tuple[Inertia, Inertia]:
-    """Inertias of the leading n x n block of m and of m, in place.
-
-    m has order n, or n + 1 with the border row last; outside says that
-    the border already lies outside the column space of the block.
-    """
-    size = len(m)
+def _eliminate(m: list[list[int]]) -> Inertia:
+    """Inertia of the symmetric m by fraction-free elimination, in place."""
+    n = len(m)
     plus = minus = 0
     prev = 1
-    for k in range(size):
-        if k == n:
-            # a is eliminated; the border row is the one step left
-            in_a = Inertia(plus, minus, n - plus - minus)
-            if outside:
-                return in_a, in_a + Inertia(1, 1, -1)
+    for k in range(n):
         if m[k][k] == 0:
-            # the border row is never chosen, so the first n steps eliminate a
             j = next((j for j in range(k + 1, n) if m[j][j]), None)
             if j is not None:
                 m[k], m[j] = m[j], m[k]
@@ -178,12 +179,10 @@ def _eliminate(m: list[list[int]], n: int, outside: bool) -> tuple[Inertia, Iner
             else:
                 j = next((j for j in range(k + 1, n) if m[k][j]), None)
                 if j is None:
-                    # a zero of a; a border entry left in its row puts b
-                    # outside the column space of a
-                    outside = outside or any(m[k][n:])
+                    # a zero of the form
                     continue
                 row_k, row_j = m[k], m[j]
-                for t in range(k, size):
+                for t in range(k, n):
                     row_k[t] += row_j[t]
                 for row in m[k:]:
                     row[k] += row[j]
@@ -202,5 +201,4 @@ def _eliminate(m: list[list[int]], n: int, outside: bool) -> tuple[Inertia, Iner
             elif piv != prev:
                 row_i[k + 1 :] = [piv * x // prev for x in row_i[k + 1 :]]
         prev = piv
-    ine = Inertia(plus, minus, size - plus - minus)
-    return (ine if size == n else in_a), ine
+    return Inertia(plus, minus, n - plus - minus)

@@ -24,9 +24,8 @@ law of inertia makes rank and signature additive across the two diagonal
 blocks of B.  The lower block shares its rank with the negative join
 itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
-inertia is therefore the sum of those of the two blocks, and one
-elimination gives both: A bordered by -j is the negative join itself,
-of order p + 1, and exactla.inertia reads inertia(A) on the way.
+inertia is therefore the sum of those of the two blocks, of orders p
+and p + 1, each eliminated on its own.
 Neither P nor B is built: P is its own inverse, so the audit applies P
 to A_M by row and column operations and compares the result with the
 two blocks (sgmyc.claims).

@@ -7,10 +7,8 @@ by enumerating every simple path.  Matrix oracles work on plain lists of
 rows: ranks by Fraction elimination or by integer row echelon form with
 gcd-reduced rows, determinants by cofactor expansion, inertia by
 Fraction congruence diagonalization, none of them the package's
-fraction-free kernel; leaf cores by rescanning the whole graph after
-each deletion, not the package's degree-counting pass.  The oracles only
-read the public data fields (p, edges), so agreement with the package is
-meaningful evidence.
+pivots or fraction-free kernel.  The oracles only read the public data
+fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
 The exceptions are the package's earlier code, kept as it was but for
@@ -317,22 +315,6 @@ def congruence_inertia(rows):
     plus = sum(1 for k in range(n) if w[k][k] > 0)
     minus = sum(1 for k in range(n) if w[k][k] < 0)
     return plus, minus, n - plus - minus
-
-
-def leaf_core(g: SignedGraph) -> set[int]:
-    """The vertices of g left once leaves, with their neighbours, and isolated vertices are deleted.
-
-    Deletion repeats until no vertex has degree 0 or 1.  The set left
-    does not depend on the order of deletion (it is the Karp-Sipser
-    core), so this takes the lowest vertex first, and rescans every time.
-    """
-    adj, _ = _adjacency_map(g)
-    alive = set(range(1, g.p + 1))
-    while True:
-        low = next((v for v in sorted(alive) if len(alive.intersection(adj[v])) <= 1), None)
-        if low is None:
-            return alive
-        alive -= {low, *adj[low]}
 
 
 def triple_loop_product(a_rows, b_rows, q):

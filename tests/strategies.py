@@ -75,3 +75,22 @@ def leaf_heavy_symmetric(draw, max_n=12):
         for v in range(n):
             rows[v][v] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
     return rows
+
+
+@st.composite
+def sparse_symmetric(draw, max_n=12):
+    """Rows of a sparse symmetric integer matrix, weights +-1 to +-3, some on the diagonal.
+
+    At most two entries a row on average, each drawn at a pair of
+    vertices that may be one vertex, so most rows start as pivots of det
+    +-1, while the larger weights and the diagonal make pairs of det +1
+    and rows no such pivot takes.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rows = [[0] * n for _ in range(n)]
+    if n:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        weight = st.sampled_from((1, -1, 1, -1, 2, -2, 3, -3))
+        for u, v, s in draw(st.lists(st.tuples(vertex, vertex, weight), max_size=2 * n)):
+            rows[u][v] = rows[v][u] = s
+    return rows

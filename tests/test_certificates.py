@@ -118,15 +118,12 @@ GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "
 
 
 def recording_inertia(monkeypatch):
-    """The orders of the matrices exactla.inertia eliminates from now on.
-
-    A bordered call is recorded as ("bordered", order of a).
-    """
+    """The orders of the matrices exactla.inertia eliminates from now on."""
     orders, inertia = [], exactla.inertia
 
-    def recording(a, border=None):
-        orders.append(a.rows if border is None else ("bordered", a.rows))
-        return inertia(a, border)
+    def recording(a):
+        orders.append(a.rows)
+        return inertia(a)
 
     monkeypatch.setattr(exactla, "inertia", recording)
     return orders
@@ -287,9 +284,8 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     with contextlib.redirect_stdout(out):
         code = cli.main(["audit", str(path), "--budget", "10"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
-    # inertia(A) and inertia of the lower block from one elimination of A
-    # bordered, and nothing of order 2p + 1
-    assert orders == [("bordered", g.p)]
+    # inertia(A) and inertia of the lower block, and nothing of order 2p + 1
+    assert orders == [g.p, g.p + 1]
     # the one proof each half's verdict names, and no other: a kernel
     # vector that _singular checks, or a nonzero frame determinant
     assert all(frames.values())
@@ -392,7 +388,7 @@ def test_audit_fails_a_broken_certificate_with_one_elimination_and_no_search_of_
     assert code == 1
     report = {c["claim"]: (c["status"], c["detail"]) for c in json.loads(out.getvalue())["claims"]}
     assert report["laplacian-balance"] == ("fail", f"the certificate for {laplacian} does not check")
-    assert orders == [("bordered", g.p)]
+    assert orders == [g.p, g.p + 1]
     assert built["M"][0] not in searched
 
 
@@ -464,9 +460,9 @@ def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("of", ["mycielskian", "negjoin"])
 @pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
-def test_inertia_of_a_bordered_matrix_is_one_elimination_of_a(monkeypatch, tmp_path, of, kind):
-    # A_M and the negative join are neither built nor eliminated: A is,
-    # once, bordered by -j
+def test_inertia_of_a_block_matrix_eliminates_its_blocks(monkeypatch, tmp_path, of, kind):
+    # A_M is neither built nor eliminated: A and the lower block are; the
+    # negative join is eliminated as it is
     g = elimination_budget_inputs(p=12)[kind]
     whole = {
         "mycielskian": matrices.adjacency(mycielskian.mycielskian(g)[0]),
@@ -480,5 +476,8 @@ def test_inertia_of_a_bordered_matrix_is_one_elimination_of_a(monkeypatch, tmp_p
         code = cli.main(["inertia", "--of", of, str(path)])
     assert code == 0
     assert out.getvalue() == "rank {} n_plus {} n_minus {} n_zero {}\n".format(expected[0] + expected[1], *expected)
-    assert orders == [("bordered", g.p)]
-    assert built == [("adjacency", g.p, g.p)]
+    assert orders == {"mycielskian": [g.p, g.p + 1], "negjoin": [g.p + 1]}[of]
+    assert built == {
+        "mycielskian": [("adjacency", g.p, g.p), ("negative_join", g.p + 1, g.p + 1)],
+        "negjoin": [("negative_join", g.p + 1, g.p + 1)],
+    }[of]

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import rank, subtract
-from strategies import leaf_heavy_symmetric, signed_graphs
+from strategies import leaf_heavy_symmetric, signed_graphs, sparse_symmetric
 from sgmyc import cli, exactla
 from sgmyc.core import canonicalize, dumps
-from sgmyc.matrices import adjacency
+from sgmyc.matrices import adjacency, negative_join
 from sgmyc.mycielskian import mycielskian
 from sgmyc.exactla import Inertia, inertia
 from sgmyc.errors import InputError, PreconditionError
@@ -60,8 +60,10 @@ def symmetric_of_order(draw, n):
 def zero_heavy_symmetric(draw, max_n=8):
     """Symmetric matrices with many zeros, often on the whole diagonal.
 
-    Zero diagonals drive inertia through its symmetric swap, and a zero
-    trailing diagonal through the fold of a later row and column.
+    Entries up to 6 leave rows no pivot of det +-1 takes, and zero
+    diagonals drive the elimination of those through its symmetric swap,
+    and a zero trailing diagonal through the fold of a later row and
+    column.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     cell = st.one_of(st.just(0), entries())
@@ -176,12 +178,16 @@ class TestInertia:
         assert inertia(M([[1, 1], [1, 1]])) == Inertia(1, 0, 1)
 
     def test_zero_diagonal_block(self):
-        # hits the pivot-repair path: no nonzero diagonal remains
+        # a pair of det -1, and one of det -4 that hits the elimination's
+        # pivot-repair path: no nonzero diagonal remains
         assert inertia(M([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
+        assert inertia(M([[0, 2], [2, 0]])) == Inertia(1, 1, 0)
 
     def test_swap_path(self):
-        # hits the symmetric-swap path: a later diagonal entry is nonzero
+        # a pair of det -1 leaves the 2; with 2 in its place no pair has
+        # det +-1, so the elimination hits its symmetric-swap path
         assert inertia(M([[0, 0, 1], [0, 2, 0], [1, 0, 0]])) == Inertia(2, 1, 0)
+        assert inertia(M([[0, 0, 2], [0, 2, 0], [2, 0, 0]])) == Inertia(2, 1, 0)
 
     def test_requires_symmetric(self):
         with pytest.raises(PreconditionError, match="matrix is not symmetric"):
@@ -228,27 +234,29 @@ class TestInertia:
         assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
 
 
+STAR = canonicalize(5, [(1, 2, 1), (1, 3, -1), (1, 4, 1), (1, 5, -1)])
+K5_POS = canonicalize(5, [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)])
+
+
 def bordered(a, border):
     """The rows of [[a, b], [b', 0]] for the border b."""
     return [list(row) + [x] for row, x in zip(a.entries, border)] + [list(border) + [0]]
 
 
 def assert_bordered_inertia(a, border):
-    in_a, in_n = inertia(a, border=border)
-    assert in_a == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
-    assert in_n == Inertia(*oracles.congruence_inertia(bordered(a, border)))
-
-
-STAR = canonicalize(5, [(1, 2, 1), (1, 3, -1), (1, 4, 1), (1, 5, -1)])
-K5_POS = canonicalize(5, [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)])
+    rows = bordered(a, border)
+    assert inertia(a) == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
+    assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
 
 
 class TestBorderedInertia:
+    """A matrix and its bordering [[a, b], [b', 0]], each one plain call, against the Fraction oracle."""
+
     @settings(max_examples=300)
     @given(signed_graphs(min_p=0, max_p=10), st.sampled_from((1, -1)))
     @example(canonicalize(0, []), -1)
     @example(canonicalize(1, []), -1)
-    # every step of A skipped, and j outside its column space: (1, 1, -1)
+    # every row of A empty, and j outside its column space: (1, 1, p - 1)
     @example(canonicalize(4, []), -1)
     @example(STAR, -1)
     # A = J - I is nonsingular, so j is in its column space
@@ -256,7 +264,10 @@ class TestBorderedInertia:
     @example(K5_POS, -1)
     def test_graph_bordered_by_the_all_ones_vector(self, g, sign):
         # sign -1 borders A into the negative join, as the audit does
-        assert_bordered_inertia(adjacency(g), (sign,) * g.p)
+        a = adjacency(g)
+        if sign == -1:
+            assert bordered(a, (-1,) * g.p) == [list(row) for row in negative_join(g).entries]
+        assert_bordered_inertia(a, (sign,) * g.p)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -267,17 +278,14 @@ class TestBorderedInertia:
 
     def test_outside_the_column_space(self):
         # the zero row of a meets the border: one +, one -, one zero less
-        a = M([[2, 0], [0, 0]])
-        assert inertia(a, border=(0, 3)) == (Inertia(1, 0, 1), Inertia(2, 1, 0))
-        assert inertia(a, border=(3, 0)) == (Inertia(1, 0, 1), Inertia(1, 1, 1))
+        assert inertia(M([[2, 0], [0, 0]])) == Inertia(1, 0, 1)
+        assert inertia(M(bordered(M([[2, 0], [0, 0]]), (0, 3)))) == Inertia(2, 1, 0)
+        assert inertia(M(bordered(M([[2, 0], [0, 0]]), (3, 0)))) == Inertia(1, 1, 1)
 
     def test_plain_call_returns_one_inertia(self):
-        assert inertia(M([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
-        assert inertia(M([[0, 1], [1, 0]]), border=(1, 1)) == (Inertia(1, 1, 0), Inertia(1, 2, 0))
-
-    def test_border_must_match_the_order(self):
-        with pytest.raises(PreconditionError, match="border of length 1 for a matrix of order 2"):
-            inertia(M([[0, 1], [1, 0]]), border=(1,))
+        res = inertia(M([[0, 1], [1, 0]]))
+        assert type(res) is Inertia and res == Inertia(1, 1, 0)
+        assert inertia(M(bordered(M([[0, 1], [1, 0]]), (1, 1)))) == Inertia(1, 2, 0)
 
 
 def path_rows(n, d=0):
@@ -285,75 +293,81 @@ def path_rows(n, d=0):
     return [[1 if abs(i - j) == 1 else d if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@st.composite
-def leaf_heavy_cases(draw):
-    rows = draw(leaf_heavy_symmetric())
-    border = draw(st.lists(st.one_of(st.just(0), entries()), min_size=len(rows), max_size=len(rows)))
-    return rows, draw(st.sampled_from((1, -1))), border
-
-
 def recording_eliminations(monkeypatch):
     """The orders of the matrices the elimination loop receives from now on."""
     orders, eliminate = [], exactla._eliminate
 
-    def recording(m, n, outside):
+    def recording(m):
         orders.append(len(m))
-        return eliminate(m, n, outside)
+        return eliminate(m)
 
     monkeypatch.setattr(exactla, "_eliminate", recording)
     return orders
 
 
 class TestLeafPeeling:
-    """Leaf pairs and isolated vertices, peeled before the elimination, against the Fraction oracle."""
+    """Leaf pairs and isolated vertices, taken as pivots before the elimination, against the Fraction oracle."""
 
     @settings(max_examples=300)
-    @given(leaf_heavy_cases())
-    @example((path_rows(6), -1, [1, 0, -2, 0, 0, 3]))
-    @example((path_rows(7), 1, [0, 2, 0, 0, 1, 0, -1]))
-    # one pair, then leaves that keep a border entry: b outside the column space
-    @example(([list(row) for row in adjacency(STAR).entries], -1, [0] * 5))
-    # |s| = 2 at each end next to a border entry: neither leaf may be peeled
-    @example(([[0, 2, 0], [2, 0, 2], [0, 2, 0]], 1, [1, 0, 1]))
-    @example(([[0, 2, 0], [2, 0, 2], [0, 2, 0]], 1, [1, 1, 0]))
-    # the neighbour's diagonal d enters the corner, and a leaf with its own diagonal stays
-    @example(([[0, 1, 0], [1, 3, 1], [0, 1, 0]], -1, [1, -2, 1]))
-    @example((path_rows(5, d=1), 1, [1, 0, 0, 0, 1]))
-    def test_matches_the_congruence_oracle(self, case):
-        rows, sign, border = case
-        a = M(rows)
-        assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
-        assert_bordered_inertia(a, (sign,) * a.rows)
-        assert_bordered_inertia(a, border)
+    @given(leaf_heavy_symmetric())
+    @example(path_rows(6))
+    @example(path_rows(7))
+    @example([list(row) for row in adjacency(STAR).entries])
+    # |s| = 2 at each end: no pair of det +-1, so all of it is eliminated
+    @example([[0, 2, 0], [2, 0, 2], [0, 2, 0]])
+    # the neighbour's diagonal d, and a leaf with its own diagonal
+    @example([[0, 1, 0], [1, 3, 1], [0, 1, 0]])
+    @example(path_rows(5, d=1))
+    def test_matches_the_congruence_oracle(self, rows):
+        assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
 
     @pytest.mark.parametrize("n", range(7))
     def test_a_path_peels_to_nothing(self, monkeypatch, n):
         orders = recording_eliminations(monkeypatch)
         assert inertia(M(path_rows(n))) == Inertia(n // 2, n // 2, n % 2)
-        inertia(M(path_rows(n)), border=(-1,) * n)
-        assert orders == [0, 1]
+        assert orders == [0]
 
-    def test_k5_keeps_every_vertex(self, monkeypatch):
+    def test_k5_leaves_three_rows(self, monkeypatch):
+        # one pair of det -1 leaves 3 rows of -2 on the diagonal and -1
+        # elsewhere, where every pair has det 3
         orders = recording_eliminations(monkeypatch)
-        a = adjacency(K5_POS)
-        assert inertia(a) == Inertia(1, 4, 0)
-        assert inertia(a, border=(-1,) * 5) == (Inertia(1, 4, 0), Inertia(1, 5, 0))
-        assert orders == [5, 6]
+        assert inertia(adjacency(K5_POS)) == Inertia(1, 4, 0)
+        assert orders == [3]
 
-    def test_the_mycielskian_inertia_eliminates_the_unpeeled_core(self, monkeypatch, tmp_path):
+    def test_the_mycielskian_inertia_eliminates_what_the_pivots_leave(self, monkeypatch, tmp_path):
         rng = random.Random(7)
         p = 30
         g = canonicalize(p, [(u, v, rng.choice((1, -1))) for u in range(1, p + 1)
                              for v in range(u + 1, p + 1) if rng.random() < 0.12])
-        core = oracles.leaf_core(g)
-        assert len(core) == 11
         path = tmp_path / "g.txt"
         path.write_text(dumps(g))
         orders = recording_eliminations(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["inertia", "--of", "mycielskian", str(path)]) == 0
-        # A bordered by -j, peeled down to its core and the border row
-        assert orders == [len(core) + 1]
+        # A, then the lower block of order p + 1, each pivoted down to one row
+        assert orders == [1, 1]
         a_m = adjacency(mycielskian(g)[0])
         plus, minus, zero = oracles.congruence_inertia([list(row) for row in a_m.entries])
         assert out.getvalue() == f"rank {plus + minus} n_plus {plus} n_minus {minus} n_zero {zero}\n"
+
+
+class TestUnimodularPivots:
+    """Pivots of det +-1 on sparse rows with weights up to 3 and diagonal entries, against the Fraction oracle."""
+
+    @settings(max_examples=300)
+    @given(sparse_symmetric())
+    # pairs of det +1: two of the sign of their diagonal
+    @example([[2, 1], [1, 1]])
+    @example([[-1, 1], [1, -2]])
+    @example([[-2, 1], [1, -1]])
+    @example([[0, 2, 1, 0], [2, 2, 1, 1], [1, 1, 0, 0], [0, 1, 0, 3]])
+    # no pivot of det +-1: the whole matrix, or what a pivot leaves, goes to Bareiss
+    @example([[0, 2], [2, 0]])
+    @example([[2, 3, 0], [3, 2, 1], [0, 1, 0]])
+    @example([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+    # the pair (0, 1) has det 2, so its inverse is no integer matrix
+    @example([[2, 2, 1], [2, 3, 1], [1, 1, 1]])
+    # an empty row among pivots
+    @example([[0, 0, 0], [0, 0, 3], [0, 3, 1]])
+    def test_matches_the_congruence_oracle(self, rows):
+        assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
