@@ -3,27 +3,29 @@
 Entries are Python ints, never floats, so results carry no rounding
 error at any size that fits in memory.
 
-inertia first pivots on the nonzeros of each row (Bunch and Kaufman,
-Math. Comp. 31, 1977).  A symmetric pivot block P, with B the rest of
-its rows and C the rest of the matrix, gives
+inertia first pivots on the nonzeros of each row (after Bunch and
+Kaufman, Math. Comp. 31, 1977).  A symmetric pivot block P, with B the
+rest of its rows and C the rest of the matrix, gives
   inertia(M) = inertia(P) + inertia(C - B' P^-1 B)
-by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968), and
-that Schur complement is integral whenever P^-1 is.  So the blocks
-taken are a diagonal entry d = +-1, its own inverse, and a pair
-[[d_v, s], [s, d_u]] of det = d_v d_u - s^2 = +-1, whose inverse is
-det [[d_u, -s], [-s, d_v]].  A pair of det -1 adds (1, 1, 0), one of
-det +1 two of the sign of d_v, and an empty row a zero.  A leaf pair,
-a zero-diagonal v whose one entry s sits at u, is the block whose
-correction is zero, since row v meets nothing else.  A signed
-adjacency has entries +-1 on a zero diagonal, so at the start every
-edge is a pair of det -1.  Its correction to a diagonal entry, b' P^-1 b
-= det (d_u b_v^2 - 2 s b_v b_u + d_v b_u^2) for that row's entries b_v
-and b_u, is even while d_v and d_u are.  So the diagonal stays even,
-no 1x1 pivot arises there, and no pair of det +1 either, since s^2 =
-d_v d_u - 1 would be 3 mod 4.  The row of least degree goes first, off
-a lazy heap, with its neighbour of least degree that makes a pivot; a
-pair costs about the product of their degrees.  What no such pivot
-reaches is densified and handed to _eliminate.
+by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968).  Two
+kinds of block are read off without fractions.  A lone row, one that
+meets no other, has no B: it adds its diagonal's sign, or a zero.  A
+pair [[d_v, s], [s, d_u]] adds (1, 1, 0), and it is taken when its det =
+d_v d_u - s^2 is -1, so that P^-1 = -adj P = [[-d_u, s], [s, -d_v]] keeps
+the Schur complement integral, or when v is a zero-diagonal leaf whose
+one entry s sits at u: row v then meets nothing else and every other row
+has b_v = 0, so with d_v = 0 the same update corrects nothing.  These
+two kinds serve what the package eliminates.  A signed adjacency has
+entries +-1 on a zero diagonal, so at the start every edge is a pair of
+det -1.  Its correction to a diagonal entry, b' P^-1 b = -(d_u b_v^2 -
+2 s b_v b_u + d_v b_u^2) for that row's entries b_v and b_u, is even
+while d_v and d_u are, and the other kinds correct nothing.  So the
+diagonal stays even: no diagonal +-1 arises, whose 1x1 pivot would be
+integral, and no pair of det +1, since s^2 = d_v d_u - 1 would be 3 mod
+4.  The row of least degree goes first, off a lazy heap, with its
+neighbour of least degree that makes a pair; a pair costs about the
+product of their degrees.  What no such block reaches, a caller's
+diagonal +-1 among it, is densified and handed to _eliminate.
 
 _eliminate is the one dense elimination, fraction-free (Bareiss 1968).
 Its update
@@ -99,7 +101,7 @@ class Inertia:
 
 
 def inertia(a: IntMatrix) -> Inertia:
-    """Signature of a symmetric matrix: unimodular pivots on its nonzeros, then Bareiss on the rest."""
+    """Signature of a symmetric matrix: lone rows, pairs of det -1 or with a zero-diagonal leaf, then Bareiss."""
     if not a.is_square():
         raise PreconditionError(f"inertia needs a square matrix, got {a.rows}x{a.cols}")
     if not a.is_symmetric():
@@ -110,46 +112,38 @@ def inertia(a: IntMatrix) -> Inertia:
     heap = list(zip(deg, range(n)))
     heapify(heap)
     alive = [True] * n
-    plus = minus = zeros = 0
+    plus = minus = zeros = pairs = 0
     while heap:
         d, v = heappop(heap)
         if not alive[v] or d != deg[v]:
             continue
         row = rows[v]
-        if not row:
-            alive[v] = False
-            zeros += 1
-            continue
         dv = row.get(v, 0)
-        if dv in (1, -1):
-            # a 1x1 pivot: the pair's formulas below with u = v, s = 0 and d_u = 1
-            u, s, du, det = v, 0, 1, dv
+        if not d:
+            # a row that meets no other: its diagonal's sign, or a zero
+            alive[v] = False
             plus += dv > 0
             minus += dv < 0
-        else:
-            pairs = [(deg[x], x) for x, s in row.items() if x != v and dv * rows[x].get(x, 0) - s * s in (1, -1)]
-            if not pairs:
-                # no pivot yet: v is pushed again once a pivot changes its row
-                continue
-            u = min(pairs)[1]
-            s, du = row[u], rows[u].get(u, 0)
-            det = dv * du - s * s
-            if det < 0:
-                plus += 1
-                minus += 1
-            elif dv > 0:
-                plus += 2
-            else:
-                minus += 2
+            zeros += not dv
+            continue
+        # the one entry of a zero-diagonal leaf, or any that makes a pair of det -1
+        leaf = not dv and d == 1
+        mates = [(deg[x], x) for x, s in row.items() if leaf or dv * rows[x].get(x, 0) - s * s == -1]
+        if not mates:
+            # no pivot yet: v is pushed again once a pivot changes its row
+            continue
+        u = min(mates)[1]
+        s, du = row[u], rows[u].get(u, 0)
         alive[v] = alive[u] = False
+        pairs += 1
         # the block rows' entries off the block
         out_v = [(y, z) for y, z in row.items() if alive[y]]
         out_u = [(y, z) for y, z in rows[u].items() if alive[y]]
         for x in {y for y, _ in out_v + out_u}:
             rx = rows[x]
             bv, bu = rx.pop(v, 0), rx.pop(u, 0)
-            # row x of C - B' P^-1 B, with P^-1 (b_v, b_u) = det (d_u b_v - s b_u, d_v b_u - s b_v)
-            for w, out in ((det * (du * bv - s * bu), out_v), (det * (dv * bu - s * bv), out_u)):
+            # row x of C - B' P^-1 B, with P^-1 = -adj P at det -1; a leaf has no out_v and b_v = d_v = 0
+            for w, out in ((s * bu - du * bv, out_v), (s * bv - dv * bu, out_u)):
                 if w:
                     for y, z in out:
                         t = rx.get(y, 0) - w * z
@@ -161,7 +155,7 @@ def inertia(a: IntMatrix) -> Inertia:
             heappush(heap, (deg[x], x))
     keep = list(compress(range(n), alive))
     ine = _eliminate([[rows[i].get(j, 0) for j in keep] for i in keep])
-    return Inertia(plus, minus, zeros) + ine
+    return Inertia(plus + pairs, minus + pairs, zeros) + ine
 
 
 def _eliminate(m: list[list[int]]) -> Inertia:

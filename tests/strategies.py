@@ -46,6 +46,23 @@ def balanced_graphs(draw, min_p=1, max_p=8, connected=True):
 
 
 @st.composite
+def pendant_graphs(draw, max_p=30):
+    """A signed graph on up to 8 vertices with pendant paths hung on it and isolated vertices beside it."""
+    g = draw(signed_graphs(min_p=0, max_p=8))
+    p, edges = g.p, list(g.edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        length = draw(st.integers(min_value=0, max_value=min(6, max_p - p)))
+        # hung on a vertex drawn so far, or, on no vertex, a path of its own
+        end = draw(st.integers(min_value=1, max_value=p)) if p else None
+        for v in range(p + 1, p + length + 1):
+            if end:
+                edges.append((end, v, draw(st.sampled_from((1, -1)))))
+            end = v
+        p += length
+    return canonicalize(p + draw(st.integers(min_value=0, max_value=min(4, max_p - p))), edges)
+
+
+@st.composite
 def leaf_heavy_symmetric(draw, max_n=12):
     """Rows of a symmetric integer matrix whose graph is mostly leaves.
 
@@ -82,9 +99,9 @@ def sparse_symmetric(draw, max_n=12):
     """Rows of a sparse symmetric integer matrix, weights +-1 to +-3, some on the diagonal.
 
     At most two entries a row on average, each drawn at a pair of
-    vertices that may be one vertex, so most rows start as pivots of det
-    +-1, while the larger weights and the diagonal make pairs of det +1
-    and rows no such pivot takes.
+    vertices that may be one vertex, so most rows start as lone rows,
+    leaves or pairs of det -1, while the larger weights and the diagonal
+    make pairs of det +1 and other rows that only Bareiss takes.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     rows = [[0] * n for _ in range(n)]

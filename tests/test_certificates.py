@@ -118,15 +118,21 @@ GRAPHS = {"K2-": K2_NEG, "square1": SQUARE_ONE_NEG, "square2": SQUARE_TWO_NEG, "
 
 
 def recording_inertia(monkeypatch):
-    """The orders of the matrices exactla.inertia eliminates from now on."""
-    orders, inertia = [], exactla.inertia
+    """The orders of the matrices exactla.inertia eliminates from now on, and whether each is signed.
+
+    A signed matrix has a zero diagonal and every entry in {-1, 0, 1}: the
+    class whose lone rows, leaves and pairs of det -1 the pivots serve.
+    """
+    orders, signed, inertia = [], [], exactla.inertia
 
     def recording(a):
         orders.append(a.rows)
+        diagonal = {row[i] for i, row in enumerate(a.entries)}
+        signed.append(diagonal <= {0} and {x for row in a.entries for x in row} <= {-1, 0, 1})
         return inertia(a)
 
     monkeypatch.setattr(exactla, "inertia", recording)
-    return orders
+    return orders, signed
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -134,7 +140,7 @@ def test_a_zero_frame_determinant_fails_each_nonsingular_verdict(monkeypatch, na
     g = GRAPHS[name]
     asked = []
     monkeypatch.setattr(claims, "_frame_det", lambda n, columns: asked.append(n) or 0)
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     # only a nonsingular Laplacian, L of unbalanced G or L_M of G with a
     # negative edge, asks for a frame determinant, and nothing rescues it
     nonsingular = [n for n, _, lap in halves(g) if oracles.gaussian_rank(lap.entries) == n]
@@ -150,7 +156,7 @@ def test_a_positive_closing_column_gives_no_certificate(monkeypatch):
     assert claims._frame_det(4, columns) == 0
     ctx = claims.Context(SQUARE_POS)
     ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=(-1, 1, 1, 1))
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     assert status(ctx, "laplacian-balance") == "fail"
     assert orders == []
 
@@ -171,7 +177,7 @@ def test_a_sign_flip_in_the_columns_fails_the_gram_check(monkeypatch):
     monkeypatch.setattr(matrices, "_mycielskian_columns", flipped)
     columns = matrices._mycielskian_columns(g)
     assert claims._frame_det(4, columns[: g.q]) and claims._frame_det(9, columns)
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     ctx = claims.Context(g)
     assert status(ctx, "laplacian-balance") == "fail"
     assert orders == []
@@ -191,7 +197,7 @@ def test_a_switching_in_the_certificate_but_the_true_one_fails_the_claim(monkeyp
         "short": (1,) * (g.p - 1),
     }[zeta]
     ctx.__dict__["cert"] = balance.BalanceCertificate(ctx.cert.balanced, None, wrong, None)
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     # only a balanced verdict names the switching, and on connected G only
     # the true one or its negation is a kernel vector of L
     proves = not ctx.cert.balanced or wrong in (true, tuple(-z for z in true))
@@ -211,7 +217,7 @@ def test_a_switching_of_zeros_or_the_wrong_length_fails_the_claim(monkeypatch, k
     zeta = ctx.cert.to_all_positive
     wrong = {"zero": (0,) * 4, "long": zeta + (1,), "short": zeta[:-1]}[kernel]
     ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, to_all_positive=wrong)
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     report = claims.check("laplacian-balance", ctx)
     assert (report["status"], report["detail"]) == ("fail", "the certificate for L does not check")
     assert orders == []
@@ -222,7 +228,7 @@ def test_a_kernel_of_zeros_proves_no_nonsingular_laplacian_singular(monkeypatch)
     # zeros, which every L sends to 0, must not prove the nonsingular L singular
     ctx = claims.Context(SQUARE_ONE_NEG)
     ctx.__dict__["cert"] = dataclasses.replace(ctx.cert, balanced=True, to_all_positive=(0,) * 4)
-    orders = recording_inertia(monkeypatch)
+    orders, _ = recording_inertia(monkeypatch)
     report = claims.check("laplacian-balance", ctx)
     assert (report["status"], report["detail"]) == ("fail", "the certificate for L does not check")
     assert orders == []
@@ -264,7 +270,7 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     assert core.is_connected(g)
     assert balance.certify_balance(g).balanced == (kind != "unbalanced")
     assert core.is_all_positive(g) == (kind == "all-positive")
-    orders = recording_inertia(monkeypatch)
+    orders, signed = recording_inertia(monkeypatch)
     frames, kernels = {}, []
     frame_det, singular = claims._frame_det, claims._singular
 
@@ -284,8 +290,8 @@ def test_audit_eliminates_no_matrix_of_the_mycielskian_order(monkeypatch, tmp_pa
     with contextlib.redirect_stdout(out):
         code = cli.main(["audit", str(path), "--budget", "10"])
     assert code == 0 and out.getvalue().endswith("audit: ok\n")
-    # inertia(A) and inertia of the lower block, and nothing of order 2p + 1
-    assert orders == [g.p, g.p + 1]
+    # inertia(A) and inertia of the lower block, both signed, and nothing of order 2p + 1
+    assert orders == [g.p, g.p + 1] and signed == [True, True]
     # the one proof each half's verdict names, and no other: a kernel
     # vector that _singular checks, or a nonzero frame determinant
     assert all(frames.values())
@@ -379,7 +385,7 @@ def test_audit_fails_a_broken_certificate_with_one_elimination_and_no_search_of_
     # and no search of M stands in for the proof of its balance
     g = elimination_budget_inputs(p=12)[kind]
     searched, built = recording_searches(monkeypatch)
-    orders = recording_inertia(monkeypatch)
+    orders, signed = recording_inertia(monkeypatch)
     BREAKS[broken](monkeypatch)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
@@ -388,7 +394,7 @@ def test_audit_fails_a_broken_certificate_with_one_elimination_and_no_search_of_
     assert code == 1
     report = {c["claim"]: (c["status"], c["detail"]) for c in json.loads(out.getvalue())["claims"]}
     assert report["laplacian-balance"] == ("fail", f"the certificate for {laplacian} does not check")
-    assert orders == [g.p, g.p + 1]
+    assert orders == [g.p, g.p + 1] and signed == [True, True]
     assert built["M"][0] not in searched
 
 
@@ -458,26 +464,29 @@ def test_audit_builds_no_dense_factor(monkeypatch, tmp_path):
         assert "adjacency" in large and large <= {"adjacency", "laplacian"}, (kind, large)
 
 
-@pytest.mark.parametrize("of", ["mycielskian", "negjoin"])
+@pytest.mark.parametrize("of", ["input", "mycielskian", "negjoin"])
 @pytest.mark.parametrize("kind", ["unbalanced", "balanced", "all-positive"])
 def test_inertia_of_a_block_matrix_eliminates_its_blocks(monkeypatch, tmp_path, of, kind):
-    # A_M is neither built nor eliminated: A and the lower block are; the
-    # negative join is eliminated as it is
+    # A_M is neither built nor eliminated: A and the lower block are; A
+    # and the negative join are eliminated as they are, and all are signed
     g = elimination_budget_inputs(p=12)[kind]
     whole = {
+        "input": matrices.adjacency(g),
         "mycielskian": matrices.adjacency(mycielskian.mycielskian(g)[0]),
         "negjoin": matrices.negative_join(g),
     }[of]
     expected = oracles.congruence_inertia([list(row) for row in whole.entries])
-    orders, built = recording_inertia(monkeypatch), recording_builders(monkeypatch)
+    (orders, signed), built = recording_inertia(monkeypatch), recording_builders(monkeypatch)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["inertia", "--of", of, str(path)])
     assert code == 0
     assert out.getvalue() == "rank {} n_plus {} n_minus {} n_zero {}\n".format(expected[0] + expected[1], *expected)
-    assert orders == {"mycielskian": [g.p, g.p + 1], "negjoin": [g.p + 1]}[of]
+    assert orders == {"input": [g.p], "mycielskian": [g.p, g.p + 1], "negjoin": [g.p + 1]}[of]
+    assert signed == [True] * len(orders)
     assert built == {
+        "input": [("adjacency", g.p, g.p)],
         "mycielskian": [("adjacency", g.p, g.p), ("negative_join", g.p + 1, g.p + 1)],
         "negjoin": [("negative_join", g.p + 1, g.p + 1)],
     }[of]

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import rank, subtract
-from strategies import leaf_heavy_symmetric, signed_graphs, sparse_symmetric
-from sgmyc import cli, exactla
+from strategies import leaf_heavy_symmetric, pendant_graphs, signed_graphs, sparse_symmetric
+from sgmyc import claims, cli, exactla
 from sgmyc.core import canonicalize, dumps
 from sgmyc.matrices import adjacency, negative_join
 from sgmyc.mycielskian import mycielskian
@@ -60,10 +60,10 @@ def symmetric_of_order(draw, n):
 def zero_heavy_symmetric(draw, max_n=8):
     """Symmetric matrices with many zeros, often on the whole diagonal.
 
-    Entries up to 6 leave rows no pivot of det +-1 takes, and zero
-    diagonals drive the elimination of those through its symmetric swap,
-    and a zero trailing diagonal through the fold of a later row and
-    column.
+    Entries up to 6 leave rows that are neither lone nor leaves and make
+    no pair of det -1, and zero diagonals drive the elimination of those
+    through its symmetric swap, and a zero trailing diagonal through the
+    fold of a later row and column.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     cell = st.one_of(st.just(0), entries())
@@ -178,16 +178,19 @@ class TestInertia:
         assert inertia(M([[1, 1], [1, 1]])) == Inertia(1, 0, 1)
 
     def test_zero_diagonal_block(self):
-        # a pair of det -1, and one of det -4 that hits the elimination's
-        # pivot-repair path: no nonzero diagonal remains
+        # a pair of det -1, a leaf with s = 2, and a triangle of weight 2
+        # that hits the elimination's fold: no nonzero diagonal remains
         assert inertia(M([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
         assert inertia(M([[0, 2], [2, 0]])) == Inertia(1, 1, 0)
+        assert inertia(M([[0, 2, 2], [2, 0, 2], [2, 2, 0]])) == Inertia(1, 2, 0)
 
     def test_swap_path(self):
-        # a pair of det -1 leaves the 2; with 2 in its place no pair has
-        # det +-1, so the elimination hits its symmetric-swap path
+        # a pair of det -1, or a leaf with s = 2, leaves the lone 2; in the
+        # last no row is lone or a leaf and every pair has det -4, so the
+        # elimination hits its symmetric-swap path
         assert inertia(M([[0, 0, 1], [0, 2, 0], [1, 0, 0]])) == Inertia(2, 1, 0)
         assert inertia(M([[0, 0, 2], [0, 2, 0], [2, 0, 0]])) == Inertia(2, 1, 0)
+        assert inertia(M([[0, 2, 2], [2, 2, 2], [2, 2, 0]])) == Inertia(1, 2, 0)
 
     def test_requires_symmetric(self):
         with pytest.raises(PreconditionError, match="matrix is not symmetric"):
@@ -294,15 +297,25 @@ def path_rows(n, d=0):
 
 
 def recording_eliminations(monkeypatch):
-    """The orders of the matrices the elimination loop receives from now on."""
-    orders, eliminate = [], exactla._eliminate
+    """Copies of the matrices the elimination loop receives from now on."""
+    received, eliminate = [], exactla._eliminate
 
     def recording(m):
-        orders.append(len(m))
+        received.append([row[:] for row in m])
         return eliminate(m)
 
     monkeypatch.setattr(exactla, "_eliminate", recording)
-    return orders
+    return received
+
+
+def orders(received):
+    return [len(m) for m in received]
+
+
+def lone_rows_and_leaves(m):
+    """Rows of m that meet no other row, or that meet one on a zero diagonal."""
+    meets = [sum(map(bool, row)) - bool(row[i]) for i, row in enumerate(m)]
+    return [i for i, k in enumerate(meets) if k == 0 or (k == 1 and not m[i][i])]
 
 
 class TestLeafPeeling:
@@ -313,7 +326,7 @@ class TestLeafPeeling:
     @example(path_rows(6))
     @example(path_rows(7))
     @example([list(row) for row in adjacency(STAR).entries])
-    # |s| = 2 at each end: no pair of det +-1, so all of it is eliminated
+    # |s| = 2 at each end: a leaf pair leaves row 2 lone, so none of it is eliminated
     @example([[0, 2, 0], [2, 0, 2], [0, 2, 0]])
     # the neighbour's diagonal d, and a leaf with its own diagonal
     @example([[0, 1, 0], [1, 3, 1], [0, 1, 0]])
@@ -323,16 +336,16 @@ class TestLeafPeeling:
 
     @pytest.mark.parametrize("n", range(7))
     def test_a_path_peels_to_nothing(self, monkeypatch, n):
-        orders = recording_eliminations(monkeypatch)
+        received = recording_eliminations(monkeypatch)
         assert inertia(M(path_rows(n))) == Inertia(n // 2, n // 2, n % 2)
-        assert orders == [0]
+        assert orders(received) == [0]
 
     def test_k5_leaves_three_rows(self, monkeypatch):
         # one pair of det -1 leaves 3 rows of -2 on the diagonal and -1
         # elsewhere, where every pair has det 3
-        orders = recording_eliminations(monkeypatch)
+        received = recording_eliminations(monkeypatch)
         assert inertia(adjacency(K5_POS)) == Inertia(1, 4, 0)
-        assert orders == [3]
+        assert orders(received) == [3]
 
     def test_the_mycielskian_inertia_eliminates_what_the_pivots_leave(self, monkeypatch, tmp_path):
         rng = random.Random(7)
@@ -341,22 +354,35 @@ class TestLeafPeeling:
                              for v in range(u + 1, p + 1) if rng.random() < 0.12])
         path = tmp_path / "g.txt"
         path.write_text(dumps(g))
-        orders = recording_eliminations(monkeypatch)
+        received = recording_eliminations(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["inertia", "--of", "mycielskian", str(path)]) == 0
-        # A, then the lower block of order p + 1, each pivoted down to one row
-        assert orders == [1, 1]
+        # A, then the lower block of order p + 1, each pivoted to nothing:
+        # the last row of each is lone ([[-2]] and [[2]])
+        assert orders(received) == [0, 0]
         a_m = adjacency(mycielskian(g)[0])
         plus, minus, zero = oracles.congruence_inertia([list(row) for row in a_m.entries])
         assert out.getvalue() == f"rank {plus + minus} n_plus {plus} n_minus {minus} n_zero {zero}\n"
 
+    @settings(max_examples=100)
+    @given(pendant_graphs(max_p=30))
+    def test_the_package_matrices_leave_no_lone_row_or_leaf_to_the_elimination(self, g):
+        # A, the negative join and the lower block: no row the pivots leave
+        # to Bareiss could have been read off as a lone row or a leaf
+        ctx = claims.Context(g)
+        for a in (ctx.adjacency, negative_join(g), ctx.lower_block):
+            with pytest.MonkeyPatch.context() as mp:
+                received = recording_eliminations(mp)
+                assert inertia(a) == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
+            assert [lone_rows_and_leaves(m) for m in received] == [[]]
+
 
 class TestUnimodularPivots:
-    """Pivots of det +-1 on sparse rows with weights up to 3 and diagonal entries, against the Fraction oracle."""
+    """Lone rows, leaves and pairs of det -1 on sparse rows with weights up to 3 and diagonal entries."""
 
     @settings(max_examples=300)
     @given(sparse_symmetric())
-    # pairs of det +1: two of the sign of their diagonal
+    # pairs of det +1, which are no pivot: Bareiss takes them
     @example([[2, 1], [1, 1]])
     @example([[-1, 1], [1, -2]])
     @example([[-2, 1], [1, -1]])
@@ -371,3 +397,11 @@ class TestUnimodularPivots:
     @example([[0, 0, 0], [0, 0, 3], [0, 3, 1]])
     def test_matches_the_congruence_oracle(self, rows):
         assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
+
+    @pytest.mark.parametrize("rows, order", [([[-3]], 0), ([[0, 2], [2, 0]], 0), ([[2, 1], [1, 1]], 2)])
+    def test_what_reaches_the_elimination(self, monkeypatch, rows, order):
+        # a lone row and a leaf with s = 2 correct nothing, so they are read
+        # off; a pair of det +1 is no pivot here and goes to Bareiss whole
+        received = recording_eliminations(monkeypatch)
+        assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
+        assert orders(received) == [order]
