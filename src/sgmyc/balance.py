@@ -83,7 +83,11 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 def certify_balance(g: SignedGraph) -> BalanceCertificate:
     """Decide balance and return a checkable certificate either way."""
-    zeta, parent, conflict = _potentials(neighbours(g), 1)
+    return _certificate(neighbours(g))
+
+
+def _certificate(neighbours: list[list[tuple[int, int]]]) -> BalanceCertificate:
+    zeta, parent, conflict = _potentials(neighbours, 1)
     if conflict:
         witness = tuple(x + 1 for x in _tree_cycle(parent, *conflict))
         return BalanceCertificate(False, None, None, witness)

@@ -151,18 +151,18 @@ def degrees(g: SignedGraph) -> list[tuple[int, int, int, int]]:
 
 
 def is_connected(g: SignedGraph) -> bool:
-    """Connectivity of the underlying graph.  The empty graph counts as connected."""
-    if g.p <= 1:
-        return True
-    nbrs = neighbours(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v, _ in nbrs[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.p
+    """Connectivity of the underlying graph, by union-find over g.edges.  The empty graph counts as connected."""
+    parent = list(range(g.p + 1))
+    parts = g.p
+    for u, v, _ in g.edges:
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            parts -= 1
+    return parts <= 1
 
 
 def is_triangle_free(g: SignedGraph) -> bool:

@@ -29,15 +29,17 @@ lists every neighbourhood in ascending order.  The Mycielskian's edges
 from an original u to larger labels are the original edges u v, v > u,
 then the cross edges to u_v = p + v > p, ascending in v; a twin's only
 larger neighbour is the root.  Emitting these two runs for u = 1..p and
-then the root star twin by twin is therefore the sorted edge tuple.
+then the root star twin by twin is therefore the sorted edge tuple.  The
+first run of u is a slice of g.edges, so it holds g's own edge tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .balance import BalanceCertificate, certify_balance
+from .balance import BalanceCertificate, _certificate
 from .core import (
     SignedGraph,
     SwitchingFunction,
@@ -72,16 +74,17 @@ class MycielskianLabeling:
         }
 
 
-def _build(g: SignedGraph, root_signs: Sequence[int]) -> SignedGraph:
-    """Mycielskian of g with sign root_signs[i - 1] on the root edge at u_i.
+def _build(g: SignedGraph, root_signs: Sequence[int], nbrs: list[list[tuple[int, int]]]) -> SignedGraph:
+    """Mycielskian of g, given nbrs = neighbours(g), with sign root_signs[i - 1] on the root edge at u_i.
 
     The edges come out in canonical order (see the module docstring).
     """
     p = g.p
     edges: list[tuple[int, int, int]] = []
-    for i, nbrs in enumerate(neighbours(g)):
-        edges.extend([(i + 1, v + 1, s) for v, s in nbrs if v > i])
-        edges.extend([(i + 1, p + 1 + v, s) for v, s in nbrs])
+    cuts = [bisect_left(g.edges, (u,)) for u in range(1, p + 2)]
+    for i, row in enumerate(nbrs):
+        edges += g.edges[cuts[i] : cuts[i + 1]]
+        edges.extend([(i + 1, p + 1 + v, s) for v, s in row])
     root = 2 * p + 1
     edges.extend([(p + i, root, s) for i, s in enumerate(root_signs, start=1)])
     return SignedGraph(root, tuple(edges))
@@ -89,7 +92,7 @@ def _build(g: SignedGraph, root_signs: Sequence[int]) -> SignedGraph:
 
 def mycielskian(g: SignedGraph) -> tuple[SignedGraph, MycielskianLabeling]:
     """Signed Mycielskian with the fixed labeling."""
-    return _build(g, (1,) * g.p), MycielskianLabeling(g.p)
+    return _build(g, (1,) * g.p, neighbours(g)), MycielskianLabeling(g.p)
 
 
 def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) -> SignedGraph:
@@ -109,10 +112,11 @@ def resign_root(gm: SignedGraph, lab: MycielskianLabeling, rs: Sequence[int]) ->
     if gm.p != lab.root:
         raise PreconditionError(f"expected {lab.root} vertices, got {gm.p}")
     g = SignedGraph(p, tuple(e for e in gm.edges if e[1] <= p))
+    nbrs = neighbours(g)
     old_signs = [s for _, v, s in gm.edges if v == lab.root]
-    if len(old_signs) != p or _build(g, old_signs) != gm:
+    if len(old_signs) != p or _build(g, old_signs, nbrs) != gm:
         raise PreconditionError("graph is not the Mycielskian of its original edges")
-    return _build(g, rs)
+    return _build(g, rs, nbrs)
 
 
 def balanced_mycielskian(
@@ -132,14 +136,15 @@ def balanced_mycielskian(
     +1 on the root).  Raises PreconditionError for unbalanced input.
     cert, when given, is certify_balance(g) already made by the caller.
     """
+    nbrs = neighbours(g)
     if cert is None:
-        cert = certify_balance(g)
+        cert = _certificate(nbrs)
     if not cert.balanced:
         raise PreconditionError(f"input is unbalanced, negative cycle {list(cert.witness)}")
     zeta = cert.to_all_positive
     if not is_all_positive(g):
         zeta = tuple(-z for z in zeta)
-    return _build(g, zeta), zeta + zeta + (1,)
+    return _build(g, zeta, nbrs), zeta + zeta + (1,)
 
 
 def tower(n: int) -> list[SignedGraph]:

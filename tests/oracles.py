@@ -2,8 +2,8 @@
 
 Nothing here reuses toolkit algorithms, and the oracles build their own
 adjacency from g.edges (_adjacency_map): colorings are checked by full
-enumeration, balance by enumerating every simple cycle, and path signs
-by enumerating every simple path.  Matrix oracles work on plain lists of
+enumeration, balance by enumerating every simple cycle, connectivity by
+breadth-first search, and path signs by enumerating every simple path.  Matrix oracles work on plain lists of
 rows: ranks by Fraction elimination or by integer row echelon form with
 gcd-reduced rows, determinants by cofactor expansion, inertia by
 Fraction congruence diagonalization, none of them the package's
@@ -29,6 +29,7 @@ behind the test that L = D - A; and paper_factors, the explicit pair
 congruence_product multiplies it out by the triple loop.
 """
 
+from collections import deque
 from itertools import combinations, product
 from math import gcd
 from typing import Sequence
@@ -162,6 +163,20 @@ def _adjacency_map(g):
         adj[v].append(u)
         sign[(u, v)] = sign[(v, u)] = s
     return adj, sign
+
+
+def is_connected(g: SignedGraph) -> bool:
+    """Whether a breadth-first search from vertex 1 reaches every vertex; the empty graph counts as connected."""
+    if g.p == 0:
+        return True
+    adj, _ = _adjacency_map(g)
+    seen, queue = {1}, deque([1])
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.p
 
 
 def all_simple_cycles(g):

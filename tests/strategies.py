@@ -63,6 +63,21 @@ def pendant_graphs(draw, max_p=30):
 
 
 @st.composite
+def graphs_in_parts(draw, max_p=14):
+    """A signed graph whose vertices fall in up to four parts, with edges only
+    inside a part: isolated vertices and several components are common."""
+    p = draw(st.integers(min_value=0, max_value=max_p))
+    parts = draw(st.integers(min_value=1, max_value=4))
+    part = draw(st.lists(st.integers(min_value=1, max_value=parts), min_size=p, max_size=p))
+    edges = []
+    for u in range(1, p + 1):
+        for v in range(u + 1, p + 1):
+            if part[u - 1] == part[v - 1] and draw(st.booleans()):
+                edges.append((u, v, draw(st.sampled_from((1, -1)))))
+    return canonicalize(p, edges)
+
+
+@st.composite
 def leaf_heavy_symmetric(draw, max_n=12):
     """Rows of a symmetric integer matrix whose graph is mostly leaves.
 

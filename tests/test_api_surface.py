@@ -11,7 +11,9 @@ ConsistencyError is named in some except clause of the package, so no
 error class is kept only for the tests.  And every dotted module.name
 that a docstring, a comment or README.md names resolves in the package.
 The names tests/oracles.py takes from the package are pinned, so no
-library helper slips into the references unnoticed.
+library helper slips into the references unnoticed.  And only the
+command line imports gc, so no library call touches the process-wide
+state of the cyclic collector.
 """
 
 import ast
@@ -290,3 +292,27 @@ def test_the_oracle_pin_sees_imported_names_and_names_read_off_modules():
     assert package_names_read(tree) == {
         "sgmyc.core.neighbours", "sgmyc.exactla.inertia", "sgmyc.balance", "sgmyc.claims",
     }
+
+
+def gc_importers(files):
+    """Name of each (name, source) pair whose source imports gc in any form."""
+    found = set()
+    for name, source in files:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names):
+                found.add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.add(name)
+    return found
+
+
+def test_only_the_command_line_imports_gc():
+    # main pauses the collector around one command; a library function
+    # that did so would change it for whatever program called it
+    assert gc_importers((path.name, path.read_text()) for path in PACKAGE.glob("*.py")) == {"cli.py"}
+
+
+def test_the_gc_scan_sees_every_form_of_import():
+    files = [("a", "import gc\n"), ("b", "import os, gc as g\n"), ("c", "def f():\n    from gc import disable\n"),
+             ("d", "import gcd\n"), ("e", "x = 'import gc'\n")]
+    assert gc_importers(files) == {"a", "b", "c"}

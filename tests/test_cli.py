@@ -1,6 +1,7 @@
 """Command line behavior: output bytes, JSON reports, exit codes."""
 
 import ast
+import gc
 import hashlib
 import inspect
 import io
@@ -856,3 +857,94 @@ def test_fuzzed_input_ends_in_a_documented_exit(data):
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         else:
             assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: paused while a command runs, left as main found it
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after the test, whatever it set."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# (argv, exit code) with {g}, {bad} and {missing} for a balanced graph, a
+# malformed file and a path that does not exist; an int code is a return
+# from main, a SystemExit code an argparse usage error
+EXITS = {
+    "ok": (["info", "{g}"], 0),
+    "malformed": (["info", "{bad}"], 2),
+    "unreadable": (["balance", "{missing}"], 2),
+    "unbalanced": (["mycielskian", "--balanced", "{unbalanced}"], 3),
+    "budget": (["chromatic", "--budget", "30", "{g}"], 4),
+    "usage": (["info"], SystemExit(2)),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collector_state, case, enabled):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a graph\n")
+    paths = {
+        "g": write_graph(tmp_path, tower(4)[3]),
+        "unbalanced": write_graph(tmp_path, SQUARE_ONE_NEG, "unbalanced.txt"),
+        "bad": str(bad),
+        "missing": str(tmp_path / "missing.txt"),
+    }
+    argv, want = EXITS[case]
+    argv = [arg.format(**paths) for arg in argv]
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(want, SystemExit):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == want.code
+    else:
+        assert main(argv) == want
+    capsys.readouterr()
+    assert gc.isenabled() is enabled
+
+
+def test_the_collector_is_paused_while_the_command_runs(tmp_path, capsys, monkeypatch, collector_state):
+    seen = []
+
+    def cmd_info(args, g):
+        seen.append(gc.isenabled())
+        return 0, {}
+
+    monkeypatch.setattr(cli, "cmd_info", cmd_info)
+    monkeypatch.setattr(cli, "text_info", lambda payload: "")
+    gc.enable()
+    assert main(["info", write_graph(tmp_path, K2_POS)]) == 0
+    assert (seen, gc.isenabled()) == ([False], True)
+
+
+# every subcommand on a balanced graph that is not all-positive; {g} is its path
+GARBAGE_FREE = [
+    ["info", "{g}"],
+    ["generate", "random", "--order", "9", "--edge-prob", "0.4", "--neg-prob", "0.3", "--seed", "2"],
+    ["balance", "{g}"],
+    ["mycielskian", "{g}"],
+    ["mycielskian", "--balanced", "{g}"],
+    ["chromatic", "--certificate", "{g}"],
+    ["matrix", "{g}"],
+    ["inertia", "--of", "input", "{g}"],
+    ["inertia", "--of", "mycielskian", "{g}"],
+    ["inertia", "--of", "negjoin", "{g}"],
+    ["audit", "{g}"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", GARBAGE_FREE, ids=lambda argv: " ".join(a for a in argv if a != "{g}"))
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys, collector_state, argv, flags):
+    # the premise of the pause: whatever a command drops, reference counting frees
+    path = write_graph(tmp_path, tower(4)[3])
+    main(["info", path])  # builds the cached parser, whose help formatters do hold cycles
+    gc.collect()
+    code = main([arg.format(g=path) for arg in argv] + flags)
+    capsys.readouterr()
+    assert (code, gc.collect()) == (0, 0)

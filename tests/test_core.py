@@ -5,12 +5,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import K2_NEG, SQUARE_ONE_NEG
-from strategies import graphs_with_switchings, signed_graphs
+from strategies import graphs_in_parts, graphs_with_switchings, signed_graphs
 from sgmyc import core
 from sgmyc.core import (
     SignedGraph,
@@ -263,6 +263,14 @@ class TestPredicates:
         assert not is_connected(canonicalize(4, [(1, 2, 1), (3, 4, 1)]))
         assert is_connected(canonicalize(1, []))
         assert not is_connected(canonicalize(2, []))
+
+    @settings(max_examples=300)
+    @given(graphs_in_parts(max_p=14))
+    @example(canonicalize(0, []))
+    @example(canonicalize(3, [(1, 3, 1)]))
+    @example(canonicalize(6, [(1, 6, 1), (2, 5, -1), (3, 4, 1), (4, 5, 1), (5, 6, -1)]))
+    def test_connectivity_matches_a_breadth_first_search(self, g):
+        assert is_connected(g) == oracles.is_connected(g)
 
     def test_triangle_free(self):
         assert is_triangle_free(SQUARE_ONE_NEG)

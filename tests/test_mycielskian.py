@@ -1,5 +1,6 @@
 """Mycielskian construction, root re-signing, balanced variant, tower."""
 
+import sys
 import types
 
 import pytest
@@ -15,9 +16,10 @@ from conftest import (
     SQUARE_TWO_NEG_BALANCED_MYC_ZETA,
     all_sign_patterns,
     cycles_and_paths,
+    write_graph,
 )
-from strategies import balanced_graphs, signed_graphs, switchings
-from sgmyc import claims
+from strategies import balanced_graphs, pendant_graphs, signed_graphs, switchings
+from sgmyc import claims, cli, core
 from sgmyc.balance import certify_balance, cycle_sign
 from sgmyc.core import (
     canonicalize,
@@ -364,6 +366,51 @@ class TestAgainstReference:
         top = levels[-1]
         assert mycielskian(top) == oracles.reference_mycielskian(top)
         assert balanced_mycielskian(top) == oracles.reference_balanced_mycielskian(top)
+
+
+class TestPendantGraphs:
+    """Isolated vertices and vertices whose neighbours are all smaller have no
+    original edges to larger labels, so their run of g.edges is empty."""
+
+    @given(pendant_graphs(), st.data())
+    @example(canonicalize(6, [(1, 4, -1), (2, 4, 1)]), None)
+    def test_constructions_match_the_references(self, g, data):
+        zeta = data.draw(switchings(g.p)) if data else (1,) * g.p
+        assert mycielskian(g) == oracles.reference_mycielskian(g)
+        gm, lab = mycielskian(g)
+        assert resign_root(gm, lab, zeta) == oracles.reference_resign_root(gm, lab, zeta)
+        # g itself, often unbalanced, and a balanced graph on the same edges
+        for h in (g, switch(canonicalize(g.p, [(u, v, 1) for u, v, _ in g.edges]), zeta)):
+            try:
+                want = oracles.reference_balanced_mycielskian(h)
+            except PreconditionError as exc:
+                for cert in (None, certify_balance(h)):
+                    with pytest.raises(PreconditionError) as got:
+                        balanced_mycielskian(h, cert)
+                    assert str(got.value) == str(exc)
+                continue
+            assert balanced_mycielskian(h) == want
+            assert balanced_mycielskian(h, certify_balance(h)) == want
+
+
+def test_the_balanced_command_builds_the_neighbour_lists_once(tmp_path, capsys, monkeypatch):
+    # one set of lists serves both the balance search and the construction
+    g = tower(4)[3]
+    want = dumps(balanced_mycielskian(g)[0])
+    calls = []
+    real = core.neighbours
+
+    def counted(g):
+        calls.append(g.p)
+        return real(g)
+
+    # through every name a module bound to it, as well as core's own
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sgmyc" and getattr(module, "neighbours", None) is real:
+            monkeypatch.setattr(module, "neighbours", counted)
+    assert cli.main(["mycielskian", "--balanced", write_graph(tmp_path, g)]) == 0
+    assert capsys.readouterr().out == want
+    assert calls == [g.p]
 
 
 def test_submodule_import_binds_the_module():
