@@ -15,14 +15,16 @@ The matrix claims compare a block formula built from G (sgmyc.matrices)
 with the matrix of the Mycielskian the Context constructs, whose
 adjacency, degree and Laplacian matrices are the generic builders
 applied to it.  They check certificates instead of eliminating those
-(2p+1) x (2p+1) matrices.  inertia-additivity uses the paper's
-P = [[I,0,0],[I,-I,0],[0,0,1]], which is its own inverse, so A_M =
-P B P^T holds exactly when P A_M P^T = B.  P on the left replaces each
-twin row by its original's row minus its own, and P^T on the right does
-the same with the columns; the claim applies both to A_M and compares
-the result with the block sum B of A and the lower block, the negative
-join of the negated input, the very two matrices Context.inertias
-eliminates.  Sylvester's law of inertia then gives inertia(A_M) =
+(2p+1) x (2p+1) matrices, and each comparison reads the nonzeros of
+each row, which are equal exactly when the matrices are.
+inertia-additivity uses the paper's P = [[I,0,0],[I,-I,0],[0,0,1]],
+which, like P^T, is its own inverse, so A_M = P B P^T holds exactly
+when P A_M P^T = B, that is when P A_M = B P^T.  P on the left replaces
+each twin row by its original's row minus its own, and P^T on the right
+does the same with the columns; the claim applies P to A_M and P^T to
+the block sum B of A and the lower block, the negative join of the
+negated input, the very two matrices Context.inertias eliminates, and
+compares the two.  Sylvester's law of inertia then gives inertia(A_M) =
 inertia(A) + inertia(lower block), with no elimination of A_M.
 incidence-laplacian compares H_M H_M^T, summed from the columns of the
 blocked incidence without forming it, with the Laplacian of the
@@ -50,7 +52,7 @@ is proper over the M_n it names, so each upper bound is certified.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul, sub
+from operator import mul
 from typing import Callable
 
 from . import balance, coloring, core, exactla, matrices, mycielskian
@@ -193,17 +195,27 @@ def _sandwich(ctx: Context) -> tuple[str, str]:
     return _verdict(ok, f"chi {n}, Mycielskian chi {nm}")
 
 
+def _less(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The nonzeros of row a less row b."""
+    out = dict(a)
+    for j, x in b.items():
+        out[j] = out.get(j, 0) - x
+    return {j: x for j, x in out.items() if x}
+
+
 def _inertia(ctx: Context) -> tuple[str, str]:
     p = ctx.g.p
-    am = ctx.adjacency_myc.entries
+    am = ctx.adjacency_myc.nonzeros
     ok = len(am) == 2 * p + 1
     if ok:
-        # P A_M P^T: each twin row, then each twin column, becomes its
-        # original's minus its own
-        rows = am[:p] + tuple(tuple(map(sub, am[i], am[p + i])) for i in range(p)) + am[2 * p :]
-        pap = [row[:p] + tuple(map(sub, row[:p], row[p : 2 * p])) + row[2 * p :] for row in rows]
-        right, left = (0,) * (p + 1), (0,) * p
-        ok = pap == [row + right for row in ctx.adjacency.entries] + [left + row for row in ctx.lower_block.entries]
+        # P A_M = B P^T, on the nonzeros: P on the left makes each twin row
+        # its original's minus its own; P^T on the right does that to the
+        # twin columns, so it copies A's columns onto the twins and negates
+        # the lower block's columns of the twins
+        pam = [*am[:p], *(_less(am[i], am[p + i]) for i in range(p)), *am[2 * p :]]
+        top = [{**row, **{p + j: x for j, x in row.items()}} for row in ctx.adjacency.nonzeros]
+        lower = [{p + j: x if j == p else -x for j, x in row.items()} for row in ctx.lower_block.nonzeros]
+        ok = pam == top + lower
     if not ok:
         # the block inertias add up to inertia(A_M) only for a checked congruence
         return ("fail", "A_M is not P B P^T with det P = +-1 and B the block sum")
@@ -269,7 +281,7 @@ def _frame_det(n: int, columns: matrices._Columns) -> int:
 def _singular(lap: exactla.IntMatrix, kernel: tuple[int, ...] | None) -> bool:
     """Whether kernel proves lap singular: a nonzero vector of its order that lap sends to 0."""
     ok = bool(kernel) and len(kernel) == lap.rows and any(kernel)
-    return ok and not any(sum(map(mul, row, kernel)) for row in lap.entries)
+    return ok and not any(sum(map(mul, row.values(), map(kernel.__getitem__, row))) for row in lap.nonzeros)
 
 
 def _laplacian_balance(ctx: Context) -> tuple[str, str]:

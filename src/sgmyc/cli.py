@@ -15,7 +15,9 @@ command name, the input digest (sha256 of the input bytes as read, or of
 the edge list generate makes), then the payload.  The report's bytes are
 json.dumps(report, indent=2) plus a newline: ASCII-escaped, with keys in
 the order they were emitted.  _json writes that layout; the stdlib's own
-indent encoder is pure Python.  Each cmd_* returns (exit code, payload),
+indent encoder is pure Python.  The matrix payload holds the IntMatrix
+itself, and both its text and its JSON are spliced from the nonzeros into
+one all-zero row text, so no dense row is built.  Each cmd_* returns (exit code, payload),
 and its text_* renderer makes the text from the payload alone.  Only _run
 reads the input and writes stdout and -o; it renders the text only to print,
 write or digest it.  Identical input and flags produce byte-identical output.
@@ -38,6 +40,7 @@ import hashlib
 import json
 import sys
 from itertools import chain
+from typing import Iterator
 
 from . import balance as balance_mod
 from . import claims, coloring, core, exactla, matrices
@@ -70,15 +73,23 @@ def _read_input(path: str) -> tuple[core.SignedGraph, str]:
 def _json(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists and tuples.
 
-    A list of ints is one join, and a list of non-empty int rows of one
-    length is one row template per row, both at C speed; anything else
-    recurses, down to json.dumps of a scalar, an empty container or a key.
+    An IntMatrix prints as the list of its rows, spliced from its nonzeros
+    (_matrix_rows).  A list of ints is one join, and a list of non-empty
+    int rows of one length is one row template per row, both at C speed;
+    anything else recurses, down to json.dumps of a scalar, an empty
+    container or a key.
     Items are tested by their exact type, so a bool never prints as an int.
     """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
     inner = indent + "  "
     sep = ",\n" + inner
+    if isinstance(obj, exactla.IntMatrix):
+        if not obj.rows:
+            return "[]"
+        row_sep = ",\n" + inner + "  "
+        rows = _matrix_rows(obj, "[" + row_sep[1:], row_sep, "\n" + inner + "]") if obj.cols else ["[]"] * obj.rows
+        return "[\n" + inner + sep.join(rows) + "\n" + indent + "]"
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("JSON report keys must be str")
@@ -98,6 +109,24 @@ def _json(obj, indent: str = "") -> str:
     else:
         body = sep.join(_json(x, inner) for x in obj)
     return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _matrix_rows(m: exactla.IntMatrix, first: str, sep: str, last: str) -> Iterator[str]:
+    """Each row of m as first + sep.join(its entries) + last.
+
+    The all-zero row is made once; each row is that text with its
+    nonzeros spliced in, entry j at offset len(first) + j (len(sep) + 1).
+    """
+    zero = first + sep.join("0" * m.cols) + last
+    step = len(sep) + 1
+    for row in m.nonzeros:
+        text, at = [], 0
+        for j, x in sorted(row.items()):
+            k = len(first) + j * step
+            text += zero[at:k], str(x)
+            at = k + 1
+        text.append(zero[at:])
+        yield "".join(text)
 
 
 def _write(path: str, text: str) -> None:
@@ -212,11 +241,11 @@ def _build_matrix(g: core.SignedGraph, kind: str, of: str) -> exactla.IntMatrix:
 
 def cmd_matrix(args, g: core.SignedGraph) -> tuple[int, dict]:
     m = _build_matrix(g, args.kind, args.of)
-    return 0, {"kind": args.kind, "of": args.of, "rows": m.rows, "cols": m.cols, "matrix": m.entries}
+    return 0, {"kind": args.kind, "of": args.of, "rows": m.rows, "cols": m.cols, "matrix": m}
 
 
 def text_matrix(payload: dict) -> str:
-    return "".join(" ".join(map(str, row)) + "\n" for row in payload["matrix"])
+    return "".join(_matrix_rows(payload["matrix"], "", " ", "\n"))
 
 
 def cmd_inertia(args, g: core.SignedGraph) -> tuple[int, dict]:

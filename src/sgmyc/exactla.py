@@ -1,11 +1,14 @@
-"""Exact integer linear algebra for small dense matrices.
+"""Exact integer linear algebra on matrices held as their nonzeros.
 
 Entries are Python ints, never floats, so results carry no rounding
-error at any size that fits in memory.
+error at any size that fits in memory.  An IntMatrix keeps its order and
+one {column: entry} map per row, no zero stored, so memory follows the
+nonzeros and two matrices are equal exactly when their maps are.
 
-inertia first pivots on the nonzeros of each row (after Bunch and
-Kaufman, Math. Comp. 31, 1977).  A symmetric pivot block P, with B the
-rest of its rows and C the rest of the matrix, gives
+inertia checks symmetry on the nonzeros, copies each row's map and
+pivots on those rows (after Bunch and Kaufman, Math. Comp. 31, 1977).
+A symmetric pivot block P, with B the rest of its rows and C the rest
+of the matrix, gives
   inertia(M) = inertia(P) + inertia(C - B' P^-1 B)
 by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968).  Two
 kinds of block are read off without fractions.  A lone row, one that
@@ -25,7 +28,8 @@ integral, and no pair of det +1, since s^2 = d_v d_u - 1 would be 3 mod
 4.  The row of least degree goes first, off a lazy heap, with its
 neighbour of least degree that makes a pair; a pair costs about the
 product of their degrees.  What no such block reaches, a caller's
-diagonal +-1 among it, is densified and handed to _eliminate.
+diagonal +-1 among it, is densified and handed to _eliminate, the only
+dense matrix the package builds.
 
 _eliminate is the one dense elimination, fraction-free (Bareiss 1968).
 Its update
@@ -45,7 +49,7 @@ trailing row that is all zero is a genuine zero of the form: the step is
 skipped and prev is kept.
 
 No general product is offered, and no certificate is checked here: the
-audit checks its congruence by row operations, sums H_M H_M^T from the
+audit checks its congruence on the nonzeros, sums H_M H_M^T from the
 columns of H_M, and proves each Laplacian singular by a kernel vector or
 nonsingular by a frame determinant (sgmyc.claims).
 """
@@ -61,27 +65,23 @@ from .errors import PreconditionError
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense integer matrix, its rows of ints taken as given.
+    """Immutable integer matrix: its order and the nonzeros of each row.
 
-    The width is read from the first row, so a matrix with no rows has
-    no columns either.
+    nonzeros holds one {column: entry} map per row, with no zero stored,
+    so == is matrix equality.  The maps are read, never changed.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    rows: int
+    cols: int
+    nonzeros: tuple[dict[int, int], ...]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and self.entries == tuple(zip(*self.entries))
+        # no zero is stored, so each nonzero's mirror must be stored and equal
+        nz = self.nonzeros
+        return self.is_square() and all(nz[j].get(i) == x for i, row in enumerate(nz) for j, x in row.items())
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def inertia(a: IntMatrix) -> Inertia:
     if not a.is_symmetric():
         raise PreconditionError("matrix is not symmetric")
     n = a.rows
-    rows = [dict(compress(enumerate(row), row)) for row in a.entries]
+    rows = list(map(dict, a.nonzeros))
     deg = [len(row) - (v in row) for v, row in enumerate(rows)]
     heap = list(zip(deg, range(n)))
     heapify(heap)

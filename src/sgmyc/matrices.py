@@ -1,7 +1,9 @@
 """Signed matrices: adjacency, incidence, Laplacian, and the Mycielskian blocks.
 
-All constructors return exact integer matrices, each filled in one pass
-over the edge list of its input.  The adjacency, degree and Laplacian of
+All constructors return exact integer matrices as the nonzeros of each
+row (exactla.IntMatrix), filled in O(p + q) from the edge list of the
+input or from the columns of H_M; no zero is stored and no dense row is
+made.  The adjacency, degree and Laplacian of
 the Mycielskian M are those of the graph mycielskian.mycielskian builds.
 The block formulas the paper proves take G itself, over the fixed
 labeling (originals 1..p, twins p+1..2p, root 2p+1): the blocked
@@ -26,9 +28,9 @@ itself, while its positive and negative indices appear swapped relative
 to it; both facts are exercised by the test suite.  The Mycielskian
 inertia is therefore the sum of those of the two blocks, of orders p
 and p + 1, each eliminated on its own.
-Neither P nor B is built: P is its own inverse, so the audit applies P
-to A_M by row and column operations and compares the result with the
-two blocks (sgmyc.claims).
+Neither P nor B is built: P is its own inverse, so the audit checks
+P A_M = B P^T on the nonzeros of A_M and of the two blocks
+(sgmyc.claims).
 
 Incidence columns fix one orientation per edge: +1 at the smaller
 endpoint u of edge (u, v, s) and -s at v, so that H H^T equals the
@@ -39,44 +41,36 @@ into its u part and v part makes the cross columns literal rearrangements
 of those two pieces, and every column still has exactly two nonzeros.
 So H_M is written once, as the list of those pairs, and its first q
 columns are H on the original rows.  H_M H_M^T is summed from the same
-list, four updates a column, without forming the 3q + p columns of H_M;
-the first q columns give H H^T = L the same way.
+list into one map per row, its diagonal kept in a list until the end,
+without forming the 3q + p columns of H_M; the first q columns give
+H H^T = L the same way.
 """
 
 from __future__ import annotations
 
-from .core import SignedGraph
+from .core import SignedGraph, degrees
 from .exactla import IntMatrix
 
 
 _Columns = list[tuple[tuple[int, int], tuple[int, int]]]
 
 
-def _square(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
-
-
-def _frozen(rows: list[list[int]]) -> IntMatrix:
-    # every builder fills its rows with ints taken from the canonical
-    # edges, so no entry needs a check
-    return IntMatrix(tuple(map(tuple, rows)))
+def _rows(n: int) -> list[dict[int, int]]:
+    # sized by multiplication, so an order too large to hold fails at once
+    return list(map(dict, [()] * n))
 
 
 def adjacency(g: SignedGraph) -> IntMatrix:
     """Symmetric p x p matrix with entry s for each edge (u, v, s)."""
-    a = _square(g.p)
+    rows = _rows(g.p)
     for u, v, s in g.edges:
-        a[u - 1][v - 1] = a[v - 1][u - 1] = s
-    return _frozen(a)
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
+    return IntMatrix(g.p, g.p, tuple(rows))
 
 
 def degree_matrix(g: SignedGraph) -> IntMatrix:
     """Diagonal matrix of unsigned degrees."""
-    d = _square(g.p)
-    for u, v, _ in g.edges:
-        d[u - 1][u - 1] += 1
-        d[v - 1][v - 1] += 1
-    return _frozen(d)
+    return IntMatrix(g.p, g.p, tuple({i: d} if d else {} for i, (d, *_) in enumerate(degrees(g))))
 
 
 def negative_join(g: SignedGraph) -> IntMatrix:
@@ -86,11 +80,13 @@ def negative_join(g: SignedGraph) -> IntMatrix:
     [ -j'  0 ]
     """
     p = g.p
-    rows = [[0] * p + [-1] for _ in range(p)]
+    rows = _rows(p)
     for u, v, s in g.edges:
         rows[u - 1][v - 1] = rows[v - 1][u - 1] = s
-    rows.append([-1] * p + [0])
-    return _frozen(rows)
+    for row in rows:
+        row[p] = -1
+    rows.append(dict.fromkeys(range(p), -1))
+    return IntMatrix(p + 1, p + 1, tuple(rows))
 
 
 def incidence(g: SignedGraph) -> IntMatrix:
@@ -108,13 +104,21 @@ def incidence_mycielskian(g: SignedGraph) -> IntMatrix:
 
 def _gram(n: int, columns: _Columns) -> IntMatrix:
     """H H^T for the n-row H of columns: x in row a and y in row b add x^2, y^2 and x y twice."""
-    out = _square(n)
+    diagonal = [0] * n
+    out = _rows(n)
     for (a, x), (b, y) in columns:
-        out[a][a] += x * x
-        out[b][b] += y * y
-        out[a][b] += x * y
-        out[b][a] += x * y
-    return _frozen(out)
+        diagonal[a] += x * x
+        diagonal[b] += y * y
+        row_a, row_b = out[a], out[b]
+        t = row_a.get(b, 0) + x * y
+        if t:
+            row_a[b] = row_b[a] = t
+        else:
+            del row_a[b], row_b[a]
+    for i, d in enumerate(diagonal):
+        if d:
+            out[i][i] = d
+    return IntMatrix(n, n, tuple(out))
 
 
 def _mycielskian_columns(g: SignedGraph) -> _Columns:
@@ -134,19 +138,20 @@ def _mycielskian_columns(g: SignedGraph) -> _Columns:
 
 def _fill(rows: int, columns: _Columns) -> IntMatrix:
     """The rows x len(columns) matrix with the two nonzeros of each column."""
-    h = [[0] * len(columns) for _ in range(rows)]
+    h = _rows(rows)
     for k, ((a, x), (b, y)) in enumerate(columns):
         h[a][k] = x
         h[b][k] = y
-    return _frozen(h)
+    return IntMatrix(rows, len(columns), tuple(h))
 
 
 def laplacian(g: SignedGraph) -> IntMatrix:
     """Signed Laplacian D - A; singular exactly on balanced components."""
-    lap = _square(g.p)
+    rows = _rows(g.p)
     for u, v, s in g.edges:
-        lap[u - 1][u - 1] += 1
-        lap[v - 1][v - 1] += 1
-        lap[u - 1][v - 1] = lap[v - 1][u - 1] = -s
-    return _frozen(lap)
-
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = -s
+    for i, row in enumerate(rows):
+        if row:
+            # its degree, counted before the diagonal goes in
+            row[i] = len(row)
+    return IntMatrix(g.p, g.p, tuple(rows))

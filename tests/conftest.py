@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import from_rows
+from sgmyc.exactla import IntMatrix
 from sgmyc.core import SignedGraph, canonicalize, generate, switch
 
 # 4-cycle with exactly one negative edge: the smallest unbalanced running example
@@ -119,7 +119,9 @@ def write_graph(tmp_path, g, name="g.txt"):
 
 
 def bump_corner(m):
-    """A copy of the integer matrix m with 1 added to its top-left entry."""
-    rows = [list(row) for row in m.entries]
-    rows[0][0] += 1
-    return from_rows(rows)
+    """A copy of the integer matrix m with 1 added to its top-left entry, no zero stored."""
+    rows = list(map(dict, m.nonzeros))
+    corner = rows[0].pop(0, 0) + 1
+    if corner:
+        rows[0][0] = corner
+    return IntMatrix(m.rows, m.cols, tuple(rows))

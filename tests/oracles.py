@@ -7,7 +7,8 @@ breadth-first search, and path signs by enumerating every simple path.  Matrix o
 rows: ranks by Fraction elimination or by integer row echelon form with
 gcd-reduced rows, determinants by cofactor expansion, inertia by
 Fraction congruence diagonalization, none of them the package's
-pivots or fraction-free kernel.  The oracles only read the public data
+pivots or fraction-free kernel; definition_matrices writes each
+builder's matrix entry by entry from its definition.  The oracles only read the public data
 fields (p, edges), so agreement with the package is meaningful evidence.
 Exponential time is fine at oracle sizes (p <= 8 or so).
 
@@ -26,7 +27,9 @@ from_rows, the IntMatrix constructor that checks every entry, which the
 tests build their matrices with; subtract, the entrywise difference
 behind the test that L = D - A; and paper_factors, the explicit pair
 (P, B) of A_M = P B P^T, which inertia-additivity no longer builds;
-congruence_product multiplies it out by the triple loop.
+congruence_product multiplies it out by the triple loop.  dense
+reads an IntMatrix back as its rows, zeros included, for the oracles
+that work on rows.
 """
 
 from collections import deque
@@ -359,6 +362,43 @@ def paper_factors(g: SignedGraph):
     return pm, bm
 
 
+def definition_matrices(g: SignedGraph) -> dict[str, list[list[int]]]:
+    """Each matrix sgmyc.matrices builds of g, as rows written entry by entry from its definition.
+
+    adjacency: s at (u, v) and (v, u) for each edge (u, v, s); degree: the
+    unsigned degrees on the diagonal; negative_join: A bordered by -1 with
+    a zero corner; laplacian: degree less adjacency, entry by entry;
+    incidence: edge k's column holds +1 at u and -s at v;
+    incidence_mycielskian: the blocked columns of M over the fixed
+    labeling, the q edges of G, then for edge k the cross copies
+    v_u u_v (+1 at original u, -s at twin v) and u_u v_v (-s at original
+    v, +1 at twin u), then for each twin i the root column (+1 at twin i,
+    -1 at the root); gram: incidence_mycielskian times its transpose, by
+    the triple loop.
+    """
+    p, n = g.p, 2 * g.p + 1
+    adj = [[0] * p for _ in range(p)]
+    deg = [[0] * p for _ in range(p)]
+    for u, v, s in g.edges:
+        adj[u - 1][v - 1] = adj[v - 1][u - 1] = s
+        deg[u - 1][u - 1] += 1
+        deg[v - 1][v - 1] += 1
+    columns = [{u - 1: 1, v - 1: -s} for u, v, s in g.edges]
+    for u, v, s in g.edges:
+        columns += [{u - 1: 1, p + v - 1: -s}, {v - 1: -s, p + u - 1: 1}]
+    columns += [{p + i: 1, 2 * p: -1} for i in range(p)]
+    hm = [[column.get(r, 0) for column in columns] for r in range(n)]
+    return {
+        "adjacency": adj,
+        "degree": deg,
+        "negative_join": [row + [-1] for row in adj] + [[-1] * p + [0]],
+        "laplacian": [[d - a for d, a in zip(d_row, a_row)] for d_row, a_row in zip(deg, adj)],
+        "incidence": [[1 if r == u - 1 else -s if r == v - 1 else 0 for u, v, s in g.edges] for r in range(p)],
+        "incidence_mycielskian": hm,
+        "gram": triple_loop_product(hm, [list(col) for col in zip(*hm)], n),
+    }
+
+
 def congruence_product(p_rows, b_rows):
     """P B P^T of square row lists, by the triple loop."""
     n = len(p_rows)
@@ -494,7 +534,7 @@ def rank(a: exactla.IntMatrix) -> int:
     divided by the gcd of its entries, which keeps them small without
     the package's division by the previous pivot.
     """
-    m = [list(row) for row in a.entries]
+    m = dense(a)
     r = 0
     for c in range(a.cols):
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -513,17 +553,27 @@ def rank(a: exactla.IntMatrix) -> int:
 
 
 def from_rows(rows) -> exactla.IntMatrix:
-    """An IntMatrix of rows, checked to be ints in rows of one length."""
+    """An IntMatrix of rows, checked to be ints in rows of one length.
+
+    The width is read from the first row, so a matrix with no rows has
+    no columns either.
+    """
     data = tuple(map(tuple, rows))
     if data and any(len(row) != len(data[0]) for row in data):
         raise InputError("rows have unequal lengths")
     bad = sorted(t.__name__ for t in set().union(*(map(type, row) for row in data)) - {int})
     if bad:
         raise InputError(f"matrix entries must be ints, got {', '.join(bad)}")
-    return exactla.IntMatrix(data)
+    nonzeros = tuple({j: x for j, x in enumerate(row) if x} for row in data)
+    return exactla.IntMatrix(len(data), len(data[0]) if data else 0, nonzeros)
+
+
+def dense(a: exactla.IntMatrix) -> list[list[int]]:
+    """The rows of a, zeros included, read entry by entry from its nonzeros."""
+    return [[row.get(j, 0) for j in range(a.cols)] for row in a.nonzeros]
 
 
 def subtract(a: exactla.IntMatrix, b: exactla.IntMatrix) -> exactla.IntMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise InputError(f"shape mismatch {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return exactla.IntMatrix(tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+    return from_rows([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))])

@@ -57,7 +57,7 @@ def test_the_certificate_each_verdict_names_checks_and_agrees_with_the_rank(g):
     verdicts = (cert.balanced, core.is_all_positive(g))
     kernels = (cert.to_all_positive, (1,) * (2 * g.p + 1))
     for (n, columns, lap), singular, kernel in zip(halves(g), verdicts, kernels):
-        assert singular == (oracles.gaussian_rank(lap.entries) < n)
+        assert singular == (oracles.gaussian_rank(oracles.dense(lap)) < n)
         if singular:
             assert claims._singular(lap, kernel)
         else:
@@ -73,7 +73,7 @@ def test_the_certificate_each_verdict_names_checks_and_agrees_with_the_rank(g):
 def test_frame_determinant_is_nonzero_exactly_on_a_full_rank_laplacian(g):
     for n, columns, lap in halves(g):
         assert matrices._gram(n, columns) == lap
-        assert bool(claims._frame_det(n, columns)) == (oracles.gaussian_rank(lap.entries) == n)
+        assert bool(claims._frame_det(n, columns)) == (oracles.gaussian_rank(oracles.dense(lap)) == n)
 
 
 @st.composite
@@ -127,8 +127,8 @@ def recording_inertia(monkeypatch):
 
     def recording(a):
         orders.append(a.rows)
-        diagonal = {row[i] for i, row in enumerate(a.entries)}
-        signed.append(diagonal <= {0} and {x for row in a.entries for x in row} <= {-1, 0, 1})
+        # no zero is stored: no diagonal key, and every value +-1
+        signed.append(all(i not in row and set(row.values()) <= {-1, 1} for i, row in enumerate(a.nonzeros)))
         return inertia(a)
 
     monkeypatch.setattr(exactla, "inertia", recording)
@@ -143,7 +143,7 @@ def test_a_zero_frame_determinant_fails_each_nonsingular_verdict(monkeypatch, na
     orders, _ = recording_inertia(monkeypatch)
     # only a nonsingular Laplacian, L of unbalanced G or L_M of G with a
     # negative edge, asks for a frame determinant, and nothing rescues it
-    nonsingular = [n for n, _, lap in halves(g) if oracles.gaussian_rank(lap.entries) == n]
+    nonsingular = [n for n, _, lap in halves(g) if oracles.gaussian_rank(oracles.dense(lap)) == n]
     assert status(claims.Context(g), "laplacian-balance") == ("fail" if nonsingular else "pass")
     assert asked == nonsingular == {"K2-": [5], "square1": [4, 9], "square2": [9]}.get(name, [])
     assert orders == []
@@ -244,7 +244,7 @@ def test_derived_inertia_of_a_m_equals_its_full_elimination(g):
     in_am, _, _ = ctx.inertias
     am = matrices.adjacency(mycielskian.mycielskian(g)[0])
     assert in_am == exactla.inertia(am)
-    assert in_am == exactla.Inertia(*oracles.congruence_inertia([list(row) for row in am.entries]))
+    assert in_am == exactla.Inertia(*oracles.congruence_inertia(oracles.dense(am)))
 
 
 def connected_graph(p, seed, sign):
@@ -475,7 +475,7 @@ def test_inertia_of_a_block_matrix_eliminates_its_blocks(monkeypatch, tmp_path, 
         "mycielskian": matrices.adjacency(mycielskian.mycielskian(g)[0]),
         "negjoin": matrices.negative_join(g),
     }[of]
-    expected = oracles.congruence_inertia([list(row) for row in whole.entries])
+    expected = oracles.congruence_inertia(oracles.dense(whole))
     (orders, signed), built = recording_inertia(monkeypatch), recording_builders(monkeypatch)
     path = tmp_path / "g.txt"
     path.write_text(core.dumps(g))

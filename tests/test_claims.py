@@ -16,7 +16,7 @@ import pytest
 
 from conftest import K2_NEG, K2_POS, SQUARE_ONE_NEG, SQUARE_TWO_NEG, bump_corner
 import oracles
-from sgmyc import claims, coloring, core, matrices, mycielskian
+from sgmyc import claims, coloring, core, exactla, matrices, mycielskian
 
 # small and degenerate inputs on which every corruption must show
 FAULT_GRAPHS = {
@@ -94,10 +94,12 @@ CORRUPTIONS = {
 
 def with_entries(m, changes):
     """A copy of the integer matrix m with the entries at the (i, j) keys of changes replaced."""
-    rows = [list(row) for row in m.entries]
+    rows = list(map(dict, m.nonzeros))
     for (i, j), x in changes.items():
-        rows[i][j] = x
-    return oracles.from_rows(rows)
+        rows[i].pop(j, None)
+        if x:
+            rows[i][j] = x
+    return exactla.IntMatrix(m.rows, m.cols, tuple(rows))
 
 
 def off_diagonal_block(ctx, monkeypatch):
@@ -110,14 +112,14 @@ def off_diagonal_block(ctx, monkeypatch):
 
 def negated_lower_block(ctx, monkeypatch):
     # D N D in place of D (-N) D
-    ctx.__dict__["lower_block"] = oracles.from_rows([[-x for x in row] for row in ctx.lower_block.entries])
+    ctx.__dict__["lower_block"] = oracles.from_rows([[-x for x in row] for row in oracles.dense(ctx.lower_block)])
 
 
 def asymmetric_lower_block(ctx, monkeypatch):
     # twin 1 meets the next twin, or the root, in one direction only, so the
     # lower block is not symmetric and not the negative join of -G
     lower = ctx.lower_block
-    ctx.__dict__["lower_block"] = with_entries(lower, {(0, 1): lower.entries[0][1] + 1})
+    ctx.__dict__["lower_block"] = with_entries(lower, {(0, 1): lower.nonzeros[0].get(1, 0) + 1})
 
 
 def bumped_adjacency(ctx, monkeypatch):
@@ -175,7 +177,7 @@ def test_a_mycielskian_of_another_order_fails_inertia_additivity(monkeypatch, co
 
 def congruent_block(m, i, j):
     """E^-1 m E^-T for E = I + e_ij with i > j: row i, then column i, less row and column j."""
-    rows = [list(row) for row in m.entries]
+    rows = oracles.dense(m)
     rows[i] = [x - y for x, y in zip(rows[i], rows[j])]
     for row in rows:
         row[i] -= row[j]

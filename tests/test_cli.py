@@ -8,10 +8,12 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -26,6 +28,7 @@ from conftest import (
     bump_corner,
     write_graph,
 )
+import oracles
 from strategies import signed_graphs
 from sgmyc import cli, matrices, mycielskian
 from sgmyc.cli import main
@@ -314,6 +317,68 @@ class TestMatrix:
         assert code == 0
         assert report["rows"] == 6
         assert all(row[-1] == -1 for row in report["matrix"][:-1])
+
+
+def dense_matrix(g, kind, of):
+    """The rows `matrix --kind kind --of of` prints, from oracles.definition_matrices."""
+    if kind == "incidence" and of == "mycielskian":
+        # the blocked column order, written from g itself
+        return oracles.definition_matrices(g)["incidence_mycielskian"]
+    name = {"negjoin": "negative_join"}.get(kind, kind)
+    return oracles.definition_matrices(g if of == "input" else mycielskian.mycielskian(g)[0])[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_graphs(max_p=7))
+@example(canonicalize(0, []))
+# incidence rows with no columns print []
+@example(canonicalize(3, []))
+# the Laplacian of M has the two-digit diagonal 24 at the centre
+@example(canonicalize(13, [(1, v, 1 if v % 2 else -1) for v in range(2, 14)]))
+def test_matrix_output_is_the_dense_rendering(g):
+    data = dumps(g).encode()
+    for kind in cli._MATRIX_KINDS:
+        for of in ("input", "mycielskian"):
+            rows = dense_matrix(g, kind, of)
+            argv = ["matrix", "--kind", kind, "--of", of, "-"]
+            assert run_on_stdin(argv, data) == (0, "".join(" ".join(map(str, row)) + "\n" for row in rows), "")
+            report = {
+                "command": "matrix",
+                "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
+                "kind": kind,
+                "of": of,
+                "rows": len(rows),
+                "cols": len(rows[0]) if rows else 0,
+                "matrix": rows,
+            }
+            assert run_on_stdin([*argv[:-1], "--json", "-"], data) == (0, json.dumps(report, indent=2) + "\n", "")
+
+
+def sparse_all_negative(p, q, seed):
+    """A connected all-negative graph: a random tree on p vertices plus q - p + 1 random edges."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(1, v), v) for v in range(2, p + 1)}
+    while len(pairs) < q:
+        pairs.add(tuple(sorted(rng.sample(range(1, p + 1), 2))))
+    return canonicalize(p, [(u, v, -1) for u, v in pairs])
+
+
+@pytest.mark.parametrize(
+    "argv", [["inertia", "--of", "input"], ["inertia", "--of", "mycielskian"], ["inertia", "--of", "negjoin"], ["audit"]]
+)
+def test_matrix_work_on_a_sparse_input_stays_small(argv):
+    # the matrices are held as their nonzeros, so memory follows p + q, not
+    # p^2: a dense A_M of this input alone is 2001^2 entries, 32 MB of slots
+    data = dumps(sparse_all_negative(1_000, 1_500, seed=7)).encode()
+    tracemalloc.start()
+    try:
+        code, _, err = run_on_stdin([*argv, "-"], data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        # left on, tracing would slow every later test
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 12_000_000
 
 
 class TestInertia:
@@ -660,12 +725,15 @@ GENERATE_CASES = [
 @pytest.mark.parametrize("argv, name", JSON_CASES + GENERATE_CASES)
 def test_text_is_rendered_from_the_report_alone(tmp_path, capsys, argv, name):
     # the JSON round trip turns tuples into lists, so the renderer reads
-    # nothing but the payload
+    # nothing but the payload; a matrix is reported as its rows and read
+    # back into the IntMatrix the payload holds
     files = [] if name is None else [write_graph(tmp_path, JSON_GRAPHS[name])]
     code, text, _ = run(capsys, *argv, *files)
     json_code, out, _ = run(capsys, *argv, "--json", *files)
     payload = json.loads(out)
     del payload["command"], payload["input_digest"]
+    if "matrix" in payload:
+        payload["matrix"] = oracles.from_rows(payload["matrix"])
     assert code == json_code
     assert getattr(cli, RENDERERS[argv[0]])(payload) == text
 

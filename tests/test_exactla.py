@@ -78,7 +78,7 @@ def zero_heavy_symmetric(draw, max_n=8):
 
 def product(a, b):
     """a b of two IntMatrix by the triple loop."""
-    return M(oracles.triple_loop_product(a.entries, b.entries, b.cols))
+    return M(oracles.triple_loop_product(oracles.dense(a), oracles.dense(b), b.cols))
 
 
 class TestConstruction:
@@ -136,7 +136,7 @@ class TestRank:
     )
     def test_matches_gaussian_oracle(self, nr, nc, data):
         a = data.draw(matrices(nr, nc))
-        rows = [[a.entries[i][j] for j in range(nc)] for i in range(nr)]
+        rows = oracles.dense(a)
         assert rank(a) == oracles.gaussian_rank(rows)
 
 
@@ -152,19 +152,19 @@ class TestResumeRank:
     def test_resumes_past_an_invertible_diagonal_block(self, diag, n, data):
         # a = [[C, B1], [B2, E]] with C diagonal: rank(a) = k + rank(S)
         k = len(diag)
-        b1 = data.draw(matrices(k, n))
-        b2 = data.draw(matrices(n, k))
-        e = data.draw(matrices(n, n))
+        b1 = oracles.dense(data.draw(matrices(k, n)))
+        b2 = oracles.dense(data.draw(matrices(n, k)))
+        e = oracles.dense(data.draw(matrices(n, n)))
         c = lcm(*diag)
         # c * S, with S = E - B2 C^-1 B1
         w = [c // d for d in diag]
         scaled = [
-            [c * e.entries[i][j] - sum(w[t] * b2.entries[i][t] * b1.entries[t][j] for t in range(k))
+            [c * e[i][j] - sum(w[t] * b2[i][t] * b1[t][j] for t in range(k))
              for j in range(n)]
             for i in range(n)
         ]
-        a = [[diag[i] if i == j else 0 for j in range(k)] + list(b1.entries[i]) for i in range(k)]
-        a += [list(b2.entries[i]) + list(e.entries[i]) for i in range(n)]
+        a = [[diag[i] if i == j else 0 for j in range(k)] + b1[i] for i in range(k)]
+        a += [b2[i] + e[i] for i in range(n)]
         assert k + rank(M(scaled)) == oracles.gaussian_rank(a)
 
 
@@ -214,7 +214,7 @@ class TestInertia:
     @given(symmetric_matrices(max_n=4))
     def test_determinant_sign_consistent(self, a):
         res = inertia(a)
-        det = oracles.laplace_determinant(a.entries)
+        det = oracles.laplace_determinant(oracles.dense(a))
         if res.n_zero > 0:
             assert det == 0
         else:
@@ -225,15 +225,15 @@ class TestInertia:
     @settings(max_examples=40)
     @given(symmetric_matrices(max_n=4), square_matrices(max_n=4))
     def test_congruence_invariant(self, a, p):
-        if p.rows != a.rows or oracles.laplace_determinant(p.entries) == 0:
+        if p.rows != a.rows or oracles.laplace_determinant(oracles.dense(p)) == 0:
             return
-        congruent = product(product(p, a), M(list(zip(*p.entries))))
+        congruent = product(product(p, a), M(list(zip(*oracles.dense(p)))))
         assert inertia(congruent) == inertia(a)
 
     @settings(max_examples=200)
     @given(zero_heavy_symmetric())
     def test_matches_congruence_oracle(self, a):
-        rows = [list(row) for row in a.entries]
+        rows = oracles.dense(a)
         assert inertia(a) == Inertia(*oracles.congruence_inertia(rows))
 
 
@@ -243,12 +243,12 @@ K5_POS = canonicalize(5, [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6
 
 def bordered(a, border):
     """The rows of [[a, b], [b', 0]] for the border b."""
-    return [list(row) + [x] for row, x in zip(a.entries, border)] + [list(border) + [0]]
+    return [list(row) + [x] for row, x in zip(oracles.dense(a), border)] + [list(border) + [0]]
 
 
 def assert_bordered_inertia(a, border):
     rows = bordered(a, border)
-    assert inertia(a) == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
+    assert inertia(a) == Inertia(*oracles.congruence_inertia(oracles.dense(a)))
     assert inertia(M(rows)) == Inertia(*oracles.congruence_inertia(rows))
 
 
@@ -269,7 +269,7 @@ class TestBorderedInertia:
         # sign -1 borders A into the negative join, as the audit does
         a = adjacency(g)
         if sign == -1:
-            assert bordered(a, (-1,) * g.p) == [list(row) for row in negative_join(g).entries]
+            assert bordered(a, (-1,) * g.p) == oracles.dense(negative_join(g))
         assert_bordered_inertia(a, (sign,) * g.p)
 
     @settings(max_examples=300)
@@ -325,7 +325,7 @@ class TestLeafPeeling:
     @given(leaf_heavy_symmetric())
     @example(path_rows(6))
     @example(path_rows(7))
-    @example([list(row) for row in adjacency(STAR).entries])
+    @example(oracles.dense(adjacency(STAR)))
     # |s| = 2 at each end: a leaf pair leaves row 2 lone, so none of it is eliminated
     @example([[0, 2, 0], [2, 0, 2], [0, 2, 0]])
     # the neighbour's diagonal d, and a leaf with its own diagonal
@@ -361,7 +361,7 @@ class TestLeafPeeling:
         # the last row of each is lone ([[-2]] and [[2]])
         assert orders(received) == [0, 0]
         a_m = adjacency(mycielskian(g)[0])
-        plus, minus, zero = oracles.congruence_inertia([list(row) for row in a_m.entries])
+        plus, minus, zero = oracles.congruence_inertia(oracles.dense(a_m))
         assert out.getvalue() == f"rank {plus + minus} n_plus {plus} n_minus {minus} n_zero {zero}\n"
 
     @settings(max_examples=100)
@@ -373,7 +373,7 @@ class TestLeafPeeling:
         for a in (ctx.adjacency, negative_join(g), ctx.lower_block):
             with pytest.MonkeyPatch.context() as mp:
                 received = recording_eliminations(mp)
-                assert inertia(a) == Inertia(*oracles.congruence_inertia([list(row) for row in a.entries]))
+                assert inertia(a) == Inertia(*oracles.congruence_inertia(oracles.dense(a)))
             assert [lone_rows_and_leaves(m) for m in received] == [[]]
 
 

@@ -56,7 +56,8 @@ def laplacian_m(g):
 
 def gram_rows(h):
     """h h^T of an IntMatrix by the triple loop, as an IntMatrix."""
-    return M(oracles.triple_loop_product(h.entries, tuple(zip(*h.entries)), h.rows))
+    rows = oracles.dense(h)
+    return M(oracles.triple_loop_product(rows, tuple(zip(*rows)), h.rows))
 
 
 @pytest.mark.parametrize("name", ["incidence_mycielskian", "_gram", "_mycielskian_columns"])
@@ -84,6 +85,33 @@ def test_every_builder_returns_int_matrices():
         assert all(type(m) is IntMatrix for m in (result if isinstance(result, tuple) else (result,)))
 
 
+# each builder by its name in oracles.definition_matrices
+BUILDERS = {
+    "adjacency": adjacency,
+    "degree": degree_matrix,
+    "negative_join": negative_join,
+    "laplacian": laplacian,
+    "incidence": incidence,
+    "incidence_mycielskian": incidence_mycielskian,
+    "gram": lambda g: matrices._gram(2 * g.p + 1, matrices._mycielskian_columns(g)),
+}
+
+
+@settings(max_examples=150)
+@given(signed_graphs(max_p=7))
+@example(canonicalize(0, []))
+@example(canonicalize(1, []))
+@example(canonicalize(3, []))
+def test_each_builder_is_its_definition_with_no_zero_stored(g):
+    expected = oracles.definition_matrices(g)
+    for name, build in BUILDERS.items():
+        m, rows = build(g), expected[name]
+        assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0), name
+        assert len(m.nonzeros) == m.rows, name
+        assert all(0 not in row.values() and all(0 <= j < m.cols for j in row) for row in m.nonzeros), name
+        assert oracles.dense(m) == rows, name
+
+
 class TestAdjacency:
     def test_frozen(self):
         assert adjacency(K2_NEG) == M([[0, -1], [-1, 0]])
@@ -103,9 +131,10 @@ class TestAdjacency:
     def test_symmetric_with_edge_entries(self, g):
         a = adjacency(g)
         assert a.is_symmetric()
+        rows = oracles.dense(a)
         for u, v, s in g.edges:
-            assert a.entries[u - 1][v - 1] == s
-        assert sum(1 for i in range(g.p) for j in range(g.p) if a.entries[i][j] != 0) == 2 * g.q
+            assert rows[u - 1][v - 1] == s
+        assert sum(1 for i in range(g.p) for j in range(g.p) if rows[i][j] != 0) == 2 * g.q
 
     def test_mycielskian_frozen(self):
         assert adjacency_m(K2_NEG) == M(
@@ -132,7 +161,7 @@ class TestNegativeJoin:
 
     def test_determinant_and_rank(self):
         nj = negative_join(K2_POS)
-        assert oracles.laplace_determinant(nj.entries) == 2
+        assert oracles.laplace_determinant(oracles.dense(nj)) == 2
         assert rank(nj) == 3
 
     @given(signed_graphs(max_p=6))
@@ -140,7 +169,7 @@ class TestNegativeJoin:
         nj = negative_join(g)
         assert nj.rows == g.p + 1
         assert nj.is_symmetric()
-        assert all(nj.entries[g.p][i] == -1 for i in range(g.p))
+        assert all(oracles.dense(nj)[g.p][i] == -1 for i in range(g.p))
 
 
 class TestCongruence:
@@ -244,7 +273,7 @@ class TestInertiaOracle:
     @example(canonicalize(5, []))
     def test_graph_matrices_match_congruence_oracle(self, g):
         for m in (adjacency(g), adjacency_m(g), negative_join(g), laplacian(g)):
-            rows = [list(row) for row in m.entries]
+            rows = oracles.dense(m)
             assert inertia(m) == Inertia(*oracles.congruence_inertia(rows))
 
 
@@ -269,23 +298,24 @@ class TestIncidence:
     def test_mycielskian_shape_and_support(self, g):
         hm = incidence_mycielskian(g)
         assert (hm.rows, hm.cols) == (2 * g.p + 1, 3 * g.q + g.p)
+        h = oracles.dense(hm)
         for c in range(hm.cols):
-            nonzero = [hm.entries[r][c] for r in range(hm.rows) if hm.entries[r][c] != 0]
+            nonzero = [h[r][c] for r in range(hm.rows) if h[r][c] != 0]
             assert len(nonzero) == 2
 
     @given(signed_graphs(max_p=6))
     def test_cross_columns_rearrange_the_split(self, g):
-        hm = incidence_mycielskian(g)
+        hm = oracles.dense(incidence_mycielskian(g))
         p, q = g.p, g.q
         for k, (u, v, s) in enumerate(g.edges):
             # u part and v part of the original column
-            assert hm.entries[u - 1][k] == 1 and hm.entries[v - 1][k] == -s
+            assert hm[u - 1][k] == 1 and hm[v - 1][k] == -s
             # first cross copy: u part on originals, v part on twins
-            assert hm.entries[u - 1][q + 2 * k] == 1
-            assert hm.entries[p + v - 1][q + 2 * k] == -s
+            assert hm[u - 1][q + 2 * k] == 1
+            assert hm[p + v - 1][q + 2 * k] == -s
             # second cross copy: v part on originals, u part on twins
-            assert hm.entries[v - 1][q + 2 * k + 1] == -s
-            assert hm.entries[p + u - 1][q + 2 * k + 1] == 1
+            assert hm[v - 1][q + 2 * k + 1] == -s
+            assert hm[p + u - 1][q + 2 * k + 1] == 1
 
     @given(signed_graphs(max_p=6))
     def test_mycielskian_gram_is_mycielskian_laplacian(self, g):
@@ -311,7 +341,7 @@ class TestLaplacian:
 
     def test_mycielskian_diagonal(self):
         lm = laplacian_m(SQUARE_ONE_NEG)
-        assert [lm.entries[i][i] for i in range(9)] == [4, 4, 4, 4, 3, 3, 3, 3, 4]
+        assert [oracles.dense(lm)[i][i] for i in range(9)] == [4, 4, 4, 4, 3, 3, 3, 3, 4]
 
     @given(signed_graphs(max_p=6))
     def test_block_form_equals_difference(self, g):
